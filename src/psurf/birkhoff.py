@@ -114,6 +114,9 @@ def _tail(loop, side):
 
 
 def _trunc_schedule(trunc):
+    """Truncations to try: trunc, then doubling up to MAX_TRUNC."""
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
     n = trunc
     while True:
         yield n

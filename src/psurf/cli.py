@@ -19,9 +19,9 @@ from psurf.birkhoff import FactorizationFailure
 from psurf.frames import IntegrationDrift, direct_frame_solve
 from psurf.loops import random_twisted_unitary_loop
 from psurf.oracle import GoursatProblem, StiffnessError, goursat_solve
-from psurf.surface import (associated_family, find_cone_point, cone_line_check,
-                           geometry_report, reconstruct_frames, sym_immersion,
-                           write_csv, write_obj)
+from psurf.surface import (GEOMETRY_MIN_NODES, associated_family, find_cone_point,
+                           cone_line_check, geometry_report, reconstruct_frames,
+                           sym_immersion, write_csv, write_obj)
 from psurf.symmetry import certify_from_potentials
 
 EXIT_OK = 0
@@ -112,9 +112,13 @@ class RunConfig:
             self.trunc = overrides.trunc
         else:
             self.trunc = int(r.get("trunc", 24))
+        if self.trunc < 1:
+            raise ConfigError(f"trunc must be >= 1, got {self.trunc}")
         self.seed = overrides.seed if overrides.seed is not None else int(r.get("seed", 20090228))
         self.threads = overrides.threads if overrides.threads is not None else int(r.get("threads", 1))
         div = float(r.get("step_divisor", 2048))
+        if not (np.isfinite(div) and div > 0):
+            raise ConfigError(f"step_divisor must be a positive number, got {div:g}")
         span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
         self.step = span / div
         self.drift_samples = tuple(_floats(r.get("drift_lambdas", "0.5, 1, 2")))
@@ -166,6 +170,8 @@ class RunConfig:
         for s in self.suites:
             if s not in known:
                 raise ConfigError(f"unknown verify suite {s!r}; have {sorted(known)}")
+        if "geometry" in self.suites:
+            self.require_geometry_grid("the geometry suite")
 
         self.tolerances = dict(DEFAULT_TOLERANCES)
         if cp.has_section("tolerances"):
@@ -179,6 +185,11 @@ class RunConfig:
         self.formats = [s.strip() for s in o.get("formats", "obj, csv").replace(",", " ").split() if s.strip()]
         self.drop_degenerate_faces = str(o.get("drop_degenerate_faces", "true")).lower() \
             in ("1", "true", "yes")
+
+    def require_geometry_grid(self, what):
+        if min(self.nx, self.ny) < GEOMETRY_MIN_NODES:
+            raise ConfigError(f"{what} needs a grid of at least {GEOMETRY_MIN_NODES} "
+                              f"nodes per axis, got {self.nx} x {self.ny}")
 
 
 def _write_report(report, outdir, name="report"):
@@ -216,6 +227,8 @@ def cmd_build(cfg):
               "max_split_residual": fgrid.max_split_residual,
               "max_tail": fgrid.max_tail}
     ok = True
+    full_geometry = min(cfg.nx, cfg.ny) >= GEOMETRY_MIN_NODES
+    geometry = [] if full_geometry else None
     for sg in surfaces:
         tag = ("lambda_%g" % sg.lam).replace(".", "p")
         if "obj" in cfg.formats:
@@ -223,15 +236,16 @@ def cmd_build(cfg):
                       drop_degenerate_faces=cfg.drop_degenerate_faces)
         if "csv" in cfg.formats:
             write_csv(sg, os.path.join(cfg.output_dir, f"surface_{tag}.csv"))
-        rep = geometry_report(sg, fgrid) if min(cfg.nx, cfg.ny) >= 16 else \
+        rep = geometry_report(sg, fgrid) if full_geometry else \
             {"all_degenerate": bool(np.all(sg.degenerate)),
              "degenerate_count": int(np.sum(sg.degenerate))}
         for k, v in rep.items():
             report[f"{tag}.{k}"] = v
-        if min(cfg.nx, cfg.ny) >= 16:
+        if full_geometry:
+            geometry.append(rep)
             ok = ok and _geometry_pass(rep, cfg.tolerances, sg.lam)
     if cfg.suites:
-        vr, vok = _run_suites(cfg, fgrid, surfaces)
+        vr, vok = _run_suites(cfg, fgrid, surfaces, geometry)
         report.update(vr)
         ok = ok and vok
     report["pass"] = bool(ok)
@@ -273,10 +287,9 @@ def _suite_birkhoff(cfg, tol):
     return rep, ok
 
 
-def _suite_geometry(cfg, fgrid, surfaces, tol):
+def _suite_geometry(surfaces, reports, tol):
     rep, ok = {}, True
-    for sg in surfaces:
-        r = geometry_report(sg, fgrid)
+    for sg, r in zip(surfaces, reports):
         tag = ("lambda_%g" % sg.lam).replace(".", "p")
         rep[f"geometry.{tag}.curvature"] = r["curvature_max_abs_err"]
         rep[f"geometry.{tag}.all_degenerate"] = r["all_degenerate"]
@@ -356,7 +369,9 @@ def _suite_cone(cfg, surfaces):
     return rep, passed
 
 
-def _run_suites(cfg, fgrid, surfaces):
+def _run_suites(cfg, fgrid, surfaces, geometry=None):
+    """Run the configured suites; `geometry` holds the per-surface geometry
+    reports when the caller has already computed them."""
     rep, ok = {}, True
     tol = cfg.tolerances
     for suite in cfg.suites:
@@ -365,7 +380,9 @@ def _run_suites(cfg, fgrid, surfaces):
         elif suite == "birkhoff":
             r, o = _suite_birkhoff(cfg, tol)
         elif suite == "geometry":
-            r, o = _suite_geometry(cfg, fgrid, surfaces, tol)
+            if geometry is None:
+                geometry = [geometry_report(sg, fgrid) for sg in surfaces]
+            r, o = _suite_geometry(surfaces, geometry, tol)
         elif suite == "oracle":
             r, o = _suite_oracle(cfg, fgrid, tol)
         elif suite == "symmetry":
@@ -393,6 +410,7 @@ def cmd_verify(cfg):
 
 
 def cmd_sweep(cfg):
+    cfg.require_geometry_grid("sweep")
     os.makedirs(cfg.output_dir, exist_ok=True)
     fgrid, surfaces = _build_surfaces(cfg)
     report = {"kind": cfg.kind, "trunc": cfg.trunc}

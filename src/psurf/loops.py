@@ -30,6 +30,21 @@ def _frob(m):
     return float(np.linalg.norm(m))
 
 
+def _rows(c):
+    """(n, 2, 2) stack -> (2n, 2) block column [c_0; c_1; ...; c_{n-1}]."""
+    return c.reshape(2 * c.shape[0], 2)
+
+
+def _columns(c):
+    """(n, 2, 2) stack -> (2, 2n) block row [c_0 c_1 ... c_{n-1}]."""
+    return c.transpose(1, 0, 2).reshape(2, 2 * c.shape[0])
+
+
+def _uncolumns(r):
+    """Inverse of ``_columns`` (a view): (2, 2n) block row -> (n, 2, 2) stack."""
+    return r.reshape(2, r.shape[1] // 2, 2).transpose(1, 0, 2)
+
+
 class LaurentLoop:
     """Immutable matrix Laurent polynomial with degrees d_min..d_max."""
 
@@ -98,26 +113,34 @@ class LaurentLoop:
 
         A plain 2x2 array is treated as a constant loop, which avoids the
         degree bookkeeping for the frequent gauge-by-constant case.
+
+        The sum runs over the coefficients of the shorter operand; each term
+        is one GEMM on the longer operand's coefficients laid side by side
+        as a block column or block row, because ``@`` on an ``(n, 2, 2)``
+        stack makes one BLAS call per 2x2 slice.  Each output coefficient
+        adds its terms in increasing index of the shorter operand.
         """
         if isinstance(other, np.ndarray):
-            return LaurentLoop(self.coeffs @ other, self.d_min, copy=False)
+            prod = (_rows(self.coeffs) @ other).reshape(self.coeffs.shape)
+            return LaurentLoop(prod, self.d_min, copy=False)
         if not isinstance(other, LaurentLoop):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        n = a.shape[0] + b.shape[0] - 1
-        out = np.zeros((n, 2, 2), dtype=complex)
-        # convolve along the shorter operand
-        if b.shape[0] <= a.shape[0]:
-            for j in range(b.shape[0]):
-                out[j:j + a.shape[0]] += a @ b[j]
+        na, nb = a.shape[0], b.shape[0]
+        out = np.zeros((na + nb - 1, 2, 2), dtype=complex)
+        if nb <= na:
+            a_rows = _rows(a)
+            for j in range(nb):
+                out[j:j + na] += (a_rows @ b[j]).reshape(na, 2, 2)
         else:
-            for j in range(a.shape[0]):
-                out[j:j + b.shape[0]] += a[j] @ b
+            b_cols = _columns(b)
+            for j in range(na):
+                out[j:j + nb] += _uncolumns(a[j] @ b_cols)
         return LaurentLoop(out, self.d_min + other.d_min, copy=False)
 
     def __rmul__(self, other):
         if isinstance(other, np.ndarray):
-            return LaurentLoop(other @ self.coeffs, self.d_min, copy=False)
+            return LaurentLoop(_uncolumns(other @ _columns(self.coeffs)), self.d_min, copy=False)
         if isinstance(other, (int, float, complex)):
             return LaurentLoop(other * self.coeffs, self.d_min, copy=False)
         return NotImplemented

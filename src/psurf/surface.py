@@ -19,6 +19,8 @@ from psurf.frames import integrate_axis
 from psurf.loops import SU2_I, SU2_J, SU2_K, LaurentLoop, adjoint_rotation, su2_to_r3
 
 EPS_DEGENERATE = 1e-6
+# central differences of the geometry report need this many nodes per axis
+GEOMETRY_MIN_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,8 @@ def geometry_report(sgrid, fgrid=None):
     """
     f = sgrid.points
     nx, ny = f.shape[:2]
-    if nx < 16 or ny < 16:
-        raise ValueError("geometry report needs >= 16 nodes per axis")
+    if nx < GEOMETRY_MIN_NODES or ny < GEOMETRY_MIN_NODES:
+        raise ValueError(f"geometry report needs >= {GEOMETRY_MIN_NODES} nodes per axis")
     hx = _uniform_spacing(sgrid.x)
     hy = _uniform_spacing(sgrid.y)
     lam = sgrid.lam

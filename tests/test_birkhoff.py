@@ -105,3 +105,11 @@ def test_unitary_factors_track_input_defect():
             v = fac.evaluate(lam)[0]
             d = np.max(np.abs(np.conj(v.T) @ v - np.eye(2)))
             assert d < max(100 * in_def, 1e-9)
+
+
+@pytest.mark.parametrize("trunc", [0, -4])
+def test_nonpositive_trunc_is_rejected(trunc):
+    g = random_twisted_unitary_loop(np.random.default_rng(8))
+    for split in (split_plus_star_minus, split_minus_star_plus, split_plus_minusfree):
+        with pytest.raises(ValueError, match="trunc must be >= 1"):
+            split(g, trunc=trunc)

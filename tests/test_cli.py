@@ -287,3 +287,87 @@ formats = csv
     assert run(["build", cfg]) == cli.EXIT_OK
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["lambda_1.curvature_max_abs_err"] < 5e-3
+
+
+SOLITON_9 = """
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+
+[grid]
+nx = 9
+ny = 9
+x_range = 0, 1
+y_range = 0, 1
+
+[run]
+{run}
+
+[verify]
+suites = {suites}
+
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("command, run_section, suites, extra, message", [
+    ("build", "", "loops", ["--trunc", "0"], "trunc must be >= 1"),
+    ("build", "trunc = -4", "loops", [], "trunc must be >= 1"),
+    ("build", "step_divisor = 0", "loops", [], "step_divisor must be a positive number"),
+    ("build", "step_divisor = -64", "loops", [], "step_divisor must be a positive number"),
+    ("build", "", "geometry", [], "the geometry suite needs a grid of at least 16"),
+    ("verify", "", "geometry", [], "the geometry suite needs a grid of at least 16"),
+    ("sweep", "", "loops", [], "sweep needs a grid of at least 16"),
+])
+def test_out_of_range_settings_are_config_errors(tmp_path, capsys, command, run_section,
+                                                 suites, extra, message):
+    cfg = write_config(tmp_path / "r.ini", SOLITON_9.format(
+        run=run_section, suites=suites, out=tmp_path / "o"))
+    assert run([command, cfg] + extra) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_build_reuses_its_geometry_reports(tmp_path, monkeypatch):
+    calls = []
+    real = cli.geometry_report
+
+    def counting(sg, fgrid):
+        calls.append(sg.lam)
+        return real(sg, fgrid)
+
+    monkeypatch.setattr(cli, "geometry_report", counting)
+    cfg = write_config(tmp_path / "g.ini", """
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+
+[grid]
+nx = 17
+ny = 17
+x_range = 0, 1
+y_range = 0, 1
+
+[run]
+lambdas = 0.5, 1.0
+
+[verify]
+suites = geometry
+
+[tolerances]
+speed = 2e-2
+curvature = 2e-2
+
+[output]
+directory = {out}
+formats = csv
+""".format(out=tmp_path / "o"))
+    assert run(["build", cfg]) == cli.EXIT_OK
+    assert calls == [0.5, 1.0]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    for tag in ("lambda_0p5", "lambda_1"):
+        assert report[f"geometry.{tag}.curvature"] == report[f"{tag}.curvature_max_abs_err"]
+    assert report["suite.geometry"] == "pass"

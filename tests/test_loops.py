@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psurf.loops import (LaurentLoop, SU2_I, SU2_J, SU2_K, adjoint_rotation,
                          exp_loop, inverse_one_sided, r3_to_su2,
@@ -198,3 +199,119 @@ def test_loops_are_immutable():
     g = LaurentLoop.identity()
     with pytest.raises(ValueError):
         g.coeffs[0, 0, 0] = 5.0
+
+
+# -- the Cauchy-product kernel -----------------------------------------------
+
+def reference_product(a, b):
+    """Per-slice Cauchy product: the loop the one-GEMM-per-coefficient kernel replaced."""
+    n = a.shape[0] + b.shape[0] - 1
+    out = np.zeros((n, 2, 2), dtype=complex)
+    if b.shape[0] <= a.shape[0]:
+        for j in range(b.shape[0]):
+            out[j:j + a.shape[0]] += a @ b[j]
+    else:
+        for j in range(a.shape[0]):
+            out[j:j + b.shape[0]] += a[j] @ b
+    return out
+
+
+def random_loop(rng, n, d_min=0):
+    return LaurentLoop(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)),
+                       d_min)
+
+
+def kernel_tol(a, b):
+    return 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+VIEWS = {
+    "plain": lambda g: g,
+    "reflect": LaurentLoop.reflect,
+    "transpose_loop": LaurentLoop.transpose_loop,
+    "dagger": LaurentLoop.dagger,
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+@pytest.mark.parametrize("na, nb", [(1, 5), (5, 1), (3, 97), (97, 3), (49, 49), (193, 97)])
+def test_product_matches_per_slice_reference(na, nb, view):
+    rng = np.random.default_rng(na * 1000 + nb)
+    g = VIEWS[view](random_loop(rng, na, d_min=-(na // 2)))
+    h = VIEWS[view](random_loop(rng, nb, d_min=1 - nb))
+    prod = g * h
+    assert (prod.d_min, prod.d_max) == (g.d_min + h.d_min, g.d_max + h.d_max)
+    ref = reference_product(g.coeffs, h.coeffs)
+    assert np.max(np.abs(prod.coeffs - ref)) <= kernel_tol(g.coeffs, h.coeffs)
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+@pytest.mark.parametrize("n", [1, 97])
+def test_constant_matrix_products_match_reference(n, view):
+    rng = np.random.default_rng(n)
+    g = VIEWS[view](random_loop(rng, n, d_min=-3))
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    right = g * m
+    left = g.__rmul__(m)
+    for out in (right, left):
+        assert (out.d_min, out.d_max) == (g.d_min, g.d_max)
+    assert np.max(np.abs(right.coeffs - g.coeffs @ m)) <= kernel_tol(g.coeffs, m)
+    assert np.max(np.abs(left.coeffs - m @ g.coeffs)) <= kernel_tol(g.coeffs, m)
+    # a real 2x2 gauge (the T_x rotation) promotes to complex like a loop would
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    assert np.max(np.abs((g * rot).coeffs - g.coeffs @ rot)) <= kernel_tol(g.coeffs, rot)
+
+
+# -- ring properties (hypothesis) ---------------------------------------------
+
+def _twisted(coeffs, d_min):
+    """Zero the entries that the twist pattern forbids at each degree."""
+    out = coeffs.copy()
+    for i in range(out.shape[0]):
+        if (d_min + i) % 2 == 0:
+            out[i, 0, 1] = out[i, 1, 0] = 0.0
+        else:
+            out[i, 0, 0] = out[i, 1, 1] = 0.0
+    return LaurentLoop(out, d_min, copy=False)
+
+
+@st.composite
+def loops(draw, twisted=False):
+    n = draw(st.integers(1, 40))
+    d_min = draw(st.integers(-20, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    if twisted:
+        return _twisted(coeffs, d_min)
+    return LaurentLoop(coeffs, d_min, copy=False)
+
+
+def _abs_sum(g, radius=1.0):
+    """sum_k ||c_k|| radius^k: bounds |g(lambda)| on |lambda| = radius."""
+    ks = np.arange(g.d_min, g.d_max + 1, dtype=float)
+    return float(np.sum(np.linalg.norm(g.coeffs, axis=(1, 2)) * radius ** ks))
+
+
+@settings(deadline=None)
+@given(loops(), loops(), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.0, 2 * np.pi))
+def test_evaluation_homomorphism_property(g, h, radius, angle):
+    lam = radius * np.exp(1j * angle)
+    lhs = (g * h).evaluate(lam)
+    rhs = g.evaluate(lam) @ h.evaluate(lam)
+    scale = _abs_sum(g, radius) * _abs_sum(h, radius)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
+
+
+@settings(deadline=None)
+@given(loops(), loops(), loops())
+def test_product_is_associative(g, h, k):
+    lhs, rhs = (g * h) * k, g * (h * k)
+    assert (lhs.d_min, lhs.d_max) == (rhs.d_min, rhs.d_max)
+    scale = _abs_sum(g) * _abs_sum(h) * _abs_sum(k)
+    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-13 * scale
+
+
+@settings(deadline=None)
+@given(loops(twisted=True), loops(twisted=True))
+def test_twisted_loops_are_closed_under_product(g, h):
+    assert (g * h).check_twist() == 0.0
