@@ -16,13 +16,14 @@ import numpy as np
 
 from psurf import birkhoff, potentials as pots
 from psurf.birkhoff import FactorizationFailure
-from psurf.frames import IntegrationDrift, direct_frame_solve
+from psurf.frames import DRIFT_LAMBDAS, IntegrationDrift, direct_frame_solve
 from psurf.loops import random_twisted_unitary_loop
 from psurf.oracle import GoursatProblem, StiffnessError, goursat_solve
-from psurf.surface import (GEOMETRY_MIN_NODES, associated_family, find_cone_point,
-                           cone_line_check, geometry_report, reconstruct_frames,
-                           sym_immersion, write_csv, write_obj)
-from psurf.symmetry import certify_from_potentials
+from psurf.surface import (associated_family, cone_line_check, find_cone_point,
+                           geometry_grid_problem, geometry_report, reconstruct_frames,
+                           write_csv, write_obj)
+from psurf.symmetry import (CERT_EQUIVARIANCE_TOL, CERT_MONODROMY_TOL, CERT_SURFACE_TOL,
+                            certify_from_potentials)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -39,9 +40,9 @@ DEFAULT_TOLERANCES = {
     "birkhoff_residual": 1e-9,
     "birkhoff_normalization": 1e-10,
     "birkhoff_twist": 1e-10,
-    "equivariance": 1e-6,
-    "monodromy": 1e-4,
-    "surface_symmetry": 1e-3,
+    "equivariance": CERT_EQUIVARIANCE_TOL,
+    "monodromy": CERT_MONODROMY_TOL,
+    "surface_symmetry": CERT_SURFACE_TOL,
 }
 
 
@@ -115,13 +116,13 @@ class RunConfig:
         if self.trunc < 1:
             raise ConfigError(f"trunc must be >= 1, got {self.trunc}")
         self.seed = overrides.seed if overrides.seed is not None else int(r.get("seed", 20090228))
-        self.threads = overrides.threads if overrides.threads is not None else int(r.get("threads", 1))
         div = float(r.get("step_divisor", 2048))
         if not (np.isfinite(div) and div > 0):
             raise ConfigError(f"step_divisor must be a positive number, got {div:g}")
         span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
         self.step = span / div
-        self.drift_samples = tuple(_floats(r.get("drift_lambdas", "0.5, 1, 2")))
+        self.drift_samples = tuple(_floats(r["drift_lambdas"])) if "drift_lambdas" in r \
+            else DRIFT_LAMBDAS
         # fine interpolation target for the symmetry suite (0 = main grid)
         self.symmetry_interp = int(r.get("symmetry_interp", 0))
 
@@ -166,10 +167,9 @@ class RunConfig:
 
         v = cp["verify"] if cp.has_section("verify") else {}
         self.suites = [s.strip() for s in v.get("suites", "").replace(",", " ").split() if s.strip()]
-        known = {"geometry", "oracle", "birkhoff", "loops", "symmetry", "cone"}
         for s in self.suites:
-            if s not in known:
-                raise ConfigError(f"unknown verify suite {s!r}; have {sorted(known)}")
+            if s not in SUITES:
+                raise ConfigError(f"unknown verify suite {s!r}; have {sorted(SUITES)}")
         if "geometry" in self.suites:
             self.require_geometry_grid("the geometry suite")
 
@@ -187,9 +187,9 @@ class RunConfig:
             in ("1", "true", "yes")
 
     def require_geometry_grid(self, what):
-        if min(self.nx, self.ny) < GEOMETRY_MIN_NODES:
-            raise ConfigError(f"{what} needs a grid of at least {GEOMETRY_MIN_NODES} "
-                              f"nodes per axis, got {self.nx} x {self.ny}")
+        problem = geometry_grid_problem(self.x, self.y)
+        if problem is not None:
+            raise ConfigError(f"{what} {problem}")
 
 
 def _write_report(report, outdir, name="report"):
@@ -206,18 +206,33 @@ def _write_report(report, outdir, name="report"):
 
 def _build_surfaces(cfg):
     fgrid = reconstruct_frames(cfg.pair, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
-                               threads=cfg.threads, drift_samples=cfg.drift_samples)
+                               drift_samples=cfg.drift_samples)
     surfaces = associated_family(fgrid, cfg.lambdas)
     return fgrid, surfaces
 
 
-def _geometry_pass(rep, tol, lam, all_degenerate_ok=True):
+def _geometry_pass(rep, tol, all_degenerate_ok=True):
     if rep.get("all_degenerate"):
         return all_degenerate_ok
     checks = [rep["curvature_max_abs_err"] < tol["curvature"],
               rep["speed_x_max_err"] < tol["speed"],
               rep["speed_y_max_err"] < tol["speed"]]
     return all(bool(c) for c in checks)
+
+
+def _lambda_tag(lam):
+    return ("lambda_%g" % lam).replace(".", "p")
+
+
+def _export(cfg, sg):
+    """Write the configured OBJ / CSV files of one surface; returns its tag."""
+    tag = _lambda_tag(sg.lam)
+    if "obj" in cfg.formats:
+        write_obj(sg, os.path.join(cfg.output_dir, f"surface_{tag}.obj"),
+                  drop_degenerate_faces=cfg.drop_degenerate_faces)
+    if "csv" in cfg.formats:
+        write_csv(sg, os.path.join(cfg.output_dir, f"surface_{tag}.csv"))
+    return tag
 
 
 def cmd_build(cfg):
@@ -227,15 +242,11 @@ def cmd_build(cfg):
               "max_split_residual": fgrid.max_split_residual,
               "max_tail": fgrid.max_tail}
     ok = True
-    full_geometry = min(cfg.nx, cfg.ny) >= GEOMETRY_MIN_NODES
+    # coarse or non-uniform grids get the degeneracy counts only
+    full_geometry = geometry_grid_problem(cfg.x, cfg.y) is None
     geometry = [] if full_geometry else None
     for sg in surfaces:
-        tag = ("lambda_%g" % sg.lam).replace(".", "p")
-        if "obj" in cfg.formats:
-            write_obj(sg, os.path.join(cfg.output_dir, f"surface_{tag}.obj"),
-                      drop_degenerate_faces=cfg.drop_degenerate_faces)
-        if "csv" in cfg.formats:
-            write_csv(sg, os.path.join(cfg.output_dir, f"surface_{tag}.csv"))
+        tag = _export(cfg, sg)
         rep = geometry_report(sg, fgrid) if full_geometry else \
             {"all_degenerate": bool(np.all(sg.degenerate)),
              "degenerate_count": int(np.sum(sg.degenerate))}
@@ -243,7 +254,7 @@ def cmd_build(cfg):
             report[f"{tag}.{k}"] = v
         if full_geometry:
             geometry.append(rep)
-            ok = ok and _geometry_pass(rep, cfg.tolerances, sg.lam)
+            ok = ok and _geometry_pass(rep, cfg.tolerances)
     if cfg.suites:
         vr, vok = _run_suites(cfg, fgrid, surfaces, geometry)
         report.update(vr)
@@ -254,9 +265,11 @@ def cmd_build(cfg):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _suite_loops(cfg, tol):
+# suite runners return (report entries, passed); fgrid and surfaces are None
+# unless the suite needs a build, geometry holds the build's reports if any
+
+def _suite_loops(cfg, fgrid, surfaces, geometry):
     rng = np.random.default_rng(cfg.seed)
-    rep, ok = {}, True
     worst_twist = worst_hom = 0.0
     for _ in range(50):
         g = random_twisted_unitary_loop(rng)
@@ -265,13 +278,12 @@ def _suite_loops(cfg, tol):
         lams = np.array([0.5, 1.0, 2.0])
         worst_hom = max(worst_hom, float(np.max(np.abs(
             (g * h).evaluate(lams) - g.evaluate(lams) @ h.evaluate(lams)))))
-    rep["loops.twist_closure"] = worst_twist
-    rep["loops.evaluation_homomorphism"] = worst_hom
-    ok = worst_twist < 1e-12 and worst_hom < 1e-12
-    return rep, ok
+    rep = {"loops.twist_closure": worst_twist, "loops.evaluation_homomorphism": worst_hom}
+    return rep, worst_twist < 1e-12 and worst_hom < 1e-12
 
 
-def _suite_birkhoff(cfg, tol):
+def _suite_birkhoff(cfg, fgrid, surfaces, geometry):
+    tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     worst = {"residual": 0.0, "norm": 0.0, "twist": 0.0}
     for _ in range(200):
@@ -287,46 +299,46 @@ def _suite_birkhoff(cfg, tol):
     return rep, ok
 
 
-def _suite_geometry(surfaces, reports, tol):
+def _suite_geometry(cfg, fgrid, surfaces, geometry):
+    if geometry is None:
+        geometry = [geometry_report(sg, fgrid) for sg in surfaces]
     rep, ok = {}, True
-    for sg, r in zip(surfaces, reports):
-        tag = ("lambda_%g" % sg.lam).replace(".", "p")
+    for sg, r in zip(surfaces, geometry):
+        tag = _lambda_tag(sg.lam)
         rep[f"geometry.{tag}.curvature"] = r["curvature_max_abs_err"]
         rep[f"geometry.{tag}.all_degenerate"] = r["all_degenerate"]
-        ok = ok and _geometry_pass(r, tol, sg.lam)
+        ok = ok and _geometry_pass(r, cfg.tolerances)
     return rep, ok
 
 
-def _suite_oracle(cfg, fgrid, tol):
-    rep, ok = {}, True
-    a_fn = fgrid.a_fn
-    b_fn = fgrid.b_fn
+def _suite_oracle(cfg, fgrid, surfaces, geometry):
+    tol = cfg.tolerances
+    rep = {}
     prob = GoursatProblem(fgrid.x, fgrid.y, fgrid.phi[:, 0], fgrid.phi[0, :],
-                          a=a_fn, b=b_fn)
+                          a=fgrid.a_fn, b=fgrid.b_fn)
     phi_oracle = goursat_solve(prob)
     diff = float(np.max(np.abs(phi_oracle - fgrid.phi)))
     rep["oracle.phi_max_diff"] = diff
-    ok = ok and diff < tol["oracle_phi"]
-    u_direct, resid = direct_frame_solve(fgrid.phi, a_fn, b_fn, 1.0, fgrid.x, fgrid.y)
+    ok = diff < tol["oracle_phi"]
+    u_direct, resid = direct_frame_solve(fgrid.phi, fgrid.a_fn, fgrid.b_fn, 1.0,
+                                         fgrid.x, fgrid.y)
     rep["oracle.path_independence"] = resid
-    c = fgrid.U[0][0].evaluate(1.0) @ np.linalg.inv(u_direct[0, 0])
-    worst = 0.0
+    u_loop = fgrid.evaluate(1.0)
+    c = u_loop[0, 0] @ np.linalg.inv(u_direct[0, 0])
     stride = max(1, fgrid.x.size // 8)
-    for i in range(0, fgrid.x.size, stride):
-        for j in range(0, fgrid.y.size, stride):
-            worst = max(worst, float(np.max(np.abs(
-                c @ u_direct[i, j] - fgrid.U[i][j].evaluate(1.0)))))
+    worst = float(np.max(np.abs(c @ u_direct[::stride, ::stride]
+                                - u_loop[::stride, ::stride])))
     rep["oracle.frame_match"] = worst
     ok = ok and worst < tol["frame_match"]
     return rep, ok
 
 
-def _suite_symmetry(cfg, tol):
+def _suite_symmetry(cfg, fgrid, surfaces, geometry):
+    tol = cfg.tolerances
     if cfg.descriptor is None:
         _, d = pots.generalized_amsler_example(domain=(float(cfg.x[0]), float(cfg.x[-1])))
     else:
         d = cfg.descriptor
-    mono_lams = np.exp(2j * np.pi * np.arange(16) / 16.0)
     interp = {}
     if cfg.symmetry_interp > 0:
         # refine the gamma-image of the covered sample window as the target
@@ -341,7 +353,7 @@ def _suite_symmetry(cfg, tol):
     try:
         report, _ = certify_from_potentials(
             cfg.pair, d, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
-            drift_samples=cfg.drift_samples, monodromy_lambdas=mono_lams,
+            drift_samples=cfg.drift_samples, monodromy_lambdas=pots.CIRCLE_LAMBDAS,
             equivariance_tol=tol["equivariance"], monodromy_tol=tol["monodromy"],
             surface_tol=tol["surface_symmetry"], **interp)
     except ValueError as exc:
@@ -354,7 +366,7 @@ def _suite_symmetry(cfg, tol):
     return rep, bool(report.get("all_pass", False))
 
 
-def _suite_cone(cfg, surfaces):
+def _suite_cone(cfg, fgrid, surfaces, geometry):
     sg = surfaces[0]
     cone = find_cone_point(sg)
     if cone is None:
@@ -369,26 +381,16 @@ def _suite_cone(cfg, surfaces):
     return rep, passed
 
 
+SUITES = {"loops": _suite_loops, "birkhoff": _suite_birkhoff, "geometry": _suite_geometry,
+          "oracle": _suite_oracle, "symmetry": _suite_symmetry, "cone": _suite_cone}
+
+
 def _run_suites(cfg, fgrid, surfaces, geometry=None):
     """Run the configured suites; `geometry` holds the per-surface geometry
     reports when the caller has already computed them."""
     rep, ok = {}, True
-    tol = cfg.tolerances
     for suite in cfg.suites:
-        if suite == "loops":
-            r, o = _suite_loops(cfg, tol)
-        elif suite == "birkhoff":
-            r, o = _suite_birkhoff(cfg, tol)
-        elif suite == "geometry":
-            if geometry is None:
-                geometry = [geometry_report(sg, fgrid) for sg in surfaces]
-            r, o = _suite_geometry(surfaces, geometry, tol)
-        elif suite == "oracle":
-            r, o = _suite_oracle(cfg, fgrid, tol)
-        elif suite == "symmetry":
-            r, o = _suite_symmetry(cfg, tol)
-        elif suite == "cone":
-            r, o = _suite_cone(cfg, surfaces)
+        r, o = SUITES[suite](cfg, fgrid, surfaces, geometry)
         rep.update(r)
         rep[f"suite.{suite}"] = "pass" if o else "fail"
         ok = ok and o
@@ -417,19 +419,13 @@ def cmd_sweep(cfg):
     ok = True
     lines = ["lambda, curvature_max_abs_err, speed_x_max_err, speed_y_max_err"]
     for sg in surfaces:
-        tag = ("lambda_%g" % sg.lam).replace(".", "p")
-        if "obj" in cfg.formats:
-            write_obj(sg, os.path.join(cfg.output_dir, f"surface_{tag}.obj"),
-                      drop_degenerate_faces=cfg.drop_degenerate_faces)
-        if "csv" in cfg.formats:
-            write_csv(sg, os.path.join(cfg.output_dir, f"surface_{tag}.csv"))
+        tag = _export(cfg, sg)
         rep = geometry_report(sg, fgrid)
         lines.append("%g, %.6g, %.6g, %.6g" % (
             sg.lam, rep["curvature_max_abs_err"], rep["speed_x_max_err"],
             rep["speed_y_max_err"]))
         report[f"{tag}.curvature_max_abs_err"] = rep["curvature_max_abs_err"]
-        ok = ok and _geometry_pass(rep, cfg.tolerances, sg.lam)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+        ok = ok and _geometry_pass(rep, cfg.tolerances)
     with open(os.path.join(cfg.output_dir, "family_summary.csv"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -447,7 +443,6 @@ def main(argv=None):
     parser.add_argument("command", choices=["build", "verify", "sweep"])
     parser.add_argument("config", help="INI-style run configuration")
     parser.add_argument("--output-dir", default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--trunc", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)

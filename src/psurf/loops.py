@@ -10,6 +10,8 @@ monitored tolerance.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -26,8 +28,22 @@ SU2_K = np.array([[0.5j, 0.0], [0.0, -0.5j]])
 _EYE2 = np.eye(2, dtype=complex)
 
 
+def _dagger(m):
+    """Conjugate transpose of a 2x2 matrix or of each matrix in a (..., 2, 2) stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
 def _frob(m):
-    return float(np.linalg.norm(m))
+    """Frobenius norm of each matrix in a (..., 2, 2) stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+def _raise_at_worst(excess, message):
+    """Raise ValueError(message(index)) at the matrix with the largest excess > 0."""
+    if np.any(excess > 0):
+        worst = np.unravel_index(np.argmax(excess), excess.shape)
+        where = f" at index {tuple(int(i) for i in worst)}" if worst else ""
+        raise ValueError(message(worst) + where)
 
 
 def _rows(c):
@@ -49,6 +65,9 @@ class LaurentLoop:
     """Immutable matrix Laurent polynomial with degrees d_min..d_max."""
 
     __slots__ = ("coeffs", "d_min")
+    # numpy operators defer to the loop's reflected methods, so m * g with a
+    # 2x2 ndarray m reaches __rmul__ instead of broadcasting over m
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, d_min, copy=True):
         arr = np.array(coeffs, dtype=complex, copy=copy)
@@ -141,7 +160,7 @@ class LaurentLoop:
     def __rmul__(self, other):
         if isinstance(other, np.ndarray):
             return LaurentLoop(_uncolumns(other @ _columns(self.coeffs)), self.d_min, copy=False)
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Number):  # numpy scalars register as Numbers
             return LaurentLoop(other * self.coeffs, self.d_min, copy=False)
         return NotImplemented
 
@@ -249,10 +268,14 @@ class LaurentLoop:
 
 def unitarity_defect(g, samples=UNITARITY_SAMPLES):
     """(max ||g(l)^+ g(l) - I||, max |det g(l) - 1|) over real sample points."""
-    vals = g.evaluate(np.asarray(samples, dtype=float))
-    gram = np.conj(np.transpose(vals, (0, 2, 1))) @ vals
+    return su2_defect(g.evaluate(np.asarray(samples, dtype=float)))
+
+
+def su2_defect(vals):
+    """(max ||v^+ v - I||, max |det v - 1|) over a (..., 2, 2) stack of values."""
+    gram = _dagger(vals) @ vals
     u_def = float(np.max(np.abs(gram - _EYE2)))
-    dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
+    dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
     return u_def, float(np.max(np.abs(dets - 1.0)))
 
 
@@ -337,14 +360,19 @@ def random_twisted_unitary_loop(rng, degree=4, scale=0.5, decay=0.3, alg_degree=
 # -- su(2) <-> R^3 ---------------------------------------------------------
 
 def su2_to_r3(m, tol=1e-6):
-    """Coordinates of a traceless skew-Hermitian matrix in the (i,j,k) basis."""
+    """Coordinates of a traceless skew-Hermitian matrix in the (i,j,k) basis.
+
+    m may be one 2x2 matrix or a (..., 2, 2) stack (coordinates (..., 3));
+    every matrix is checked and the error names the worst one.
+    """
     m = np.asarray(m, dtype=complex)
-    defect = _frob(m + np.conj(m.T))
-    if defect > tol * max(1.0, _frob(m)):
-        raise ValueError(f"matrix is not skew-Hermitian (residual {defect:.3g})")
-    return np.array([2.0 * m[0, 1].imag,
-                     -2.0 * m[0, 1].real,
-                     2.0 * m[0, 0].imag])
+    defect = _frob(m + _dagger(m))
+    scale = tol * np.maximum(1.0, _frob(m))
+    _raise_at_worst(np.where(defect > scale, defect / scale, 0.0),
+                    lambda w: f"matrix is not skew-Hermitian (residual {defect[w]:.3g})")
+    return np.stack([2.0 * m[..., 0, 1].imag,
+                     -2.0 * m[..., 0, 1].real,
+                     2.0 * m[..., 0, 0].imag], axis=-1)
 
 
 def r3_to_su2(v):
@@ -353,13 +381,19 @@ def r3_to_su2(v):
 
 
 def adjoint_rotation(g, tol=1e-6):
-    """SO(3) matrix of Ad(g) for g in SU(2); kills the double-cover sign."""
+    """SO(3) matrix of Ad(g) for g in SU(2); kills the double-cover sign.
+
+    g may be one 2x2 matrix or a (..., 2, 2) stack (rotations (..., 3, 3));
+    every matrix is checked and the error names the worst one.
+    """
     g = np.asarray(g, dtype=complex)
-    gram_defect = _frob(np.conj(g.T) @ g - _EYE2)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if gram_defect > tol or abs(det - 1.0) > tol:
-        raise ValueError(f"matrix is not in SU(2) (unitarity {gram_defect:.3g}, det {det:.6g})")
-    g_inv = np.conj(g.T)
+    g_inv = _dagger(g)
+    gram_defect = _frob(g_inv @ g - _EYE2)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    worst = np.maximum(gram_defect, np.abs(det - 1.0))
+    _raise_at_worst(np.where(worst > tol, worst, 0.0),
+                    lambda w: f"matrix is not in SU(2) (unitarity {gram_defect[w]:.3g}, "
+                              f"det {det[w]:.6g})")
     cols = [su2_to_r3(g @ b @ g_inv, tol=10 * max(tol, 1e-12))
             for b in (SU2_I, SU2_J, SU2_K)]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)

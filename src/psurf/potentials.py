@@ -16,8 +16,10 @@ from scipy.interpolate import CubicSpline
 
 from psurf.loops import LaurentLoop, unitarity_defect
 
-EQUIV_LAMBDAS = np.concatenate([np.exp(2j * np.pi * np.arange(16) / 16.0),
-                                [0.5 + 0j, 2.0 + 0j]])
+# lambda samples of the symmetry checks: the sixteenth roots of unity, then
+# the radial probes 1/2 and 2
+CIRCLE_LAMBDAS = np.exp(2j * np.pi * np.arange(16) / 16.0)
+SYMMETRY_LAMBDAS = np.concatenate([CIRCLE_LAMBDAS, [0.5 + 0j, 2.0 + 0j]])
 
 
 def _offdiag(z):
@@ -108,51 +110,44 @@ def _unwrapped_angle(dense_t, dense_w):
     return CubicSpline(dense_t, ang)
 
 
+def _axis_data(eta, domain, degree, axis, n_dense):
+    """(speed, angle) from z, the top off-diagonal entry of the lambda^degree
+    coefficient of eta (degree +-1): speed 2|z|, angle -degree times the
+    unwrapped phase of -2i degree z."""
+    ts = np.linspace(domain[0], domain[1], n_dense)
+    zs = np.array([eta(t).coeff(degree)[0, 1] for t in ts])
+    if np.min(np.abs(zs)) < 1e-14:
+        raise ValueError(f"lambda^{degree} coefficient of eta_{axis} vanishes on the domain")
+    spl = _unwrapped_angle(ts, -2j * degree * zs)
+
+    def speed(t):
+        z = eta(t).coeff(degree)[0, 1] if np.isscalar(t) else \
+            np.array([eta(v).coeff(degree)[0, 1] for v in np.asarray(t)])
+        return 2.0 * np.abs(z)
+
+    def angle(t):
+        return -degree * spl(t)
+
+    return speed, angle
+
+
+def _unit_speed(t):
+    return np.ones_like(np.asarray(t, dtype=float))
+
+
 def x_axis_data(pair, n_dense=2049):
     """(a(x), alpha(x)) with i/2 a e^{-i alpha} the top off-diagonal entry of
     the lambda^1 coefficient of eta_x."""
     if pair.kind == "normalized" and pair.boundary is not None:
-        one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        return one, pair.boundary.alpha
-    lo, hi = pair.domain_x
-    ts = np.linspace(lo, hi, n_dense)
-    zs = np.array([pair.eta_x(t).coeff(1)[0, 1] for t in ts])
-    if np.min(np.abs(zs)) < 1e-14:
-        raise ValueError("lambda^1 coefficient of eta_x vanishes on the domain")
-    spl = _unwrapped_angle(ts, -2j * zs)
-
-    def a_fn(t):
-        z = pair.eta_x(t).coeff(1)[0, 1] if np.isscalar(t) else \
-            np.array([pair.eta_x(v).coeff(1)[0, 1] for v in np.asarray(t)])
-        return 2.0 * np.abs(z)
-
-    def alpha_fn(t):
-        return -spl(t)
-
-    return a_fn, alpha_fn
+        return _unit_speed, pair.boundary.alpha
+    return _axis_data(pair.eta_x, pair.domain_x, 1, "x", n_dense)
 
 
 def y_axis_data(pair, n_dense=2049):
     """(b(y), beta(y)) with rho = -b e^{i beta} = -2i * (lambda^-1 coeff)[0,1]."""
     if pair.kind == "normalized" and pair.boundary is not None:
-        one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        return one, pair.boundary.beta
-    lo, hi = pair.domain_y
-    ts = np.linspace(lo, hi, n_dense)
-    zs = np.array([pair.eta_y(t).coeff(-1)[0, 1] for t in ts])
-    if np.min(np.abs(zs)) < 1e-14:
-        raise ValueError("lambda^-1 coefficient of eta_y vanishes on the domain")
-    spl = _unwrapped_angle(ts, 2j * zs)  # -rho = 2i z
-
-    def b_fn(t):
-        z = pair.eta_y(t).coeff(-1)[0, 1] if np.isscalar(t) else \
-            np.array([pair.eta_y(v).coeff(-1)[0, 1] for v in np.asarray(t)])
-        return 2.0 * np.abs(z)
-
-    def beta_fn(t):
-        return spl(t)
-
-    return b_fn, beta_fn
+        return _unit_speed, pair.boundary.beta
+    return _axis_data(pair.eta_y, pair.domain_y, -1, "y", n_dense)
 
 
 # -- gauges ------------------------------------------------------------------
@@ -222,7 +217,7 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
 
 def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
                        dwx=None, dwy=None, sample_x=None, sample_y=None,
-                       n_samples=33, lambdas=EQUIV_LAMBDAS, fd_step=None):
+                       n_samples=33, lambdas=SYMMETRY_LAMBDAS, fd_step=None):
     """Residuals of the potential-level symmetry condition along each axis.
 
     Checks (eta o gamma) gamma' = w^-1 eta w + w^-1 w' at sampled parameters
@@ -385,8 +380,8 @@ def extract_diagonal_potentials(frame_grid):
     samples = []
     for i in range(n):
         offs, wts = _fd_weights_5(n, i, h)
-        du = _loop_comb([frame_grid.U[i + o][i + o] for o in offs], wts)
-        eta = (frame_grid.U[i][i].dagger() * du).truncated(*band)
+        du = _loop_comb([frame_grid.loop(i + o, i + o) for o in offs], wts)
+        eta = (frame_grid.loop(i, i).dagger() * du).truncated(*band)
         samples.append(_project_twisted_su(eta.coeffs, band[0]))
     data = np.stack(samples)
     splines = CubicSpline(x, data.reshape(n, -1))

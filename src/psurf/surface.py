@@ -8,15 +8,15 @@ factor and the immersion from the exact log-lambda derivative.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from psurf import potentials as pots
-from psurf.birkhoff import TAIL_TOL, FactorizationFailure, split_plus_minusfree
-from psurf.frames import integrate_axis
-from psurf.loops import SU2_I, SU2_J, SU2_K, LaurentLoop, adjoint_rotation, su2_to_r3
+from psurf.birkhoff import MAX_TRUNC, TAIL_TOL, FactorizationFailure, split_plus_minusfree
+from psurf.frames import DRIFT_LAMBDAS, integrate_axis
+from psurf.loops import SU2_I, SU2_K, LaurentLoop, _dagger, adjoint_rotation, su2_to_r3
 
 EPS_DEGENERATE = 1e-6
 # central differences of the geometry report need this many nodes per axis
@@ -25,13 +25,17 @@ GEOMETRY_MIN_NODES = 16
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Extended frames U(x_i, y_j) with the extracted angle data."""
+    """Extended frames U(x_i, y_j) with the extracted angle data.
+
+    coeffs[i, j, k - d_min] is the lambda^k coefficient of U(x_i, y_j); the
+    degree axis covers the union of the per-node bands, zero-padded.
+    """
 
     x: np.ndarray
     y: np.ndarray
-    U: list                       # U[i][j] LaurentLoop
+    coeffs: np.ndarray            # (nx, ny, K, 2, 2) complex
+    d_min: int
     phi: np.ndarray
-    psi: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
     basepoint: tuple
@@ -41,10 +45,25 @@ class FrameGrid:
     trunc: int = 24
     max_split_residual: float = 0.0
     max_tail: float = 0.0
-    alpha_fn: object = None
-    beta_fn: object = None
     a_fn: object = None
     b_fn: object = None
+
+    def _degrees(self):
+        return np.arange(self.d_min, self.d_min + self.coeffs.shape[2])
+
+    def _weighted_sum(self, weights):
+        """sum_k weights[k - d_min] c_k at every node, shape (nx, ny, 2, 2)."""
+        return np.einsum("k,ijkab->ijab", weights, self.coeffs)
+
+    def evaluate(self, lam):
+        """U(x_i, y_j)(lam) at every node, shape (nx, ny, 2, 2)."""
+        if lam == 0 and self.d_min < 0:
+            raise ValueError("lambda = 0 not in the domain of a loop with negative degrees")
+        return self._weighted_sum(complex(lam) ** self._degrees())
+
+    def loop(self, i, j):
+        """The frame at node (i, j) as a LaurentLoop on its own band."""
+        return LaurentLoop(self.coeffs[i, j], self.d_min).trim(rel=1e-15)
 
 
 @dataclass(frozen=True)
@@ -81,8 +100,7 @@ def _unwrap_grid(raw, ic, jc):
 
 
 def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None,
-                       basepoint=None, threads=1, drift_samples=(0.5, 1.0, 2.0),
-                       split_tail_tol=TAIL_TOL):
+                       basepoint=None, drift_samples=DRIFT_LAMBDAS, split_tail_tol=TAIL_TOL):
     """Extended frame grid for a potential pair.
 
     For normalized pairs the frames are anchored at the origin and the
@@ -122,40 +140,32 @@ def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None
     w_loops = [path_x.frames[i] * _tx_matrix(alpha_vals[i]) for i in range(x.size)]
     d_loops = [path_y.frames[j].dagger() for j in range(y.size)]
 
-    nx, ny = x.size, y.size
-    U = [[None] * ny for _ in range(nx)]
-    raw_psi = np.empty((nx, ny))
+    # U = w_i * minus has degrees >= band_x[0] - MAX_TRUNC, but the nodes reach far
+    # fewer.  A degree-major buffer on an anonymous mapping never backs the degrees
+    # no node writes with memory; the grid keeps a view on the ones written.
+    lo = band_x[0] - MAX_TRUNC
+    shape = (band_x[1] - lo + 1, x.size, y.size, 2, 2)
+    buf = np.frombuffer(mmap.mmap(-1, 16 * int(np.prod(shape))), dtype=complex).reshape(shape)
+    used_lo, used_hi = band_x[1], lo
+    raw_psi = np.empty((x.size, y.size))
     max_resid = 0.0
     max_tail = max(path_x.tail_norm, path_y.tail_norm)
-
-    def node(i, j):
-        g = (d_loops[j] * w_loops[i]).trim(rel=1e-15)
-        try:
-            sp = split_plus_minusfree(g, trunc=trunc, tail_tol=split_tail_tol)
-        except FactorizationFailure as exc:
-            raise FactorizationFailure(
-                f"splitting failed at node ({i},{j}), (x,y)=({x[i]:.6g},{y[j]:.6g}): {exc}",
-                residual=exc.residual, tail_norm=exc.tail_norm) from exc
-        u = (w_loops[i] * sp.minus).trim(rel=1e-15)
-        v0 = sp.plus.coeff(0)
-        return u, float(np.angle(v0[0, 0])), sp.residual, sp.tail_norm
-
-    def run_row(i):
-        return [node(i, j) for j in range(ny)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_row, range(nx)))
-    else:
-        rows = [run_row(i) for i in range(nx)]
-
-    for i in range(nx):
-        for j in range(ny):
-            u, psi_raw, resid, tail = rows[i][j]
-            U[i][j] = u
-            raw_psi[i, j] = psi_raw
-            max_resid = max(max_resid, resid)
-            max_tail = max(max_tail, tail)
+    for i in range(x.size):
+        for j in range(y.size):
+            g = (d_loops[j] * w_loops[i]).trim(rel=1e-15)
+            try:
+                sp = split_plus_minusfree(g, trunc=trunc, tail_tol=split_tail_tol)
+            except FactorizationFailure as exc:
+                raise FactorizationFailure(
+                    f"splitting failed at node ({i},{j}), (x,y)=({x[i]:.6g},{y[j]:.6g}): {exc}",
+                    residual=exc.residual, tail_norm=exc.tail_norm) from exc
+            u = (w_loops[i] * sp.minus).trim(rel=1e-15)
+            buf[u.d_min - lo: u.d_max - lo + 1, i, j] = u.coeffs
+            used_lo, used_hi = min(used_lo, u.d_min), max(used_hi, u.d_max)
+            raw_psi[i, j] = np.angle(sp.plus.coeff(0)[0, 0])
+            max_resid = max(max_resid, sp.residual)
+            max_tail = max(max_tail, sp.tail_norm)
+    coeffs = buf[used_lo - lo: used_hi - lo + 1].transpose(1, 2, 0, 3, 4)
 
     ic = int(np.argmin(np.abs(x - bx)))
     jc = int(np.argmin(np.abs(y - by)))
@@ -164,11 +174,12 @@ def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None
     phi = beta_vals[None, :] - 2.0 * psi
     a_vals = np.asarray(a_fn(x), dtype=float)
     b_vals = np.asarray(b_fn(y), dtype=float)
-    return FrameGrid(x=x, y=y, U=U, phi=phi, psi=psi, a_vals=a_vals, b_vals=b_vals,
+    return FrameGrid(x=x, y=y, coeffs=coeffs, d_min=used_lo, phi=phi,
+                     a_vals=a_vals, b_vals=b_vals,
                      basepoint=(ic, jc), base_x=float(bx), base_y=float(by),
                      pair=pair, trunc=trunc,
                      max_split_residual=max_resid, max_tail=max_tail,
-                     alpha_fn=alpha_fn, beta_fn=beta_fn, a_fn=a_fn, b_fn=b_fn)
+                     a_fn=a_fn, b_fn=b_fn)
 
 
 def sym_immersion(fgrid, lam0):
@@ -179,20 +190,15 @@ def sym_immersion(fgrid, lam0):
     """
     if not lam0 > 0:
         raise ValueError("lambda must be a positive real")
-    nx, ny = fgrid.x.size, fgrid.y.size
-    pts = np.empty((nx, ny, 3))
-    nrm = np.empty((nx, ny, 3))
-    for i in range(nx):
-        for j in range(ny):
-            u = fgrid.U[i][j]
-            ev = u.evaluate(lam0)
-            dev = u.log_lambda_derivative().evaluate(lam0)
-            ev_inv = np.linalg.inv(ev)
-            f = dev @ ev_inv
-            f = 0.5 * (f - np.conj(f.T))
-            f -= 0.5 * np.trace(f) * np.eye(2)
-            pts[i, j] = su2_to_r3(f)
-            nrm[i, j] = su2_to_r3(ev @ SU2_K @ ev_inv, tol=1e-5)
+    ks = fgrid._degrees()
+    powers = complex(lam0) ** ks
+    ev = fgrid._weighted_sum(powers)
+    ev_inv = np.linalg.inv(ev)
+    f = fgrid._weighted_sum(ks * powers) @ ev_inv
+    f = 0.5 * (f - _dagger(f))
+    f -= 0.5 * np.trace(f, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
+    pts = su2_to_r3(f)
+    nrm = su2_to_r3(ev @ SU2_K @ ev_inv, tol=1e-5)
     degenerate = np.abs(np.sin(fgrid.phi)) < EPS_DEGENERATE
     return SurfaceGrid(x=fgrid.x, y=fgrid.y, points=pts, normals=nrm,
                        phi=fgrid.phi.copy(), degenerate=degenerate, lam=float(lam0),
@@ -207,11 +213,16 @@ def associated_family(fgrid, lambdas):
     return [sym_immersion(fgrid, l) for l in lams]
 
 
-def _uniform_spacing(t):
-    h = np.diff(t)
-    if np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
-        raise ValueError("geometry report requires a uniform grid")
-    return float(h[0])
+def geometry_grid_problem(x, y):
+    """Why the geometry report cannot run on the grid x by y, or None."""
+    if min(x.size, y.size) < GEOMETRY_MIN_NODES:
+        return (f"needs a grid of at least {GEOMETRY_MIN_NODES} nodes per axis, "
+                f"got {x.size} x {y.size}")
+    for t in (x, y):
+        h = np.diff(t)
+        if np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
+            return "needs a uniformly spaced grid"
+    return None
 
 
 def geometry_report(sgrid, fgrid=None):
@@ -222,13 +233,13 @@ def geometry_report(sgrid, fgrid=None):
     diagonal), sine_gordon_max (phi_xy - a b sin phi), tangent_cross_max
     (finite-difference f_x against the frame formula), all_degenerate.
     """
-    f = sgrid.points
-    nx, ny = f.shape[:2]
-    if nx < GEOMETRY_MIN_NODES or ny < GEOMETRY_MIN_NODES:
-        raise ValueError(f"geometry report needs >= {GEOMETRY_MIN_NODES} nodes per axis")
-    hx = _uniform_spacing(sgrid.x)
-    hy = _uniform_spacing(sgrid.y)
+    problem = geometry_grid_problem(sgrid.x, sgrid.y)
+    if problem is not None:
+        raise ValueError(f"geometry report {problem}")
+    hx = float(sgrid.x[1] - sgrid.x[0])
+    hy = float(sgrid.y[1] - sgrid.y[0])
     lam = sgrid.lam
+    f = sgrid.points
 
     fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * hx)
     fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * hy)
@@ -273,32 +284,26 @@ def geometry_report(sgrid, fgrid=None):
     report["sine_gordon_max"] = float(np.max(np.abs(sg)))
 
     if fgrid is not None:
-        err = 0.0
-        for i in range(1, nx - 1):
-            for j in range(1, ny - 1):
-                if sgrid.degenerate[i, j]:
-                    continue
-                ev = fgrid.U[i][j].evaluate(lam)
-                e1 = su2_to_r3(ev @ SU2_I @ np.conj(ev.T), tol=1e-5)
-                err = max(err, float(np.max(np.abs(
-                    fx[i - 1, j - 1] - lam * sgrid.a_vals[i] * e1))))
-        report["tangent_cross_max"] = err
+        ev = fgrid.evaluate(lam)[1:-1, 1:-1][interior_ok]
+        e1 = su2_to_r3(ev @ SU2_I @ _dagger(ev), tol=1e-5)
+        speed = lam * np.broadcast_to(sgrid.a_vals[1:-1, None], interior_ok.shape)[interior_ok]
+        report["tangent_cross_max"] = float(np.max(np.abs(
+            fx[interior_ok] - speed[:, None] * e1), initial=0.0))
     return report
 
 
 def darboux_frame(fgrid, lam0=1.0):
     """Principal-direction frames (columns e1, e2, n), NaN at degenerate nodes."""
-    nx, ny = fgrid.x.size, fgrid.y.size
-    out = np.full((nx, ny, 3, 3), np.nan)
-    for i in range(nx):
-        for j in range(ny):
-            if abs(np.sin(fgrid.phi[i, j])) < EPS_DEGENERATE:
-                continue
-            f3 = adjoint_rotation(fgrid.U[i][j].evaluate(lam0), tol=1e-5)
-            th = 0.5 * fgrid.phi[i, j]
-            c, s = np.cos(th), np.sin(th)
-            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            out[i, j] = f3 @ rot
+    ok = ~(np.abs(np.sin(fgrid.phi)) < EPS_DEGENERATE)
+    f3 = adjoint_rotation(fgrid.evaluate(lam0)[ok], tol=1e-5)
+    th = 0.5 * fgrid.phi[ok]
+    rot = np.zeros((th.size, 3, 3))
+    rot[:, 0, 0] = rot[:, 1, 1] = np.cos(th)
+    rot[:, 1, 0] = np.sin(th)
+    rot[:, 0, 1] = -rot[:, 1, 0]
+    rot[:, 2, 2] = 1.0
+    out = np.full(fgrid.phi.shape + (3, 3), np.nan)
+    out[ok] = f3 @ rot
     return out
 
 

@@ -16,17 +16,15 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial.transform import Rotation
 
+from psurf.frames import DRIFT_LAMBDAS
 from psurf.loops import LaurentLoop, SU2_I, SU2_J, SU2_K, adjoint_rotation
 from psurf.oracle import register_rigid
-from psurf.potentials import check_equivariance
+from psurf.potentials import SYMMETRY_LAMBDAS, check_equivariance
 from psurf.surface import reconstruct_frames, sym_immersion
 
 CERT_EQUIVARIANCE_TOL = 1e-6
 CERT_MONODROMY_TOL = 1e-4
 CERT_SURFACE_TOL = 1e-3
-
-MONODROMY_LAMBDAS = np.concatenate([np.exp(2j * np.pi * np.arange(16) / 16.0),
-                                    [0.5 + 0j, 2.0 + 0j]])
 
 
 @dataclass(frozen=True)
@@ -160,16 +158,19 @@ def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon, lam=1.0):
     return ks, ok
 
 
+def _image_nodes(values, switches):
+    """Per-node image data indexed like the sampled originals: node (p, q)
+    belongs to original (idx_x[p], idx_y[q])."""
+    return values.swapaxes(0, 1) if switches else values
+
+
 def _fit_epsilon(sgrid, image_sgrid, idx_x, idx_y, r_linear, switches):
-    votes = []
-    for p, i in enumerate(idx_x):
-        for q, j in enumerate(idx_y):
-            n_im = image_sgrid.normals[q, p] if switches else image_sgrid.normals[p, q]
-            votes.append(float(np.dot(r_linear @ sgrid.normals[i, j], n_im)))
+    rotated = sgrid.normals[np.ix_(idx_x, idx_y)] @ r_linear.T
+    votes = np.sum(rotated * _image_nodes(image_sgrid.normals, switches), axis=-1)
     return 1.0 if np.mean(votes) >= 0 else -1.0
 
 
-def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=(0.5, 1.0, 2.0)):
+def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=DRIFT_LAMBDAS):
     """Pipeline re-run at the exact gamma-images of the selected parameters.
 
     The integration stays anchored at the original basepoint so the image
@@ -189,7 +190,7 @@ def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=(0.5, 1.
 
 
 def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
-                      lambdas=MONODROMY_LAMBDAS):
+                      lambdas=SYMMETRY_LAMBDAS):
     """Monodromy loop chi with its node spread.
 
     chi(node) = (U o gamma) K_lift^-1 U^-1; a symmetry is certified when the
@@ -207,21 +208,15 @@ def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
                     np.linalg.norm(lift + prev_lift):
                 lift = -lift
             prev_lift = lift
-            u_im = image_fgrid.U[q][p] if d.switches_axes else image_fgrid.U[p][q]
-            chi = (u_im * np.conj(lift.T)) * fgrid.U[i][j].dagger()
+            u_im = image_fgrid.loop(q, p) if d.switches_axes else image_fgrid.loop(p, q)
+            chi = (u_im * np.conj(lift.T)) * fgrid.loop(i, j).dagger()
             chis.append(chi.trim(rel=1e-13))
     if not chis:
         raise ValueError("no usable (non-degenerate) nodes for the monodromy")
-    lo = min(c.d_min for c in chis)
-    hi = max(c.d_max for c in chis)
-    acc = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
-    for c in chis:
-        acc[c.d_min - lo: c.d_max - lo + 1] += c.coeffs
-    chi_mean = LaurentLoop(acc / len(chis), lo).trim(rel=1e-12)
+    total = sum(chis[1:], chis[0])
+    chi_mean = LaurentLoop(total.coeffs / len(chis), total.d_min).trim(rel=1e-12)
     vals = chi_mean.evaluate(lambdas)
-    spread = 0.0
-    for c in chis:
-        spread = max(spread, float(np.max(np.abs(c.evaluate(lambdas) - vals))))
+    spread = max(float(np.max(np.abs(c.evaluate(lambdas) - vals))) for c in chis)
     return chi_mean, spread
 
 
@@ -242,19 +237,14 @@ def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None,
         ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, eps)
         residual = 0.0
         for lam in lambdas:
-            chi_fit = None
-            for p, i in enumerate(idx_x):
-                for q, j in enumerate(idx_y):
-                    if not ok[p, q]:
-                        continue
-                    f_im = adjoint_rotation(image_fgrid.U[q][p].evaluate(lam),
-                                            tol=frame_tol)
-                    f_rev = adjoint_rotation(fgrid.U[i][j].evaluate(1.0 / lam),
-                                             tol=frame_tol)
-                    rhs = f_rev @ ks[p, q]
-                    if chi_fit is None:
-                        chi_fit = f_im @ rhs.T
-                    residual = max(residual, float(np.max(np.abs(f_im - chi_fit @ rhs))))
+            f_im = adjoint_rotation(
+                _image_nodes(image_fgrid.evaluate(lam), d.switches_axes)[ok], tol=frame_tol)
+            f_rev = adjoint_rotation(fgrid.evaluate(1.0 / lam)[np.ix_(idx_x, idx_y)][ok],
+                                     tol=frame_tol)
+            rhs = f_rev @ ks[ok]
+            if rhs.shape[0]:
+                chi_fit = f_im[0] @ rhs[0].T
+                residual = max(residual, float(np.max(np.abs(f_im - chi_fit @ rhs))))
         return residual
 
     if epsilon is not None:
@@ -281,8 +271,8 @@ def coverage_window(fgrid, d, margin=0.0):
 def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
                             monodromy_nodes=10, step=None,
                             interp_x=None, interp_y=None, interp_trunc=None,
-                            drift_samples=(0.5, 1.0, 2.0),
-                            monodromy_lambdas=MONODROMY_LAMBDAS,
+                            drift_samples=DRIFT_LAMBDAS,
+                            monodromy_lambdas=SYMMETRY_LAMBDAS,
                             equivariance_tol=CERT_EQUIVARIANCE_TOL,
                             monodromy_tol=CERT_MONODROMY_TOL,
                             surface_tol=CERT_SURFACE_TOL):
@@ -320,12 +310,9 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
     image_s = sym_immersion(image_f, lam)
 
     # rigid motion from exact node pairs
-    pts_a, pts_b = [], []
-    for p, i in enumerate(sel_x):
-        for q, j in enumerate(sel_y):
-            pts_a.append(sgrid.points[i, j])
-            pts_b.append(image_s.points[q, p] if d.switches_axes else image_s.points[p, q])
-    r_lin, t_vec, fit_rms = register_rigid(np.array(pts_a), np.array(pts_b))
+    r_lin, t_vec, fit_rms = register_rigid(
+        sgrid.points[np.ix_(sel_x, sel_y)].reshape(-1, 3),
+        _image_nodes(image_s.points, d.switches_axes).reshape(-1, 3))
     d = d.with_motion(r_lin, t_vec)
     report["rigid_fit_rms"] = fit_rms
     angle = float(np.arccos(np.clip((np.trace(r_lin) - 1.0) / 2.0, -1.0, 1.0)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psurf.cli import _theta_to_t as theta_to_t  # noqa: F401  (shared by the tests)
 from psurf.potentials import (BoundaryAngles, normalized_from_boundary,
                               soliton_alpha, soliton_beta)
 from psurf.surface import reconstruct_frames, sym_immersion
@@ -8,11 +9,6 @@ from psurf.surface import reconstruct_frames, sym_immersion
 
 def kink_phi(x, y):
     return 4.0 * np.arctan(np.exp(np.asarray(x) + np.asarray(y)))
-
-
-def theta_to_t(th):
-    """Circle coordinate -> asymptotic parameter for the Cayley-based example."""
-    return np.tan(0.5 * (np.asarray(th, dtype=float) + np.pi))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,40 @@
+"""The benchmark's tracing harness wraps psurf functions by name.
+
+perfbench/tracing.py is loaded read-only; every target it would wrap must
+still resolve, so a rename fails here instead of in a traced benchmark run.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _tracing()
+TARGETS = sorted({t for targets, _ in tracing.SPANS.values() for t in targets}
+                 | {f"psurf.birkhoff:{name}" for name in tracing.SPLITTERS})
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_traced_target_resolves(target):
+    owner, attr = tracing._resolve(target)
+    # classes are patched through their own __dict__, modules by attribute
+    found = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
+    assert found, f"{target} no longer resolves"
+    assert callable(getattr(owner, attr))
+
+
+def test_expected_spans_are_defined():
+    for workload, names in tracing.EXPECTED.items():
+        missing = [n for n in names if n not in tracing.SPANS]
+        assert not missing, f"{workload}: {missing}"

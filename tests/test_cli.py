@@ -371,3 +371,45 @@ formats = csv
     for tag in ("lambda_0p5", "lambda_1"):
         assert report[f"geometry.{tag}.curvature"] == report[f"{tag}.curvature_max_abs_err"]
     assert report["suite.geometry"] == "pass"
+
+
+THETA_UNIFORM_16 = """
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+
+[grid]
+nx = 16
+ny = 16
+x_range = -3.3, -2.9
+y_range = -3.3, -2.9
+theta_uniform = true
+
+[run]
+lambdas = 1.0
+
+[verify]
+suites = {suites}
+
+[output]
+directory = {out}
+"""
+
+
+def test_theta_uniform_build_reports_counts_only(tmp_path):
+    cfg = write_config(tmp_path / "t.ini", THETA_UNIFORM_16.format(
+        suites="", out=tmp_path / "o"))
+    assert run(["build", cfg]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert set(k for k in report if k.startswith("lambda_1.")) == {
+        "lambda_1.all_degenerate", "lambda_1.degenerate_count"}
+    assert report["pass"] is True
+
+
+def test_theta_uniform_geometry_suite_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.ini", THETA_UNIFORM_16.format(
+        suites="geometry", out=tmp_path / "o"))
+    assert run(["verify", cfg]) == cli.EXIT_CONFIG
+    assert "the geometry suite needs a uniformly spaced grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

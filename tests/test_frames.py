@@ -101,3 +101,19 @@ def test_incompatible_angle_flagged():
     xs = np.linspace(0, 1, 17)
     _, res = direct_frame_solve(phi, 1.0, 1.0, 1.0, xs, xs, phi_x=lambda x, y: 0.0)
     assert res > 1e-2
+
+
+def test_drift_is_read_at_every_recorded_frame():
+    # a Hermitian diagonal part, positive on [0.1, 0.3] and negative on
+    # [0.3, 0.5], pushes the frame off the unitary group and back: the
+    # defect peaks at 0.3 and is gone from 0.5 on, so the first, middle and
+    # last frames alone look unitary
+    herm = np.diag([1.0, -1.0]).astype(complex)
+
+    def eta(t):
+        s = 0.5 * np.sin(2 * np.pi * (t - 0.1) / 0.4) if 0.1 <= t <= 0.5 else 0.0
+        return LaurentLoop.from_terms({0: s * herm})
+
+    ts = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(IntegrationDrift, match="drift"):
+        integrate_axis(eta, ts, step=1 / 256, drift_samples=(1.0,))

@@ -315,3 +315,43 @@ def test_product_is_associative(g, h, k):
 @given(loops(twisted=True), loops(twisted=True))
 def test_twisted_loops_are_closed_under_product(g, h):
     assert (g * h).check_twist() == 0.0
+
+
+def test_ndarray_times_loop_is_a_constant_loop_product():
+    rng = np.random.default_rng(11)
+    g = random_twisted_unitary_loop(rng)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    prod = m * g
+    assert isinstance(prod, LaurentLoop)
+    assert (prod - LaurentLoop.constant(m) * g).max_coeff_norm() < 1e-15
+
+
+@pytest.mark.parametrize("scalar", [np.int64(2), np.float64(2.0), np.complex128(2.0), 2, 2.0])
+def test_numpy_and_python_scalars_scale_loops(scalar):
+    g = random_twisted_unitary_loop(np.random.default_rng(12))
+    prod = scalar * g
+    assert isinstance(prod, LaurentLoop)
+    assert (prod - g.scaled(2.0)).max_coeff_norm() == 0.0
+
+
+def test_su2_and_adjoint_maps_act_on_stacks():
+    rng = np.random.default_rng(13)
+    vecs = rng.standard_normal((3, 4, 3))
+    stack = np.array([[r3_to_su2(v) for v in row] for row in vecs])
+    assert np.array_equal(su2_to_r3(stack), vecs)
+    from scipy.linalg import expm
+    gs = np.array([[expm(m) for m in row] for row in stack])
+    rots = adjoint_rotation(gs)
+    assert rots.shape == (3, 4, 3, 3)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(rots[i, j], adjoint_rotation(gs[i, j]))
+
+
+def test_stack_checks_name_the_worst_matrix():
+    stack = np.array([SU2_I, SU2_J + 1e-3 * np.eye(2), SU2_K + 0.5 * np.eye(2)])
+    with pytest.raises(ValueError, match=r"residual 1.41\) at index \(2,\)"):
+        su2_to_r3(stack)
+    gs = np.array([np.eye(2), 1.01 * np.eye(2), 1.1 * np.eye(2)], dtype=complex)
+    with pytest.raises(ValueError, match=r"at index \(2,\)"):
+        adjoint_rotation(gs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psurf.birkhoff import split_plus_star_minus
-from psurf.loops import LaurentLoop, adjoint_rotation
+from psurf.loops import SU2_K, adjoint_rotation, su2_to_r3
 from psurf.potentials import BoundaryAngles, normalized_from_boundary, soliton_beta
 from psurf.surface import (associated_family, cone_line_check, darboux_frame,
                            find_cone_point, geometry_report, reconstruct_frames,
@@ -38,7 +38,7 @@ def test_two_splitting_consistency(soliton_frames_small):
     samples = np.exp(2j * np.pi * np.arange(8) / 8)
     for i in (2, 8, 14):
         for j in (3, 9, 15):
-            u = f.U[i][j]
+            u = f.loop(i, j)
             r = split_plus_star_minus(u, trunc=24)   # u = plus * minus = U^X-style pieces
             back = r.plus.evaluate(samples) @ r.minus.evaluate(samples)
             assert np.max(np.abs(back - u.evaluate(samples))) < 1e-8
@@ -48,8 +48,8 @@ def test_plus_factor_independent_of_y(soliton_frames_small):
     # the star-normalized plus factor of U(x, y) does not depend on y
     f = soliton_frames_small
     i = 10
-    p1 = split_plus_star_minus(f.U[i][3], trunc=24).plus
-    p2 = split_plus_star_minus(f.U[i][12], trunc=24).plus
+    p1 = split_plus_star_minus(f.loop(i, 3), trunc=24).plus
+    p2 = split_plus_star_minus(f.loop(i, 12), trunc=24).plus
     band = (0, 12)
     assert (p1.truncated(*band) - p2.truncated(*band)).max_coeff_norm() < 1e-7
 
@@ -58,17 +58,17 @@ def test_frames_unitary_and_twisted(soliton_frames_small):
     f = soliton_frames_small
     from psurf.loops import unitarity_defect
     for (i, j) in [(0, 0), (5, 11), (16, 16)]:
-        u = f.U[i][j]
+        u = f.loop(i, j)
         assert u.check_twist() < 1e-10
         u_def, det_def = unitarity_defect(u, samples=(0.5, 1.0, 2.0))
         assert u_def < 1e-8 and det_def < 1e-8
 
 
 def test_sym_trivial_cases():
-    ident_grid = [[LaurentLoop.identity() for _ in range(2)] for _ in range(2)]
+    ident_grid = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 1, 2, 2))
     from psurf.surface import FrameGrid
-    fg = FrameGrid(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]), U=ident_grid,
-                   phi=np.zeros((2, 2)), psi=np.zeros((2, 2)),
+    fg = FrameGrid(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]), coeffs=ident_grid,
+                   d_min=0, phi=np.zeros((2, 2)),
                    a_vals=np.ones(2), b_vals=np.ones(2), basepoint=(0, 0))
     s = sym_immersion(fg, 1.0)
     assert np.max(np.abs(s.points)) == 0.0
@@ -187,16 +187,51 @@ def test_cone_point_requires_crossings(soliton_frames_small):
         assert cone["line_coverage"] < 0.5
 
 
-def test_threaded_reconstruction_matches_serial(soliton_pair):
-    xs = np.linspace(0, 1, 9)
-    f1 = reconstruct_frames(soliton_pair, xs, xs, trunc=16, threads=1)
-    f2 = reconstruct_frames(soliton_pair, xs, xs, trunc=16, threads=2)
-    assert np.array_equal(f1.phi, f2.phi)
-    assert (f1.U[4][7] - f2.U[4][7]).max_coeff_norm() == 0.0
-
-
 def test_geometry_report_needs_enough_nodes(soliton_pair):
     xs = np.linspace(0, 1, 8)
     f = reconstruct_frames(soliton_pair, xs, xs, trunc=16)
     with pytest.raises(ValueError, match="16 nodes"):
         geometry_report(sym_immersion(f, 1.0))
+    xs = np.linspace(0, 1, 16) ** 2
+    f = reconstruct_frames(soliton_pair, xs, xs, trunc=16)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        geometry_report(sym_immersion(f, 1.0))
+
+
+def test_frame_tensor_matches_node_loops(soliton_frames_small):
+    f = soliton_frames_small
+    nx, ny = f.x.size, f.y.size
+    assert f.coeffs.shape[:2] == (nx, ny) and f.coeffs.shape[3:] == (2, 2)
+    # the degree axis is the union of the node bands: both ends are reached
+    assert np.any(f.coeffs[:, :, 0]) and np.any(f.coeffs[:, :, -1])
+    for lam in (0.5, 1.0, 2.0):
+        vals = f.evaluate(lam)
+        assert vals.shape == (nx, ny, 2, 2)
+        for i, j in [(0, 0), (3, 11), (16, 16), (16, 0)]:
+            u = f.loop(i, j)
+            assert f.d_min <= u.d_min and u.d_max < f.d_min + f.coeffs.shape[2]
+            assert np.max(np.abs(vals[i, j] - u.evaluate(lam))) < 1e-14
+    with pytest.raises(ValueError, match="lambda = 0"):
+        f.evaluate(0.0)
+
+
+def test_batched_sym_and_darboux_match_node_formulas(soliton_frames_small):
+    f = soliton_frames_small
+    lam = 2.0
+    s = sym_immersion(f, lam)
+    frames = darboux_frame(f, lam)
+    for i, j in [(1, 1), (5, 11), (16, 16)]:
+        u = f.loop(i, j)
+        ev = u.evaluate(lam)
+        ev_inv = np.linalg.inv(ev)
+        m = u.log_lambda_derivative().evaluate(lam) @ ev_inv
+        m = 0.5 * (m - np.conj(m.T))
+        m -= 0.5 * np.trace(m) * np.eye(2)
+        assert np.max(np.abs(s.points[i, j] - su2_to_r3(m))) < 1e-13
+        assert np.max(np.abs(s.normals[i, j] - su2_to_r3(ev @ SU2_K @ ev_inv, tol=1e-5))) < 1e-13
+        th = 0.5 * f.phi[i, j]
+        rot = np.array([[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0],
+                        [0.0, 0.0, 1.0]])
+        assert np.max(np.abs(frames[i, j] - adjoint_rotation(ev) @ rot)) < 1e-13
+    # the kink's corner (0, 0) is degenerate
+    assert np.all(np.isnan(frames[0, 0]))
