@@ -2,7 +2,8 @@
 
 The factorization identity is expanded in powers of lambda; the unknown
 star-normalized factor's coefficients solve a block-Toeplitz least-squares
-system built from the input coefficients.  The other factor comes out as an
+system built from the input coefficients, which the twist splits into two
+scalar Toeplitz systems.  The other factor comes out as an
 exact banded product.  Residuals are measured on a fixed circle/radial
 sample set and truncation is widened adaptively when the retained tail of
 the solved factor is not negligible.
@@ -65,35 +66,45 @@ class SplitResult:
 
 def _solve_plus_star(g, n):
     """h in Lambda^+_* (support 0..n, h_0 = I) minimizing the positive-degree
-    coefficients of h*g; returns h or None on a singular solve."""
+    coefficients of h*g for twisted g; returns h or None on a singular solve.
+
+    Row p of h_k lives only in column (k+p) % 2 and row p of (h*g)_j only in
+    column (j+p) % 2, so the block-Toeplitz system is the direct sum of one
+    scalar Toeplitz system per row p of h:
+        sum_k c_{j-k}[(k+p)%2, (j+p)%2] h_k[p, (k+p)%2] = -c_j[p, (j+p)%2],
+    for j = 1..j_max, each solved in the least-squares sense.
+    """
     j_max = n + g.d_max
     if j_max < 1:
         return LaurentLoop.identity()
-    # P[k-1, j-1] = c_{j-k}, k = 1..n, j = 1..j_max
-    c = g.coeffs
+    # c[d + n - 1] is the lambda^d coefficient, d = 1-n..j_max, zero off the band
+    c = g.truncated(1 - n, j_max).coeffs
     ks = np.arange(1, n + 1)
     js = np.arange(1, j_max + 1)
-    idx = js[None, :] - ks[:, None] - g.d_min
-    valid = (idx >= 0) & (idx < c.shape[0])
-    blocks = np.zeros((n, j_max, 2, 2), dtype=complex)
-    blocks[valid] = c[idx[valid]]
-    # rows of h decouple: solve B^T x^T = r^T with two right-hand sides
-    mat = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * j_max).T
-    rhs_idx = js - g.d_min
-    rvalid = (rhs_idx >= 0) & (rhs_idx < c.shape[0])
-    rhs_blocks = np.zeros((j_max, 2, 2), dtype=complex)
-    rhs_blocks[rvalid] = c[rhs_idx[rvalid]]
-    rhs = -rhs_blocks.transpose(0, 2, 1).reshape(2 * j_max, 2)
-    try:
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
+    lag = js[:, None] - ks[None, :] + n - 1
     coeffs = np.zeros((n + 1, 2, 2), dtype=complex)
     coeffs[0] = np.eye(2)
-    coeffs[1:] = sol.reshape(n, 2, 2).transpose(0, 2, 1)
+    for p in (0, 1):
+        col_h, col_hg = (ks + p) % 2, (js + p) % 2
+        try:
+            sol, *_ = np.linalg.lstsq(c[lag, col_h[None, :], col_hg[:, None]],
+                                      -c[js + n - 1, p, col_hg], rcond=None)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(sol)):
+            return None
+        coeffs[ks, p, col_h] = sol
     return LaurentLoop(coeffs, 0, copy=False)
+
+
+def _require_twisted(g, residual_tol):
+    """The parity solve drops off-twist content, which no factor pair it
+    returns can reproduce; reject input that has more of it than the residual
+    tolerance instead of running the truncation schedule to a failure."""
+    twist = g.check_twist()
+    if twist > residual_tol:
+        raise ValueError(f"input loop is not twisted: off-twist part {twist:.3g} "
+                         f"exceeds residual_tol {residual_tol:.3g}")
 
 
 def _eval_norm(loops_and_signs, samples=RESIDUAL_SAMPLES):
@@ -128,6 +139,7 @@ def _trunc_schedule(trunc):
 def split_plus_star_minus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
                           tail_tol=TAIL_TOL):
     """g = plus * minus with plus in Lambda^+_* (lambda^0 = I), minus in Lambda^-."""
+    _require_twisted(g, residual_tol)
     last = (np.inf, np.inf)
     for n in _trunc_schedule(trunc):
         h = _solve_plus_star(g, n)
@@ -168,6 +180,7 @@ def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
     right factor is the star-normalized minus loop itself (not inverted),
     so the returned pair satisfies g * minus_star = plus up to the residual.
     """
+    _require_twisted(g, residual_tol)
     last = (np.inf, np.inf)
     for n in _trunc_schedule(trunc):
         # right-multiplied unknown: transpose reduces to the left solver

@@ -46,6 +46,17 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# the keys each config section may hold
+CONFIG_KEYS = {
+    "grid": {"nx", "ny", "x_range", "y_range", "theta_uniform"},
+    "run": {"lambdas", "trunc", "seed", "step_divisor", "drift_lambdas", "symmetry_interp"},
+    "potential": {"kind", "alpha", "beta", "speed_a", "speed_b", "domain_x", "domain_y"},
+    "verify": {"suites"},
+    "tolerances": set(DEFAULT_TOLERANCES),
+    "output": {"directory", "formats", "drop_degenerate_faces"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -53,7 +64,10 @@ class ConfigError(ValueError):
 def _parse_config(path):
     import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # duplicate keys, lines without '='
+        raise ConfigError(str(exc)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     return cp
@@ -91,6 +105,16 @@ class RunConfig:
     """Validated run settings resolved from one config file."""
 
     def __init__(self, cp, base_dir, overrides):
+        # a misspelled key would otherwise fall back to its default unnoticed;
+        # [DEFAULT] keys would land in every section
+        for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+            if section not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config section [{section}]; "
+                                  f"have {sorted(CONFIG_KEYS)}")
+            unknown = sorted(set(cp[section]) - CONFIG_KEYS[section])
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                                  f"have {sorted(CONFIG_KEYS[section])}")
         g = cp["grid"] if cp.has_section("grid") else {}
         self.nx = int(g.get("nx", 33))
         self.ny = int(g.get("ny", 33))
@@ -176,8 +200,6 @@ class RunConfig:
         self.tolerances = dict(DEFAULT_TOLERANCES)
         if cp.has_section("tolerances"):
             for key, val in cp["tolerances"].items():
-                if key not in self.tolerances:
-                    raise ConfigError(f"unknown tolerance key {key!r}")
                 self.tolerances[key] = float(val)
 
         o = cp["output"] if cp.has_section("output") else {}

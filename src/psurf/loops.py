@@ -26,6 +26,8 @@ SU2_J = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)
 SU2_K = np.array([[0.5j, 0.0], [0.0, -0.5j]])
 
 _EYE2 = np.eye(2, dtype=complex)
+# (row + column) % 2 of each 2x2 entry: 0 on the diagonal, 1 off it
+_ENTRY_PARITY = np.add.outer(np.arange(2), np.arange(2))
 
 
 def _dagger(m):
@@ -131,7 +133,8 @@ class LaurentLoop:
         """Loop product (Cauchy product of coefficient sequences).
 
         A plain 2x2 array is treated as a constant loop, which avoids the
-        degree bookkeeping for the frequent gauge-by-constant case.
+        degree bookkeeping for the frequent gauge-by-constant case; a scalar
+        scales the loop, as it does from the left.
 
         The sum runs over the coefficients of the shorter operand; each term
         is one GEMM on the longer operand's coefficients laid side by side
@@ -142,6 +145,8 @@ class LaurentLoop:
         if isinstance(other, np.ndarray):
             prod = (_rows(self.coeffs) @ other).reshape(self.coeffs.shape)
             return LaurentLoop(prod, self.d_min, copy=False)
+        if isinstance(other, numbers.Number):
+            return self.scaled(other)
         if not isinstance(other, LaurentLoop):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -161,7 +166,7 @@ class LaurentLoop:
         if isinstance(other, np.ndarray):
             return LaurentLoop(_uncolumns(other @ _columns(self.coeffs)), self.d_min, copy=False)
         if isinstance(other, numbers.Number):  # numpy scalars register as Numbers
-            return LaurentLoop(other * self.coeffs, self.d_min, copy=False)
+            return self.scaled(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -256,14 +261,10 @@ class LaurentLoop:
         Even degrees must be diagonal, odd degrees off-diagonal; the residual
         is 0 exactly on twisted loops.
         """
-        res = 0.0
-        for k in self.degrees:
-            c = self.coeffs[k - self.d_min]
-            if k % 2 == 0:
-                res = max(res, abs(c[0, 1]), abs(c[1, 0]))
-            else:
-                res = max(res, abs(c[0, 0]), abs(c[1, 1]))
-        return float(res)
+        k = np.arange(self.d_min, self.d_max + 1)[:, None, None]
+        off = self.coeffs[(k + _ENTRY_PARITY) % 2 == 1]
+        # hypot rounds like abs() on one complex scalar; np.abs may differ by an ulp
+        return float(np.max(np.hypot(off.real, off.imag)))
 
 
 def unitarity_defect(g, samples=UNITARITY_SAMPLES):

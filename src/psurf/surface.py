@@ -38,11 +38,9 @@ class FrameGrid:
     phi: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
-    basepoint: tuple
     base_x: float = 0.0
     base_y: float = 0.0
     pair: object = None
-    trunc: int = 24
     max_split_residual: float = 0.0
     max_tail: float = 0.0
     a_fn: object = None
@@ -176,8 +174,7 @@ def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None
     b_vals = np.asarray(b_fn(y), dtype=float)
     return FrameGrid(x=x, y=y, coeffs=coeffs, d_min=used_lo, phi=phi,
                      a_vals=a_vals, b_vals=b_vals,
-                     basepoint=(ic, jc), base_x=float(bx), base_y=float(by),
-                     pair=pair, trunc=trunc,
+                     base_x=float(bx), base_y=float(by), pair=pair,
                      max_split_residual=max_resid, max_tail=max_tail,
                      a_fn=a_fn, b_fn=b_fn)
 
@@ -307,6 +304,22 @@ def darboux_frame(fgrid, lam0=1.0):
     return out
 
 
+def _edge_crossings(phi, points, di, dj):
+    """Sign changes of sin(phi) on the grid edges from node (i, j) to node
+    (i + di, j + dj), in row-major order of (i, j): (multiple of pi crossed,
+    linearly interpolated image point, i, j)."""
+    s = np.sin(phi)
+    nx, ny = s.shape
+    for i in range(nx - di):
+        for j in range(ny - dj):
+            a, b = (i, j), (i + di, j + dj)
+            if s[a] * s[b] < 0:
+                w = s[a] / (s[a] - s[b])
+                phi_c = (1 - w) * phi[a] + w * phi[b]
+                pt = (1 - w) * points[a] + w * points[b]
+                yield int(np.round(phi_c / np.pi)), pt, i, j
+
+
 def find_cone_point(sgrid):
     """Locate the image point of a sin(phi) = 0 curve crossed by the grid lines.
 
@@ -316,26 +329,12 @@ def find_cone_point(sgrid):
     with the measured point, its spread, the phi level, and the fraction of
     coordinate lines that cross the curve.
     """
-    s = np.sin(sgrid.phi)
-    f = sgrid.points
-    nx, ny = s.shape
+    nx, ny = sgrid.phi.shape
     groups = {}
-    for i in range(nx - 1):
-        for j in range(ny):
-            if s[i, j] * s[i + 1, j] < 0:
-                w = s[i, j] / (s[i, j] - s[i + 1, j])
-                phi_c = (1 - w) * sgrid.phi[i, j] + w * sgrid.phi[i + 1, j]
-                pt = (1 - w) * f[i, j] + w * f[i + 1, j]
-                groups.setdefault(int(np.round(phi_c / np.pi)), []).append(
-                    (pt, ("row", j), ("colspan", i)))
-    for i in range(nx):
-        for j in range(ny - 1):
-            if s[i, j] * s[i, j + 1] < 0:
-                w = s[i, j] / (s[i, j] - s[i, j + 1])
-                phi_c = (1 - w) * sgrid.phi[i, j] + w * sgrid.phi[i, j + 1]
-                pt = (1 - w) * f[i, j] + w * f[i, j + 1]
-                groups.setdefault(int(np.round(phi_c / np.pi)), []).append(
-                    (pt, ("col", i), ("rowspan", j)))
+    for (di, dj), line, span in (((1, 0), "row", "colspan"), ((0, 1), "col", "rowspan")):
+        for level, pt, i, j in _edge_crossings(sgrid.phi, sgrid.points, di, dj):
+            fixed, moving = (j, i) if di else (i, j)
+            groups.setdefault(level, []).append((pt, (line, fixed), (span, moving)))
     if not groups:
         return None
     best = None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psurf.birkhoff import (FactorizationFailure, split_minus_star_plus,
+from psurf.birkhoff import (FactorizationFailure, _solve_plus_star, split_minus_star_plus,
                             split_plus_minusfree, split_plus_star_minus)
 from psurf.loops import LaurentLoop, random_twisted_unitary_loop
 
@@ -113,3 +113,65 @@ def test_nonpositive_trunc_is_rejected(trunc):
     for split in (split_plus_star_minus, split_minus_star_plus, split_plus_minusfree):
         with pytest.raises(ValueError, match="trunc must be >= 1"):
             split(g, trunc=trunc)
+
+
+# -- the parity solve --------------------------------------------------------
+
+def block_solve_reference(g, n):
+    """The dense 2x2-block Toeplitz least-squares solve the parity split replaced."""
+    j_max = n + g.d_max
+    if j_max < 1:
+        return LaurentLoop.identity()
+    # P[k-1, j-1] = c_{j-k}, k = 1..n, j = 1..j_max
+    c = g.coeffs
+    ks = np.arange(1, n + 1)
+    js = np.arange(1, j_max + 1)
+    idx = js[None, :] - ks[:, None] - g.d_min
+    valid = (idx >= 0) & (idx < c.shape[0])
+    blocks = np.zeros((n, j_max, 2, 2), dtype=complex)
+    blocks[valid] = c[idx[valid]]
+    # rows of h decouple: solve B^T x^T = r^T with two right-hand sides
+    mat = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * j_max).T
+    rhs_idx = js - g.d_min
+    rvalid = (rhs_idx >= 0) & (rhs_idx < c.shape[0])
+    rhs_blocks = np.zeros((j_max, 2, 2), dtype=complex)
+    rhs_blocks[rvalid] = c[rhs_idx[rvalid]]
+    rhs = -rhs_blocks.transpose(0, 2, 1).reshape(2 * j_max, 2)
+    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    coeffs = np.zeros((n + 1, 2, 2), dtype=complex)
+    coeffs[0] = np.eye(2)
+    coeffs[1:] = sol.reshape(n, 2, 2).transpose(0, 2, 1)
+    return LaurentLoop(coeffs, 0, copy=False)
+
+
+SOLVE_INPUTS = {
+    "plain": lambda g: g,
+    # what split_minus_star_plus and split_plus_minusfree hand to the solve
+    "reflect": LaurentLoop.reflect,
+    "transpose_reflect": lambda g: g.transpose_loop().reflect(),
+}
+
+
+@pytest.mark.parametrize("view", sorted(SOLVE_INPUTS))
+@pytest.mark.parametrize("n", [8, 24, 48])
+@pytest.mark.parametrize("degree", [2, 4, 6, 8])
+def test_parity_solve_matches_block_reference(degree, n, view):
+    rng = np.random.default_rng(100 * degree + n)
+    for _ in range(3):
+        g = SOLVE_INPUTS[view](random_twisted_unitary_loop(rng, degree=degree, scale=1.0))
+        h = _solve_plus_star(g, n)
+        ref = block_solve_reference(g, n)
+        assert h.d_min == ref.d_min == 0 and h.d_max == ref.d_max
+        assert h.check_twist() == 0.0
+        assert (h - ref).max_coeff_norm() <= 1e-12 * max(1.0, ref.max_coeff_norm())
+
+
+def test_splitters_reject_untwisted_input():
+    g = random_twisted_unitary_loop(np.random.default_rng(9))
+    bad = g.coeffs.copy()
+    bad[-g.d_min, 0, 1] += 1e-3          # off-diagonal entry of the lambda^0 coefficient
+    g_bad = LaurentLoop(bad, g.d_min)
+    for split in (split_plus_star_minus, split_minus_star_plus, split_plus_minusfree):
+        with pytest.raises(ValueError, match="not twisted: off-twist part 0.001"):
+            split(g_bad)
+        assert split(g).residual < 1e-9

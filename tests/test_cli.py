@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -328,6 +329,39 @@ def test_out_of_range_settings_are_config_errors(tmp_path, capsys, command, run_
     assert run([command, cfg] + extra) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("run_section, message", [
+    ("trnc = 0", "unknown key 'trnc' in [run]"),
+    ("threads = 4", "unknown key 'threads' in [run]"),
+    ("trunc = 24\n\n[gird]\nnx = 65", "unknown config section [gird]"),
+    ("trunc = 24\n\n[DEFAULT]\ndirectory = out", "unknown config section [DEFAULT]"),
+    ("trunc = 24\ntrunc = 12", "option 'trunc' in section 'run' already exists"),
+    ("trunc 24", "Source contains parsing errors"),
+])
+def test_unknown_or_malformed_config_keys_are_config_errors(tmp_path, capsys, run_section, message):
+    cfg = write_config(tmp_path / "k.ini", SOLITON_9.format(
+        run=run_section, suites="loops", out=tmp_path / "o"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _readme_example(tmp_path):
+    text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
+    return write_config(tmp_path / "readme.ini", text.split("```ini\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("config", ["README.md", "perfbench/configs/soliton_build.ini",
+                                    "perfbench/configs/amsler_certify.ini"])
+def test_shipped_configs_use_known_keys(tmp_path, config):
+    path = _readme_example(tmp_path) if config == "README.md" else os.path.join(REPO, config)
+    args = argparse.Namespace(trunc=None, seed=None, output_dir=None)
+    cfg = cli.RunConfig(cli._parse_config(path), os.path.dirname(path), args)
+    assert cfg.trunc in (24, 48)
 
 
 def test_build_reuses_its_geometry_reports(tmp_path, monkeypatch):

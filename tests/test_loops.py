@@ -50,6 +50,33 @@ def test_check_twist_detects_patterns():
     assert bad.check_twist() > 0.5
 
 
+def reference_check_twist(g):
+    """Per-degree loop the parity-mask check_twist replaced."""
+    res = 0.0
+    for k in g.degrees:
+        c = g.coeffs[k - g.d_min]
+        if k % 2 == 0:
+            res = max(res, abs(c[0, 1]), abs(c[1, 0]))
+        else:
+            res = max(res, abs(c[0, 0]), abs(c[1, 1]))
+    return float(res)
+
+
+@pytest.mark.parametrize("d_min", [-7, -4, 0, 3])
+def test_check_twist_matches_per_degree_reference(d_min):
+    rng = np.random.default_rng(20 + d_min)
+    for n in (1, 2, 9):
+        g = random_loop(rng, n, d_min=d_min)
+        assert g.check_twist() == reference_check_twist(g)
+        # one off-twist entry, placed at a random degree
+        twisted = random_twisted_unitary_loop(rng)
+        bad = twisted.coeffs.copy()
+        k = int(rng.integers(bad.shape[0]))
+        bad[k, 0, (k + twisted.d_min + 1) % 2] += 0.25
+        h = LaurentLoop(bad, twisted.d_min)
+        assert h.check_twist() == reference_check_twist(h) == 0.25
+
+
 def test_unitarity_samples():
     rng = np.random.default_rng(4)
     g = random_twisted_unitary_loop(rng, pad=20, decay=0.25)
@@ -326,12 +353,22 @@ def test_ndarray_times_loop_is_a_constant_loop_product():
     assert (prod - LaurentLoop.constant(m) * g).max_coeff_norm() < 1e-15
 
 
-@pytest.mark.parametrize("scalar", [np.int64(2), np.float64(2.0), np.complex128(2.0), 2, 2.0])
+@pytest.mark.parametrize("scalar", [np.int64(2), np.float64(2.0), np.complex128(2.0), 2, 2.0,
+                                    1.5 - 0.5j, np.float32(0.5)])
 def test_numpy_and_python_scalars_scale_loops(scalar):
     g = random_twisted_unitary_loop(np.random.default_rng(12))
-    prod = scalar * g
-    assert isinstance(prod, LaurentLoop)
-    assert (prod - g.scaled(2.0)).max_coeff_norm() == 0.0
+    for prod in (scalar * g, g * scalar):
+        assert isinstance(prod, LaurentLoop)
+        assert prod.d_min == g.d_min
+        assert np.array_equal(prod.coeffs, complex(scalar) * g.coeffs)
+
+
+def test_loop_times_non_number_is_type_error():
+    g = random_twisted_unitary_loop(np.random.default_rng(14))
+    with pytest.raises(TypeError):
+        g * "x"
+    with pytest.raises(TypeError):
+        "x" * g
 
 
 def test_su2_and_adjoint_maps_act_on_stacks():

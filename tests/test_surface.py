@@ -69,7 +69,7 @@ def test_sym_trivial_cases():
     from psurf.surface import FrameGrid
     fg = FrameGrid(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]), coeffs=ident_grid,
                    d_min=0, phi=np.zeros((2, 2)),
-                   a_vals=np.ones(2), b_vals=np.ones(2), basepoint=(0, 0))
+                   a_vals=np.ones(2), b_vals=np.ones(2))
     s = sym_immersion(fg, 1.0)
     assert np.max(np.abs(s.points)) == 0.0
     with pytest.raises(ValueError, match="positive"):

@@ -84,7 +84,7 @@ def test_coverage_window_amsler():
     pair, desc = generalized_amsler_example(domain=(ts[0] - 1e-6, ts[-1] + 1e-6))
     from psurf.surface import FrameGrid
     fake = FrameGrid(x=ts, y=ts, coeffs=None, d_min=0, phi=None, a_vals=None,
-                     b_vals=None, basepoint=(0, 0), pair=pair)
+                     b_vals=None, pair=pair)
     idx_x, idx_y = coverage_window(fake, desc)
     assert idx_x.size >= 3 and idx_y.size >= 3
     for i in idx_x:
