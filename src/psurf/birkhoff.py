@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from psurf.loops import LaurentLoop, inverse_one_sided
+from psurf.loops import LaurentLoop, edge_norm, inverse_one_sided
 
 DEFAULT_TRUNC = 24
 MAX_TRUNC = 96
@@ -107,23 +107,6 @@ def _require_twisted(g, residual_tol):
                          f"exceeds residual_tol {residual_tol:.3g}")
 
 
-def _eval_norm(loops_and_signs, samples=RESIDUAL_SAMPLES):
-    acc = None
-    for sign, loop in loops_and_signs:
-        v = sign * loop.evaluate(samples)
-        acc = v if acc is None else acc + v
-    return float(np.max(np.abs(acc)))
-
-
-def _tail(loop, side):
-    """Norm of the two extreme retained coefficients on the truncated side."""
-    if side == "+":
-        tips = [loop.coeff(loop.d_max), loop.coeff(loop.d_max - 1)]
-    else:
-        tips = [loop.coeff(loop.d_min), loop.coeff(loop.d_min + 1)]
-    return float(max(np.linalg.norm(t) for t in tips))
-
-
 def _trunc_schedule(trunc):
     """Truncations to try: trunc, then doubling up to MAX_TRUNC."""
     if trunc < 1:
@@ -136,29 +119,44 @@ def _trunc_schedule(trunc):
         n = min(2 * n, MAX_TRUNC)
 
 
-def split_plus_star_minus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
-                          tail_tol=TAIL_TOL):
-    """g = plus * minus with plus in Lambda^+_* (lambda^0 = I), minus in Lambda^-."""
+def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors, back):
+    """The truncation schedule and acceptance policy shared by the splitters.
+
+    Each attempt solves for the star factor h of solve_on at truncation n;
+    factors(h, n) returns (star, plus, minus), star being the solved factor
+    before trimming, whose two outermost coefficients are the retained tail.
+    back(plus(s), minus(s)) must reproduce g(s) on the residual samples.
+    """
     _require_twisted(g, residual_tol)
+    samples = _residual_samples(g)
+    gv = g.evaluate(samples)
     last = (np.inf, np.inf)
     for n in _trunc_schedule(trunc):
-        h = _solve_plus_star(g, n)
+        h = _solve_plus_star(solve_on, n)
         if h is None:
             continue
-        plus_full = inverse_one_sided(h, n)
-        tail = _tail(plus_full, "+")
-        # trim at the numerical noise floor: the radial residual samples
-        # amplify degree-k content by 2^k, so roundoff-level coefficients in
-        # the solved factor must not be carried around
-        plus = plus_full.trim()
-        minus = (h * g).truncated(min(g.d_min, 0), 0).trim()
-        residual = _eval_norm([(1.0, g), (-1.0, plus * minus)], _residual_samples(g))
+        star, plus, minus = factors(h, n)
+        tail = edge_norm(star)
+        residual = float(np.max(np.abs(gv - back(plus.evaluate(samples),
+                                                 minus.evaluate(samples)))))
         if residual <= residual_tol and tail <= tail_tol:
             return SplitResult(plus, minus, residual, tail)
         last = (residual, tail)
     raise FactorizationFailure(
-        f"plus*minus splitting did not resolve (residual {last[0]:.3g}, tail {last[1]:.3g})",
+        f"{shape} splitting did not resolve (residual {last[0]:.3g}, tail {last[1]:.3g})",
         residual=last[0], tail_norm=last[1])
+
+
+def split_plus_star_minus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
+                          tail_tol=TAIL_TOL):
+    """g = plus * minus with plus in Lambda^+_* (lambda^0 = I), minus in Lambda^-."""
+    def factors(h, n):
+        star = inverse_one_sided(h, n)
+        # trim at the numerical noise floor: the radial residual samples
+        # amplify degree-k content by 2^k, so roundoff-level coefficients in
+        # the solved factor must not be carried around
+        return star, star.trim(), (h * g).truncated(min(g.d_min, 0), 0).trim()
+    return _split(g, trunc, residual_tol, tail_tol, "plus*minus", g, factors, np.matmul)
 
 
 def split_minus_star_plus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
@@ -179,28 +177,13 @@ def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
     This is the splitting shape used by the frame reconstruction: the
     right factor is the star-normalized minus loop itself (not inverted),
     so the returned pair satisfies g * minus_star = plus up to the residual.
+    The right-multiplied unknown reduces to the left solve by transposing.
     """
-    _require_twisted(g, residual_tol)
-    last = (np.inf, np.inf)
-    for n in _trunc_schedule(trunc):
-        # right-multiplied unknown: transpose reduces to the left solver
-        h = _solve_plus_star(g.transpose_loop().reflect(), n)
-        if h is None:
-            continue
-        t_full = h.transpose_loop().reflect()  # Lambda^-_*, support -n..0
-        tail = _tail(t_full, "-")
-        t_minus = t_full.trim()
-        prod = g * t_minus
-        plus = prod.truncated(0, max(prod.d_max, 0)).trim()
-        samples = _residual_samples(g)
-        gv = g.evaluate(samples)
-        pv = plus.evaluate(samples)
-        tv = t_minus.evaluate(samples)
-        residual = float(np.max(np.abs(gv - pv @ np.linalg.inv(tv))))
-        if residual <= residual_tol and tail <= tail_tol:
-            return SplitResult(plus=plus, minus=t_minus, residual=residual,
-                               tail_norm=tail)
-        last = (residual, tail)
-    raise FactorizationFailure(
-        f"plus*minus_star^-1 splitting did not resolve (residual {last[0]:.3g}, tail {last[1]:.3g})",
-        residual=last[0], tail_norm=last[1])
+    def factors(h, n):
+        star = h.transpose_loop().reflect()  # Lambda^-_*, support -n..0
+        minus = star.trim()
+        prod = g * minus
+        return star, prod.truncated(0, max(prod.d_max, 0)).trim(), minus
+    return _split(g, trunc, residual_tol, tail_tol, "plus*minus_star^-1",
+                  g.transpose_loop().reflect(), factors,
+                  lambda pv, mv: pv @ np.linalg.inv(mv))

@@ -77,6 +77,17 @@ def _floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _positive_reals(section, key, default):
+    """The values of key, which must be one or more positive finite reals."""
+    if key not in section:
+        return default
+    vals = tuple(_floats(section[key]))
+    if not vals or not all(np.isfinite(v) and v > 0 for v in vals):
+        raise ConfigError(f"{key} must be one or more positive finite reals, "
+                          f"got {section[key]!r}")
+    return vals
+
+
 def _resolve_function(spec, base_dir):
     spec = spec.strip()
     if spec.startswith("builtin:"):
@@ -132,7 +143,7 @@ class RunConfig:
             self.y = _theta_to_t(self.y)
 
         r = cp["run"] if cp.has_section("run") else {}
-        self.lambdas = _floats(r.get("lambdas", "1.0"))
+        self.lambdas = _positive_reals(r, "lambdas", (1.0,))
         if overrides.trunc is not None:
             self.trunc = overrides.trunc
         else:
@@ -145,15 +156,9 @@ class RunConfig:
             raise ConfigError(f"step_divisor must be a positive number, got {div:g}")
         span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
         self.step = span / div
-        self.drift_samples = tuple(_floats(r["drift_lambdas"])) if "drift_lambdas" in r \
-            else DRIFT_LAMBDAS
+        self.drift_samples = _positive_reals(r, "drift_lambdas", DRIFT_LAMBDAS)
         # fine interpolation target for the symmetry suite (0 = main grid)
         self.symmetry_interp = int(r.get("symmetry_interp", 0))
-
-        if any(l <= 0 for l in self.lambdas):
-            raise ConfigError("lambdas must be positive reals")
-        if not self.lambdas:
-            raise ConfigError("need at least one lambda")
 
         p = cp["potential"] if cp.has_section("potential") else {}
         self.kind = p.get("kind", "").strip()
@@ -184,8 +189,6 @@ class RunConfig:
             else:
                 sa = _resolve_function(p.get("speed_a", "1.0"), base_dir)
                 sb = _resolve_function(p.get("speed_b", "1.0"), base_dir)
-                sa = sa if callable(sa) else (lambda t, _v=sa: _v + 0.0 * np.asarray(t))
-                sb = sb if callable(sb) else (lambda t, _v=sb: _v + 0.0 * np.asarray(t))
                 bnd = pots.BoundaryAngles(alpha=alpha, beta=beta, a=sa, b=sb)
                 self.pair = pots.stretched_from_boundary(bnd, dx, dy)
 

@@ -8,12 +8,13 @@ loop-group-free cross check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from psurf.loops import LaurentLoop, su2_defect
+from psurf.loops import LaurentLoop, edge_norm, su2_defect
+from psurf.potentials import speed_fn
 
 DRIFT_LIMIT = 1e-6
 # lambda samples of the unitarity drift monitor
@@ -28,11 +29,8 @@ class IntegrationDrift(RuntimeError):
 class AxisFramePath:
     """Frames G(t) at the requested parameter values along one axis."""
 
-    axis: str
     t: np.ndarray
     frames: list
-    step: float
-    init: LaurentLoop
     drift: float = 0.0
     tail_norm: float = 0.0
 
@@ -72,8 +70,8 @@ def _march(eta, t_from, targets, init, step, band):
     return out
 
 
-def integrate_axis(eta, t_values, init=None, step=None, band=None, axis="x",
-                   t0=None, drift_limit=DRIFT_LIMIT, drift_samples=DRIFT_LAMBDAS):
+def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
+                   drift_limit=DRIFT_LIMIT, drift_samples=DRIFT_LAMBDAS):
     """Classical 4th-order integration of dG/dt = G eta(t) on a degree band.
 
     t_values are the parameters at which frames are recorded; t0 is the
@@ -100,6 +98,10 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, axis="x",
     if band is None:
         probe = eta(t0)
         band = (min(0, 24 * probe.d_min), max(0, 24 * probe.d_max))
+    samples = np.asarray(drift_samples, dtype=complex)
+    if not np.all(np.isfinite(samples)) or (band[0] < 0 and np.any(samples == 0)):
+        raise ValueError(f"drift samples must be finite, and nonzero on a band with "
+                         f"negative degrees; got {drift_samples}")
     init_b = init.truncated(*band)
 
     frames = {}
@@ -112,25 +114,16 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, axis="x",
 
     ordered = [frames[float(t)] for t in t_values]
     # every frame carries the band, so one contraction evaluates them all
-    powers = np.asarray(drift_samples, dtype=complex)[:, None] ** np.arange(band[0], band[1] + 1)
+    powers = samples[:, None] ** np.arange(band[0], band[1] + 1)
     values = np.einsum("sk,nkij->nsij", powers, np.stack([g.coeffs for g in ordered]))
     drift = max(su2_defect(values))
     span = max(1.0, float(t_values[-1] - t_values[0]))
-    if drift > drift_limit * span:
+    if not drift <= drift_limit * span:  # a NaN drift fails too
         raise IntegrationDrift(
             f"unitarity drift {drift:.3g} over span {span:.3g}; reduce the step")
-    tail = max(_edge_norm(g, band) for g in (ordered[0], ordered[-1]))
-    return AxisFramePath(axis=axis, t=t_values, frames=ordered, step=float(step),
-                         init=init, drift=float(drift), tail_norm=float(tail))
-
-
-def _edge_norm(g, band):
-    lo, hi = band
-    tips = [g.coeff(hi), g.coeff(hi - 1)] if hi > 0 else []
-    tips += [g.coeff(lo), g.coeff(lo + 1)] if lo < 0 else []
-    if not tips:
-        return 0.0
-    return float(max(np.linalg.norm(t) for t in tips))
+    # the frames span exactly the integration band, so their edge is the retained tail
+    tail = max(edge_norm(g) for g in (ordered[0], ordered[-1]))
+    return AxisFramePath(t=t_values, frames=ordered, drift=float(drift), tail_norm=tail)
 
 
 # -- fixed-lambda direct solve ----------------------------------------------
@@ -205,8 +198,7 @@ def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None)
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    a_fn = a if callable(a) else (lambda t, _v=float(a): _v + 0.0 * np.asarray(t))
-    b_fn = b if callable(b) else (lambda t, _v=float(b): _v + 0.0 * np.asarray(t))
+    a_fn, b_fn = speed_fn(a), speed_fn(b)
     fn, fn_x_default = _phi_model(phi, x, y)
     fn_x = phi_x if phi_x is not None else fn_x_default
     if init is None:

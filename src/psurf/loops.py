@@ -14,7 +14,6 @@ import numbers
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
 TRIM_REL = 1e-14
 
 # lambda samples used for unitarity / determinant spot checks on the real axis
@@ -278,6 +277,14 @@ def su2_defect(vals):
     u_def = float(np.max(np.abs(gram - _EYE2)))
     dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
     return u_def, float(np.max(np.abs(dets - 1.0)))
+
+
+def edge_norm(g):
+    """Largest norm of the two outermost coefficients at each end of g's band
+    that lies off degree 0: the retained tail of a truncated loop."""
+    tips = [g.coeff(g.d_max), g.coeff(g.d_max - 1)] if g.d_max > 0 else []
+    tips += [g.coeff(g.d_min), g.coeff(g.d_min + 1)] if g.d_min < 0 else []
+    return float(max((np.linalg.norm(t) for t in tips), default=0.0))
 
 
 def inverse_one_sided(g, trunc):

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from psurf.potentials import speed_fn
+
 
 class StiffnessError(RuntimeError):
     """Cell fixed-point update failed to contract."""
@@ -17,13 +19,6 @@ class StiffnessError(RuntimeError):
 
 class RegistrationError(ValueError):
     """Point sets too degenerate for a rigid fit."""
-
-
-def _as_fn(f):
-    if callable(f):
-        return f
-    val = float(f)
-    return lambda t: val + 0.0 * np.asarray(t)
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ def goursat_solve(problem, max_iter=20, tol=1e-13):
     """
     x = np.asarray(problem.x, dtype=float)
     y = np.asarray(problem.y, dtype=float)
-    a_fn, b_fn = _as_fn(problem.a), _as_fn(problem.b)
+    a_fn, b_fn = speed_fn(problem.a), speed_fn(problem.b)
     nx, ny = x.size, y.size
     phi = np.empty((nx, ny))
     phi[:, 0] = problem.boundary_x

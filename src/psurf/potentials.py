@@ -22,6 +22,15 @@ CIRCLE_LAMBDAS = np.exp(2j * np.pi * np.arange(16) / 16.0)
 SYMMETRY_LAMBDAS = np.concatenate([CIRCLE_LAMBDAS, [0.5 + 0j, 2.0 + 0j]])
 
 
+def speed_fn(s):
+    """Speed s as a function of the axis parameter: a callable is returned as
+    is, a number c becomes the constant c, and None is the unit speed."""
+    if callable(s):
+        return s
+    c = 1.0 if s is None else float(s)
+    return lambda t: np.full(np.shape(t), c)
+
+
 def _offdiag(z):
     return np.array([[0.0, z], [-np.conj(z), 0.0]])
 
@@ -35,8 +44,8 @@ def _phase_matrix(alpha):
 class BoundaryAngles:
     """Angle data along the axes: alpha(x) = phi(x,0) - phi(0,0), beta(y) = phi(0,y).
 
-    Speeds default to 1 (None); nonunit speeds belong to generalized
-    potentials and the Goursat oracle.
+    Speeds are functions or constants and default to 1 (None); nonunit
+    speeds belong to generalized potentials and the Goursat oracle.
     """
 
     alpha: object
@@ -45,10 +54,10 @@ class BoundaryAngles:
     b: object = None
 
     def speed_a(self):
-        return self.a if callable(self.a) else (lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        return speed_fn(self.a)
 
     def speed_b(self):
-        return self.b if callable(self.b) else (lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        return speed_fn(self.b)
 
 
 @dataclass(frozen=True)
@@ -131,22 +140,18 @@ def _axis_data(eta, domain, degree, axis, n_dense):
     return speed, angle
 
 
-def _unit_speed(t):
-    return np.ones_like(np.asarray(t, dtype=float))
-
-
 def x_axis_data(pair, n_dense=2049):
     """(a(x), alpha(x)) with i/2 a e^{-i alpha} the top off-diagonal entry of
     the lambda^1 coefficient of eta_x."""
     if pair.kind == "normalized" and pair.boundary is not None:
-        return _unit_speed, pair.boundary.alpha
+        return speed_fn(None), pair.boundary.alpha
     return _axis_data(pair.eta_x, pair.domain_x, 1, "x", n_dense)
 
 
 def y_axis_data(pair, n_dense=2049):
     """(b(y), beta(y)) with rho = -b e^{i beta} = -2i * (lambda^-1 coeff)[0,1]."""
     if pair.kind == "normalized" and pair.boundary is not None:
-        return _unit_speed, pair.boundary.beta
+        return speed_fn(None), pair.boundary.beta
     return _axis_data(pair.eta_y, pair.domain_y, -1, "y", n_dense)
 
 

@@ -130,9 +130,9 @@ def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None
     band_y = (min(0, trunc * probe_y.d_min), max(0, trunc * probe_y.d_max))
 
     path_x = integrate_axis(pair.eta_x, x, init=init_x, step=step, band=band_x,
-                            axis="x", t0=bx, drift_samples=drift_samples)
+                            t0=bx, drift_samples=drift_samples)
     path_y = integrate_axis(pair.eta_y, y, init=init_y, step=step, band=band_y,
-                            axis="y", t0=by, drift_samples=drift_samples)
+                            t0=by, drift_samples=drift_samples)
 
     alpha_vals = np.array([float(alpha_fn(v)) for v in x])
     w_loops = [path_x.frames[i] * _tx_matrix(alpha_vals[i]) for i in range(x.size)]
@@ -185,8 +185,8 @@ def sym_immersion(fgrid, lam0):
     f = (dU/dlog lambda) U^-1 with the exact coefficient-weighted
     derivative; normals are the rotated vertical axis vector.
     """
-    if not lam0 > 0:
-        raise ValueError("lambda must be a positive real")
+    if not (np.isfinite(lam0) and lam0 > 0):
+        raise ValueError(f"lambda must be a positive finite real, got {lam0}")
     ks = fgrid._degrees()
     powers = complex(lam0) ** ks
     ev = fgrid._weighted_sum(powers)

@@ -7,6 +7,7 @@ still resolve, so a rename fails here instead of in a traced benchmark run.
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -38,3 +39,15 @@ def test_expected_spans_are_defined():
     for workload, names in tracing.EXPECTED.items():
         missing = [n for n in names if n not in tracing.SPANS]
         assert not missing, f"{workload}: {missing}"
+
+
+def test_split_clock_times_every_node_of_a_frame_grid(soliton_pair):
+    from psurf.surface import reconstruct_frames
+    clock = tracing.SplitClock()
+    clock.install()
+    try:
+        xs = np.linspace(0.0, 1.0, 5)
+        reconstruct_frames(soliton_pair, xs, xs, trunc=24)
+    finally:
+        clock.remove()
+    assert len(clock.latencies) == 25

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from psurf.birkhoff import (FactorizationFailure, _solve_plus_star, split_minus_star_plus,
+from psurf.birkhoff import (RESIDUAL_TOL, FactorizationFailure,
+                            _residual_samples, _solve_plus_star, split_minus_star_plus,
                             split_plus_minusfree, split_plus_star_minus)
 from psurf.loops import LaurentLoop, random_twisted_unitary_loop
 
@@ -87,9 +91,16 @@ def test_idempotence():
 def test_factorization_failure_carries_residual():
     rng = np.random.default_rng(6)
     g = random_twisted_unitary_loop(rng)
-    with pytest.raises(FactorizationFailure) as exc:
-        split_plus_star_minus(g, residual_tol=1e-30, tail_tol=1e-30)
-    assert exc.value.residual is not None
+    for split, shape in ((split_plus_star_minus, "plus*minus"),
+                         (split_minus_star_plus, "plus*minus"),
+                         (split_plus_minusfree, "plus*minus_star^-1")):
+        with pytest.raises(FactorizationFailure,
+                           match=rf"^{re.escape(shape)} splitting did not resolve") as exc:
+            split(g, residual_tol=1e-30, tail_tol=1e-30)
+        for value in (exc.value.residual, exc.value.tail_norm):
+            assert value is not None and np.isfinite(value)
+        assert f"residual {exc.value.residual:.3g}, tail {exc.value.tail_norm:.3g}" \
+            in str(exc.value)
 
 
 def test_unitary_factors_track_input_defect():
@@ -175,3 +186,34 @@ def test_splitters_reject_untwisted_input():
         with pytest.raises(ValueError, match="not twisted: off-twist part 0.001"):
             split(g_bad)
         assert split(g).residual < 1e-9
+
+
+# -- the three shapes (hypothesis) ---------------------------------------------
+
+# each shape: its splitter, how its factors multiply back to g on sample
+# values, and which factor is star-normalized
+SHAPES = {
+    "plus_star_minus": (split_plus_star_minus, lambda p, m: p @ m, "plus"),
+    "minus_star_plus": (split_minus_star_plus, lambda p, m: m @ p, "minus"),
+    "plus_minusfree": (split_plus_minusfree, lambda p, m: p @ np.linalg.inv(m), "minus"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(2, 8), scale=st.floats(0.0, 1.0),
+       pad=st.sampled_from([0, 16]))
+def test_split_shapes_property(shape, seed, degree, scale, pad):
+    split, back, star = SHAPES[shape]
+    g = random_twisted_unitary_loop(np.random.default_rng(seed), degree=degree, scale=scale,
+                                    pad=pad)
+    r = split(g)
+    # the radial probes of RESIDUAL_SAMPLES can lie outside the factors' domain
+    # of convergence; unless g's band is radially converged (as it mostly is
+    # with pad 16) the splitter checks the circle alone, and so does this test
+    samples = _residual_samples(g)
+    got = back(r.plus.evaluate(samples), r.minus.evaluate(samples))
+    assert np.max(np.abs(got - g.evaluate(samples))) <= RESIDUAL_TOL
+    assert np.max(np.abs(getattr(r, star).coeff(0) - np.eye(2))) < 1e-12
+    assert r.plus.d_min >= 0 and r.minus.d_max <= 0
+    assert r.plus.check_twist() <= 1e-12 and r.minus.check_twist() <= 1e-12

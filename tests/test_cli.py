@@ -447,3 +447,16 @@ def test_theta_uniform_geometry_suite_is_config_error(tmp_path, capsys):
     assert run(["verify", cfg]) == cli.EXIT_CONFIG
     assert "the geometry suite needs a uniformly spaced grid" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("run_section", [
+    "lambdas = inf", "lambdas = nan", "lambdas = 1, 0", "lambdas = -1",
+    "drift_lambdas = 0", "drift_lambdas = nan", "drift_lambdas = 1, inf", "drift_lambdas =",
+])
+def test_non_finite_or_non_positive_lambdas_are_config_errors(tmp_path, capsys, run_section):
+    cfg = write_config(tmp_path / "l.ini", SOLITON_9.format(
+        run=run_section, suites="loops", out=tmp_path / "o"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    key = run_section.split()[0]
+    assert f"{key} must be one or more positive finite reals" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

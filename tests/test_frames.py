@@ -117,3 +117,24 @@ def test_drift_is_read_at_every_recorded_frame():
     ts = np.linspace(0.0, 1.0, 11)
     with pytest.raises(IntegrationDrift, match="drift"):
         integrate_axis(eta, ts, step=1 / 256, drift_samples=(1.0,))
+
+
+@pytest.mark.parametrize("samples, band", [
+    ((1.0, np.nan), (-4, 4)), ((np.inf,), (0, 4)), ((0.0, 1.0), (-4, 4)), ((0.0,), (-1, 0)),
+])
+def test_bad_drift_samples_are_rejected(samples, band):
+    eta = lambda t: LaurentLoop.zero()
+    with pytest.raises(ValueError, match="drift samples must be finite"):
+        integrate_axis(eta, np.linspace(0, 1, 3), band=band, drift_samples=samples)
+
+
+def test_zero_drift_sample_on_nonnegative_band():
+    eta = lambda t: LaurentLoop.from_terms({1: 0.5j * OFF})
+    path = integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64, drift_samples=(0.0, 1.0))
+    assert path.drift < 1e-10
+
+
+def test_non_finite_drift_is_integration_drift():
+    eta = lambda t: LaurentLoop.from_terms({1: np.full((2, 2), np.nan)})
+    with pytest.raises(IntegrationDrift, match="unitarity drift nan"):
+        integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psurf.loops import (LaurentLoop, SU2_I, SU2_J, SU2_K, adjoint_rotation,
+from psurf.loops import (LaurentLoop, edge_norm, SU2_I, SU2_J, SU2_K, adjoint_rotation,
                          exp_loop, inverse_one_sided, r3_to_su2,
                          random_twisted_su_loop, random_twisted_unitary_loop,
                          su2_to_r3, unitarity_defect)
@@ -392,3 +392,13 @@ def test_stack_checks_name_the_worst_matrix():
     gs = np.array([np.eye(2), 1.01 * np.eye(2), 1.1 * np.eye(2)], dtype=complex)
     with pytest.raises(ValueError, match=r"at index \(2,\)"):
         adjoint_rotation(gs)
+
+
+def test_edge_norm_reads_the_two_outermost_coefficients_off_degree_zero():
+    c = np.zeros((7, 2, 2), dtype=complex)
+    c[:, 0, 0] = [5.0, 1.0, 7.0, 8.0, 4.0, 2.0, 3.0]     # degrees -3..3
+    assert edge_norm(LaurentLoop(c, -3)) == 5.0
+    assert edge_norm(LaurentLoop(c[3:], 0)) == 3.0       # degrees 0..3: top end only
+    assert edge_norm(LaurentLoop(c[:4], -3)) == 5.0      # degrees -3..0: bottom end only
+    assert edge_norm(LaurentLoop(c[3:5], 0)) == 8.0      # degrees 0..1 read degree 0 too
+    assert edge_norm(LaurentLoop.identity()) == 0.0

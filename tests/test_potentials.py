@@ -7,7 +7,7 @@ from psurf.potentials import (AMSLER_GAMMA_POLE, BoundaryAngles, amsler_dgamma,
                               extract_diagonal_potentials, function_from_table,
                               gauge_transform, generalized_amsler_example,
                               normalized_from_boundary, soliton_alpha,
-                              soliton_beta, stretched_from_boundary,
+                              soliton_beta, speed_fn, stretched_from_boundary,
                               x_axis_data, y_axis_data)
 
 ZETA = np.array([[0.0, 0.3j], [0.3j, 0.0]])
@@ -230,3 +230,21 @@ def test_table_ingestion(tmp_path):
     bad.write_text("0,0\n1,1\n")
     with pytest.raises(ValueError, match="header"):
         function_from_table(str(bad))
+
+
+def test_speed_fn_constants_callables_and_unit_default():
+    ts = np.linspace(0, 1, 5)
+    assert np.array_equal(speed_fn(None)(ts), np.ones(5))
+    assert np.array_equal(speed_fn(2.5)(ts), np.full(5, 2.5))
+    assert float(speed_fn(3)(0.3)) == 3.0
+    fn = lambda t: 1.0 + t
+    assert speed_fn(fn) is fn
+
+
+def test_constant_speeds_reach_stretched_pair():
+    bnd = BoundaryAngles(alpha=soliton_alpha, beta=soliton_beta, a=2.0, b=3.0)
+    assert float(bnd.speed_a()(0.3)) == 2.0 and float(bnd.speed_b()(0.3)) == 3.0
+    pair = stretched_from_boundary(bnd, (0, 1), (0, 1))
+    # the lambda^1 entry of eta_x is i/2 a e^{-i alpha}, so its modulus is a / 2
+    assert abs(abs(pair.eta_x(0.3).coeff(1)[0, 1]) - 1.0) < 1e-15
+    assert abs(abs(pair.eta_y(0.6).coeff(-1)[0, 1]) - 1.5) < 1e-15

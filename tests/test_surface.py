@@ -72,8 +72,9 @@ def test_sym_trivial_cases():
                    a_vals=np.ones(2), b_vals=np.ones(2))
     s = sym_immersion(fg, 1.0)
     assert np.max(np.abs(s.points)) == 0.0
-    with pytest.raises(ValueError, match="positive"):
-        sym_immersion(fg, -1.0)
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive finite"):
+            sym_immersion(fg, bad)
 
 
 def test_geometry_report_soliton(soliton_frames_small):
