@@ -133,8 +133,8 @@ class RunConfig:
             raise ConfigError("grid must be at least 2 x 2")
         xr = _floats(g.get("x_range", "0, 1"))
         yr = _floats(g.get("y_range", "0, 1"))
-        if len(xr) != 2 or len(yr) != 2 or xr[0] >= xr[1] or yr[0] >= yr[1]:
-            raise ConfigError("x_range / y_range must be increasing pairs")
+        if not (len(xr) == len(yr) == 2 and all(-np.inf < r[0] < r[1] < np.inf for r in (xr, yr))):
+            raise ConfigError("x_range / y_range must be increasing pairs of finite reals")
         theta_uniform = str(g.get("theta_uniform", "false")).lower() in ("1", "true", "yes")
         self.x = np.linspace(xr[0], xr[1], self.nx)
         self.y = np.linspace(yr[0], yr[1], self.ny)

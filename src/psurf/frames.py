@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from psurf.loops import LaurentLoop, edge_norm, su2_defect
+from psurf.loops import LaurentLoop, band_slice, cauchy_product, edge_norm, su2_defect
 from psurf.potentials import speed_fn
 
 DRIFT_LIMIT = 1e-6
@@ -27,10 +27,12 @@ class IntegrationDrift(RuntimeError):
 
 @dataclass(frozen=True)
 class AxisFramePath:
-    """Frames G(t) at the requested parameter values along one axis."""
+    """Frames G(t) at the requested parameter values along one axis:
+    coeffs[n, k - d_min] is the lambda^k coefficient of G(t[n]) on the integration band."""
 
     t: np.ndarray
-    frames: list
+    coeffs: np.ndarray            # (n_t, K, 2, 2) complex
+    d_min: int
     drift: float = 0.0
     tail_norm: float = 0.0
 
@@ -38,26 +40,27 @@ class AxisFramePath:
         idx = int(np.argmin(np.abs(self.t - t_value)))
         if abs(self.t[idx] - t_value) > 1e-12 * (1.0 + abs(t_value)):
             raise KeyError(f"parameter {t_value} was not a requested sample")
-        return self.frames[idx]
+        return LaurentLoop(self.coeffs[idx], self.d_min)
+
+
+def _band_product(g, eta_t, band):
+    """Coefficients of G eta(t) on the band, for G given on the band."""
+    return band_slice(cauchy_product(g, eta_t.coeffs), band[0] + eta_t.d_min, *band)
 
 
 def _rk4_step(g, eta, t, h, band):
-    k1 = (g * eta(t)).truncated(*band)
-    g2 = g + (0.5 * h) * k1
-    k2 = (g2 * eta(t + 0.5 * h)).truncated(*band)
-    g3 = g + (0.5 * h) * k2
-    k3 = (g3 * eta(t + 0.5 * h)).truncated(*band)
-    g4 = g + h * k3
-    k4 = (g4 * eta(t + h)).truncated(*band)
+    eta_0, eta_half, eta_1 = eta(t), eta(t + 0.5 * h), eta(t + h)
+    k1 = _band_product(g, eta_0, band)
+    k2 = _band_product(g + (0.5 * h) * k1, eta_half, band)
+    k3 = _band_product(g + (0.5 * h) * k2, eta_half, band)
+    k4 = _band_product(g + h * k3, eta_1, band)
     return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(eta, t_from, targets, init, step, band):
-    """Integrate from t_from through the sorted targets; yields (t, G)."""
-    out = []
-    g = init
+def _march(eta, t_from, targets, g, step, band, out):
+    """Integrate from t_from through the targets; writes G(targets[n]) to out[n]."""
     t = t_from
-    for t_next in targets:
+    for n, t_next in enumerate(targets):
         gap = t_next - t
         if abs(gap) > 0:
             nsub = max(1, int(np.ceil(abs(gap) / step)))
@@ -66,8 +69,7 @@ def _march(eta, t_from, targets, init, step, band):
                 g = _rk4_step(g, eta, t, h, band)
                 t = t + h
         t = t_next
-        out.append((t, g))
-    return out
+        out[n] = g
 
 
 def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
@@ -102,28 +104,25 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
     if not np.all(np.isfinite(samples)) or (band[0] < 0 and np.any(samples == 0)):
         raise ValueError(f"drift samples must be finite, and nonzero on a band with "
                          f"negative degrees; got {drift_samples}")
-    init_b = init.truncated(*band)
+    init_b = init.truncated(*band).coeffs
 
-    frames = {}
-    above = t_values[t_values >= t0 - 1e-15]
-    below = t_values[t_values < t0 - 1e-15][::-1]
-    for t, g in _march(eta, t0, above, init_b, step, band):
-        frames[float(t)] = g
-    for t, g in _march(eta, t0, below, init_b, step, band):
-        frames[float(t)] = g
+    coeffs = np.empty((t_values.size, band[1] - band[0] + 1, 2, 2), dtype=complex)
+    n_below = int(np.sum(t_values < t0 - 1e-15))
+    _march(eta, t0, t_values[n_below:], init_b, step, band, coeffs[n_below:])
+    _march(eta, t0, t_values[:n_below][::-1], init_b, step, band, coeffs[:n_below][::-1])
 
-    ordered = [frames[float(t)] for t in t_values]
     # every frame carries the band, so one contraction evaluates them all
     powers = samples[:, None] ** np.arange(band[0], band[1] + 1)
-    values = np.einsum("sk,nkij->nsij", powers, np.stack([g.coeffs for g in ordered]))
+    values = np.einsum("sk,nkij->nsij", powers, coeffs)
     drift = max(su2_defect(values))
     span = max(1.0, float(t_values[-1] - t_values[0]))
     if not drift <= drift_limit * span:  # a NaN drift fails too
         raise IntegrationDrift(
             f"unitarity drift {drift:.3g} over span {span:.3g}; reduce the step")
     # the frames span exactly the integration band, so their edge is the retained tail
-    tail = max(edge_norm(g) for g in (ordered[0], ordered[-1]))
-    return AxisFramePath(t=t_values, frames=ordered, drift=float(drift), tail_norm=tail)
+    tail = max(edge_norm(LaurentLoop(c, band[0])) for c in coeffs[[0, -1]])
+    return AxisFramePath(t=t_values, coeffs=coeffs, d_min=band[0], drift=float(drift),
+                         tail_norm=tail)
 
 
 # -- fixed-lambda direct solve ----------------------------------------------

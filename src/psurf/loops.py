@@ -62,6 +62,40 @@ def _uncolumns(r):
     return r.reshape(2, r.shape[1] // 2, 2).transpose(1, 0, 2)
 
 
+def cauchy_product(a, b):
+    """Cauchy product of two (n, 2, 2) coefficient stacks: the coefficients of
+    the loop product, starting at the sum of the two lowest degrees.
+
+    The sum runs over the coefficients of the shorter operand; each term is
+    one GEMM on the longer operand's coefficients laid side by side as a
+    block column or block row, because ``@`` on an ``(n, 2, 2)`` stack makes
+    one BLAS call per 2x2 slice.  Each output coefficient adds its terms in
+    increasing index of the shorter operand.
+    """
+    na, nb = a.shape[0], b.shape[0]
+    out = np.zeros((na + nb - 1, 2, 2), dtype=complex)
+    if nb <= na:
+        a_rows = _rows(a)
+        for j in range(nb):
+            out[j:j + na] += (a_rows @ b[j]).reshape(na, 2, 2)
+    else:
+        b_cols = _columns(b)
+        for j in range(na):
+            out[j:j + nb] += _uncolumns(a[j] @ b_cols)
+    return out
+
+
+def band_slice(coeffs, d_min, lo, hi):
+    """Degrees lo..hi of a coefficient stack starting at degree d_min, zero-padded."""
+    if lo > hi:
+        raise ValueError("empty degree band")
+    out = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
+    s_lo, s_hi = max(lo, d_min), min(hi, d_min + coeffs.shape[0] - 1)
+    if s_lo <= s_hi:
+        out[s_lo - lo: s_hi - lo + 1] = coeffs[s_lo - d_min: s_hi - d_min + 1]
+    return out
+
+
 class LaurentLoop:
     """Immutable matrix Laurent polynomial with degrees d_min..d_max."""
 
@@ -129,17 +163,11 @@ class LaurentLoop:
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
-        """Loop product (Cauchy product of coefficient sequences).
+        """Loop product (Cauchy product of coefficient sequences, `cauchy_product`).
 
         A plain 2x2 array is treated as a constant loop, which avoids the
         degree bookkeeping for the frequent gauge-by-constant case; a scalar
         scales the loop, as it does from the left.
-
-        The sum runs over the coefficients of the shorter operand; each term
-        is one GEMM on the longer operand's coefficients laid side by side
-        as a block column or block row, because ``@`` on an ``(n, 2, 2)``
-        stack makes one BLAS call per 2x2 slice.  Each output coefficient
-        adds its terms in increasing index of the shorter operand.
         """
         if isinstance(other, np.ndarray):
             prod = (_rows(self.coeffs) @ other).reshape(self.coeffs.shape)
@@ -148,18 +176,8 @@ class LaurentLoop:
             return self.scaled(other)
         if not isinstance(other, LaurentLoop):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        na, nb = a.shape[0], b.shape[0]
-        out = np.zeros((na + nb - 1, 2, 2), dtype=complex)
-        if nb <= na:
-            a_rows = _rows(a)
-            for j in range(nb):
-                out[j:j + na] += (a_rows @ b[j]).reshape(na, 2, 2)
-        else:
-            b_cols = _columns(b)
-            for j in range(na):
-                out[j:j + nb] += _uncolumns(a[j] @ b_cols)
-        return LaurentLoop(out, self.d_min + other.d_min, copy=False)
+        return LaurentLoop(cauchy_product(self.coeffs, other.coeffs),
+                           self.d_min + other.d_min, copy=False)
 
     def __rmul__(self, other):
         if isinstance(other, np.ndarray):
@@ -234,13 +252,7 @@ class LaurentLoop:
 
     def truncated(self, lo, hi):
         """Restrict to degrees lo..hi (zero-padded if the band is larger)."""
-        if lo > hi:
-            raise ValueError("empty degree band")
-        out = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
-        s_lo, s_hi = max(lo, self.d_min), min(hi, self.d_max)
-        if s_lo <= s_hi:
-            out[s_lo - lo: s_hi - lo + 1] = self.coeffs[s_lo - self.d_min: s_hi - self.d_min + 1]
-        return LaurentLoop(out, lo, copy=False)
+        return LaurentLoop(band_slice(self.coeffs, self.d_min, lo, hi), lo, copy=False)
 
     def trim(self, rel=TRIM_REL):
         """Drop leading/trailing coefficients below rel * max coefficient norm."""

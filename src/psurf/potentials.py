@@ -182,10 +182,20 @@ def _validate_gauge(q_fn, side, domain, n_check=7):
 
 def _loop_derivative(q_fn, t, h):
     # 5-point central difference, coefficientwise
-    vals = [q_fn(t + k * h) for k in (-2, -1, 1, 2)]
-    acc = vals[0].scaled(1.0 / (12 * h)) + vals[1].scaled(-8.0 / (12 * h)) \
-        + vals[2].scaled(8.0 / (12 * h)) + vals[3].scaled(-1.0 / (12 * h))
-    return acc
+    return _loop_comb([q_fn(t + k * h) for k in (-2, -1, 1, 2)],
+                      [1.0 / (12 * h), -8.0 / (12 * h), 8.0 / (12 * h), -1.0 / (12 * h)])
+
+
+def _gauge_action(eta_t, q_fn, is_const, dq, t, h):
+    """q^-1 eta q + q^-1 q' at t, given eta_t = eta(t).  q' is dq(t), or a
+    central difference with step h when dq is None; a constant q has q' = 0."""
+    q = q_fn(t)
+    q_inv = q.dagger()
+    out = (q_inv * eta_t) * q
+    if not is_const:
+        qd = dq(t) if dq is not None else _loop_derivative(q_fn, t, h)
+        out = out + q_inv * qd
+    return out
 
 
 def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
@@ -202,17 +212,12 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
     _validate_gauge(qx_fn, "-", pair.domain_x)
     _validate_gauge(qy_fn, "+", pair.domain_y)
 
-    def tilde(eta, q_fn, is_const, dq, t):
-        q = q_fn(t)
-        q_inv = q.dagger()
-        out = (q_inv * eta(t)) * q
-        if not is_const:
-            qd = dq(t) if dq is not None else _loop_derivative(q_fn, t, fd_step)
-            out = out + q_inv * qd
-        return out.trim(rel=1e-13)
+    def eta_x(x):
+        return _gauge_action(pair.eta_x(x), qx_fn, qx_const, dqx, x, fd_step).trim(rel=1e-13)
 
-    eta_x = lambda x: tilde(pair.eta_x, qx_fn, qx_const, dqx, x)
-    eta_y = lambda y: tilde(pair.eta_y, qy_fn, qy_const, dqy, y)
+    def eta_y(y):
+        return _gauge_action(pair.eta_y(y), qy_fn, qy_const, dqy, y, fd_step).trim(rel=1e-13)
+
     return PotentialPair(eta_x=eta_x, eta_y=eta_y, kind="generalized",
                          domain_x=pair.domain_x, domain_y=pair.domain_y,
                          meta={"gauged_from": pair.kind})
@@ -237,18 +242,10 @@ def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
         h = fd_step if fd_step is not None else 1e-4 * (domain[1] - domain[0])
         res = 0.0
         for t in ts:
-            if dgamma is not None:
-                gp = dgamma(t)
-            else:
-                gp = (gamma(t + h) - gamma(t - h)) / (2.0 * h)
+            gp = dgamma(t) if dgamma is not None else (gamma(t + h) - gamma(t - h)) / (2.0 * h)
             if abs(gp) < 1e-12:
                 raise ValueError(f"gamma derivative vanishes near t = {t}")
-            w = w_fn(t)
-            w_inv = w.dagger()
-            rhs = (w_inv * eta(t)) * w
-            if not w_const:
-                wd = dw(t) if dw is not None else _loop_derivative(w_fn, t, h)
-                rhs = rhs + w_inv * wd
+            rhs = _gauge_action(eta(t), w_fn, w_const, dw, t, h)
             lhs = eta(gamma(t)).scaled(gp)
             diff = (lhs - rhs).evaluate(lambdas)
             res = max(res, float(np.max(np.abs(diff))))

@@ -134,9 +134,9 @@ def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None
     path_y = integrate_axis(pair.eta_y, y, init=init_y, step=step, band=band_y,
                             t0=by, drift_samples=drift_samples)
 
-    alpha_vals = np.array([float(alpha_fn(v)) for v in x])
-    w_loops = [path_x.frames[i] * _tx_matrix(alpha_vals[i]) for i in range(x.size)]
-    d_loops = [path_y.frames[j].dagger() for j in range(y.size)]
+    w_loops = [LaurentLoop(c, path_x.d_min) * _tx_matrix(float(alpha_fn(v)))
+               for c, v in zip(path_x.coeffs, x)]
+    d_loops = [LaurentLoop(c, path_y.d_min) for c in _dagger(path_y.coeffs)]
 
     # U = w_i * minus has degrees >= band_x[0] - MAX_TRUNC, but the nodes reach far
     # fewer.  A degree-major buffer on an anonymous mapping never backs the degrees

@@ -110,16 +110,26 @@ def test_criterion_4_gauge_invariance(soliton_pair):
 
     const_diag = LaurentLoop.constant(np.diag([np.exp(0.4j), np.exp(-0.4j)]))
 
+    x_gen = LaurentLoop.from_terms({-1: ZETA})
+    y_gen = LaurentLoop.from_terms({1: ZETA})
+
     def qx_var(x):
-        return exp_loop(LaurentLoop.from_terms({-1: np.sin(0.8 * x) * ZETA}), (-20, 0))
+        return exp_loop(x_gen.scaled(np.sin(0.8 * x)), (-20, 0))
 
     def qy_var(y):
-        return exp_loop(LaurentLoop.from_terms({1: np.sin(0.5 * y) * ZETA}), (0, 20))
+        return exp_loop(y_gen.scaled(np.sin(0.5 * y)), (0, 20))
+
+    # d/dt exp(s(t) X) = s'(t) X exp(s(t) X), exact on the gauge band
+    def dqx(x):
+        return (x_gen * qx_var(x)).truncated(-20, 0).scaled(0.8 * np.cos(0.8 * x))
+
+    def dqy(y):
+        return (y_gen * qy_var(y)).truncated(0, 20).scaled(0.5 * np.cos(0.5 * y))
 
     cases = [
         ("constant diagonal x-gauge", dict(qx=const_diag), dict(init_x=const_diag)),
-        ("varying minus x-gauge", dict(qx=qx_var), {}),
-        ("varying gauges both axes", dict(qx=qx_var, qy=qy_var), {}),
+        ("varying minus x-gauge", dict(qx=qx_var, dqx=dqx), {}),
+        ("varying gauges both axes", dict(qx=qx_var, qy=qy_var, dqx=dqx, dqy=dqy), {}),
     ]
     worst = 0.0
     details = []
@@ -265,8 +275,8 @@ def test_criterion_10_convergence_orders(soliton_pair):
         e = np.exp(1j * soliton_alpha(t))
         return LaurentLoop.from_terms({1: 0.5j * np.array([[0, np.conj(e)], [e, 0]])})
 
-    ref = integrate_axis(eta, np.array([0.0, 1.0]), step=1 / 1024).frames[-1]
-    errs = [(integrate_axis(eta, np.array([0.0, 1.0]), step=1 / n).frames[-1]
+    ref = integrate_axis(eta, np.array([0.0, 1.0]), step=1 / 1024).frame_at(1.0)
+    errs = [(integrate_axis(eta, np.array([0.0, 1.0]), step=1 / n).frame_at(1.0)
              - ref).max_coeff_norm() for n in (8, 16)]
     rk_order = float(np.log2(errs[0] / errs[1]))
 

@@ -51,3 +51,24 @@ def test_split_clock_times_every_node_of_a_frame_grid(soliton_pair):
     finally:
         clock.remove()
     assert len(clock.latencies) == 25
+
+
+def test_tracer_records_the_frame_pipeline(soliton_pair):
+    from psurf import surface            # looked up after install, so the wrappers apply
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        xs = np.linspace(0.0, 1.0, 5)
+        surface.sym_immersion(surface.reconstruct_frames(soliton_pair, xs, xs, trunc=24), 1.0)
+    finally:
+        tracer.remove()
+    attrs = {}
+    for span in tracer.spans:
+        attrs.setdefault(span[1], []).append(span[6])
+    for name in ("frames.axis", "surface.reconstruct", "birkhoff.split", "loops.mul"):
+        assert attrs.get(name), f"span {name} did not fire"
+        assert all(a is not None for a in attrs[name]), f"span {name} recorded no attributes"
+    assert attrs["surface.reconstruct"] == [(25, False)]
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["frames.axis_calls"] == 2 and metrics["birkhoff.split_calls"] == 25
+    assert 0.0 <= metrics["frames.drift_max"] < 1e-6

@@ -460,3 +460,15 @@ def test_non_finite_or_non_positive_lambdas_are_config_errors(tmp_path, capsys, 
     key = run_section.split()[0]
     assert f"{key} must be one or more positive finite reals" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x_range", "0, inf"), ("x_range", "-inf, 1"), ("y_range", "nan, 1"), ("y_range", "0, nan"),
+    ("x_range", "1, 0"),
+])
+def test_non_finite_or_decreasing_ranges_are_config_errors(tmp_path, capsys, key, value):
+    text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
+    cfg = write_config(tmp_path / "g.ini", text.replace(f"{key} = 0, 1", f"{key} = {value}"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert "x_range / y_range must be increasing pairs of finite reals" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,7 @@ import pytest
 
 from psurf.frames import AxisFramePath, IntegrationDrift, direct_frame_solve, integrate_axis
 from psurf.loops import LaurentLoop
-from psurf.potentials import soliton_alpha
+from psurf.potentials import generalized_amsler_example, soliton_alpha
 from tests.conftest import kink_phi
 
 OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -18,8 +18,8 @@ def test_zero_potential_is_constant():
     eta = lambda t: LaurentLoop.zero()
     ts = np.linspace(0, 1, 5)
     path = integrate_axis(eta, ts, band=(0, 4))
-    for g in path.frames:
-        assert (g - LaurentLoop.identity().truncated(0, 4)).max_coeff_norm() == 0.0
+    ident = LaurentLoop.identity().truncated(0, 4).coeffs
+    assert path.d_min == 0 and np.array_equal(path.coeffs, np.stack([ident] * 5))
 
 
 def test_constant_potential_closed_form():
@@ -45,8 +45,8 @@ def test_backward_integration_from_interior_anchor():
 
 
 def test_order_four_convergence():
-    ref = integrate_axis(eta_soliton, np.array([0.0, 1.0]), step=1 / 1024).frames[-1]
-    errs = [(integrate_axis(eta_soliton, np.array([0.0, 1.0]), step=1 / n).frames[-1]
+    ref = integrate_axis(eta_soliton, np.array([0.0, 1.0]), step=1 / 1024).frame_at(1.0)
+    errs = [(integrate_axis(eta_soliton, np.array([0.0, 1.0]), step=1 / n).frame_at(1.0)
              - ref).max_coeff_norm() for n in (8, 16, 32)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
@@ -59,7 +59,7 @@ def test_local_ode_residual():
     h = ts[1] - ts[0]
     worst = 0.0
     for k in range(len(ts) - 1):
-        g0, g1 = path.frames[k], path.frames[k + 1]
+        g0, g1 = path.frame_at(ts[k]), path.frame_at(ts[k + 1])
         mid = eta_soliton(0.5 * (ts[k] + ts[k + 1]))
         approx = (g0.dagger() * (g1 - g0)).scaled(1.0 / h)
         diff = (approx - mid).truncated(0, 2)
@@ -71,9 +71,58 @@ def test_determinant_along_path():
     ts = np.linspace(0, 1, 9)
     path = integrate_axis(eta_soliton, ts, step=1 / 256)
     for lam in (0.5, 1.0, 2.0):
-        for g in path.frames:
-            v = g.evaluate(lam)
+        for t in ts:
+            v = path.frame_at(t).evaluate(lam)
             assert abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0] - 1.0) < 1e-10
+
+
+def reference_march(eta, t_from, targets, init, step, band):
+    """The LaurentLoop-arithmetic RK4 march that the array march replaced."""
+    out, g, t = [], init.truncated(*band), t_from
+    for t_next in targets:
+        gap = t_next - t
+        if abs(gap) > 0:
+            nsub = max(1, int(np.ceil(abs(gap) / step)))
+            h = gap / nsub
+            for _ in range(nsub):
+                k1 = (g * eta(t)).truncated(*band)
+                k2 = ((g + (0.5 * h) * k1) * eta(t + 0.5 * h)).truncated(*band)
+                k3 = ((g + (0.5 * h) * k2) * eta(t + 0.5 * h)).truncated(*band)
+                k4 = ((g + h * k3) * eta(t + h)).truncated(*band)
+                g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = t + h
+        t = t_next
+        out.append(g.coeffs)
+    return out
+
+
+def counted(eta):
+    def fn(t):
+        fn.calls += 1
+        return eta(t)
+    fn.calls = 0
+    return fn
+
+
+@pytest.mark.parametrize("case", ["degree +1", "two-sided", "backward from interior anchor"])
+def test_array_march_matches_loop_arithmetic_bit_for_bit(case):
+    amsler_eta = generalized_amsler_example()[0].eta_x
+    eta, ts, t0, band = {
+        "degree +1": (eta_soliton, np.linspace(0.0, 1.0, 9), 0.0, (0, 24)),
+        "two-sided": (amsler_eta, np.linspace(-2.6, -0.15, 7), -2.6, (-16, 16)),
+        "backward from interior anchor": (eta_soliton, np.linspace(-1.0, 1.0, 9), 0.3, (0, 24)),
+    }[case]
+    init = LaurentLoop.constant(np.diag([np.exp(0.2j), np.exp(-0.2j)]))
+    new_eta, ref_eta = counted(eta), counted(eta)
+    path = integrate_axis(new_eta, ts, init=init, step=1 / 64, band=band, t0=t0,
+                          drift_limit=np.inf)  # the arithmetic is compared, not the accuracy
+    above, below = ts[ts >= t0], ts[ts < t0][::-1]
+    ref = reference_march(ref_eta, t0, below, init, 1 / 64, band)[::-1] \
+        + reference_march(ref_eta, t0, above, init, 1 / 64, band)
+    assert path.d_min == band[0]
+    assert np.array_equal(path.coeffs, np.stack(ref))
+    # three distinct stage times per step where the loop form evaluated eta four times
+    assert new_eta.calls * 4 == ref_eta.calls * 3 > 0
 
 
 def test_drift_error_on_coarse_step():

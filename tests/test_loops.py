@@ -344,6 +344,28 @@ def test_twisted_loops_are_closed_under_product(g, h):
     assert (g * h).check_twist() == 0.0
 
 
+@settings(deadline=None)
+@given(loops())
+def test_reflect_dagger_and_transpose_are_involutions(g):
+    for op in (LaurentLoop.reflect, LaurentLoop.dagger, LaurentLoop.transpose_loop):
+        back = op(op(g))
+        assert back.d_min == g.d_min and np.array_equal(back.coeffs, g.coeffs)
+
+
+@settings(deadline=None)
+@given(loops(), st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       st.floats(0.0, 2 * np.pi))
+def test_adjoint_rotation_matches_conjugation_in_r3(g, v, angle):
+    # the unitary QR factor of one value of the loop, scaled to det 1
+    q, _ = np.linalg.qr(g.evaluate(np.exp(1j * angle)))
+    u = q / np.sqrt(np.linalg.det(q))
+    v = np.array(v)
+    scale = max(1.0, np.linalg.norm(v))
+    assert np.max(np.abs(su2_to_r3(r3_to_su2(v)) - v)) <= 1e-16 * scale
+    conj = su2_to_r3(u @ r3_to_su2(v) @ u.conj().T)
+    assert np.max(np.abs(conj - adjoint_rotation(u) @ v)) <= 1e-13 * scale
+
+
 def test_ndarray_times_loop_is_a_constant_loop_product():
     rng = np.random.default_rng(11)
     g = random_twisted_unitary_loop(rng)
