@@ -189,6 +189,12 @@ class RunConfig:
             else:
                 sa = _resolve_function(p.get("speed_a", "1.0"), base_dir)
                 sb = _resolve_function(p.get("speed_b", "1.0"), base_dir)
+                for key, fn, nodes in (("speed_a", sa, self.x), ("speed_b", sb, self.y)):
+                    vals = np.array([float(pots.speed_fn(fn)(t)) for t in nodes])
+                    bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+                    if bad.size:
+                        raise ConfigError(f"{key} must be finite and > 0 at every grid node; "
+                                          f"got {vals[bad[0]]:g} at {nodes[bad[0]]:g}")
                 bnd = pots.BoundaryAngles(alpha=alpha, beta=beta, a=sa, b=sb)
                 self.pair = pots.stretched_from_boundary(bnd, dx, dy)
 
@@ -232,7 +238,10 @@ def _write_report(report, outdir, name="report"):
 def _build_surfaces(cfg):
     fgrid = reconstruct_frames(cfg.pair, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
                                drift_samples=cfg.drift_samples)
-    surfaces = associated_family(fgrid, cfg.lambdas)
+    try:
+        surfaces = associated_family(fgrid, cfg.lambdas)
+    except ValueError as exc:  # a lambda at which the immersion is not finite
+        raise ConfigError(str(exc)) from None
     return fgrid, surfaces
 
 
@@ -376,7 +385,7 @@ def _suite_symmetry(cfg, fgrid, surfaces, geometry):
                 interp = {"interp_x": img, "interp_y": img,
                           "interp_trunc": max(24, cfg.trunc - 8)}
     try:
-        report, _ = certify_from_potentials(
+        report, _, _ = certify_from_potentials(
             cfg.pair, d, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
             drift_samples=cfg.drift_samples, monodromy_lambdas=pots.CIRCLE_LAMBDAS,
             equivariance_tol=tol["equivariance"], monodromy_tol=tol["monodromy"],

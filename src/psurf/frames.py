@@ -128,43 +128,8 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
 # -- fixed-lambda direct solve ----------------------------------------------
 
 
-def _phi_model(phi, x, y):
-    """Normalize phi input to callables (phi, phi_x) on the grid rectangle."""
-    if callable(phi):
-        fn = phi
-        h = 1e-6 * max(x[-1] - x[0], 1.0)
-
-        def fn_x(xv, yv):
-            return (fn(xv + h, yv) - fn(xv - h, yv)) / (2.0 * h)
-
-        return fn, fn_x
-    arr = np.asarray(phi, dtype=float)
-    if arr.shape != (x.size, y.size):
-        raise ValueError("phi grid must have shape (nx, ny)")
-    row_splines = [CubicSpline(x, arr[:, j]) for j in range(y.size)]
-    col_splines = [CubicSpline(y, arr[i, :]) for i in range(x.size)]
-
-    def fn(xv, yv):
-        j = int(np.argmin(np.abs(y - yv)))
-        if abs(y[j] - yv) < 1e-12:
-            return float(row_splines[j](xv))
-        i = int(np.argmin(np.abs(x - xv)))
-        return float(col_splines[i](yv))
-
-    def fn_x(xv, yv):
-        j = int(np.argmin(np.abs(y - yv)))
-        return float(row_splines[j](xv, 1))
-
-    return fn, fn_x
-
-
 def _x_coefficient(phi_x, a_val, lam):
     return 0.5j * np.array([[-phi_x, a_val * lam], [a_val * lam, phi_x]])
-
-
-def _y_coefficient(phi, b_val, lam):
-    e = np.exp(1j * phi)
-    return (-0.5j * b_val / lam) * np.array([[0.0, e], [np.conj(e), 0.0]])
 
 
 def _rk4_matrix(u, coef, t, h):
@@ -189,47 +154,43 @@ def _sweep(u0, coef, ts, substeps):
 def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None):
     """Integrate the fixed-lambda frame system over the grid, given the angle.
 
-    phi may be an (nx, ny) array (splined along rows/columns) or a callable
-    phi(x, y); phi_x optionally supplies the exact x-derivative.  Returns
-    (U grid, path-independence residual at the far corner).  A large
-    residual signals that phi is not a sine-Gordon solution at this
-    resolution.
+    phi is an (nx, ny) array or a callable phi(x, y) that takes the x grid as
+    an array; phi_x optionally gives the exact x-derivative.  Returns (U grid,
+    path-independence residual at the far corner); a large residual signals
+    that phi is not a sine-Gordon solution at this resolution.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     a_fn, b_fn = speed_fn(a), speed_fn(b)
-    fn, fn_x_default = _phi_model(phi, x, y)
-    fn_x = phi_x if phi_x is not None else fn_x_default
-    if init is None:
-        init = np.eye(2, dtype=complex)
+    if callable(phi):
+        columns = lambda t: phi(x, t)
+        h = 1e-6 * max(x[-1] - x[0], 1.0)
+        model_x = lambda xv, yv: (phi(xv + h, yv) - phi(xv - h, yv)) / (2.0 * h)
+    else:
+        arr = np.asarray(phi, dtype=float)
+        if arr.shape != (x.size, y.size):
+            raise ValueError("phi grid must have shape (nx, ny)")
+        columns = CubicSpline(y, arr, axis=1)     # phi(x_i, t) for every i at once
+        # phi_x is only needed along the bottom and top rows
+        rows = {y[0]: CubicSpline(x, arr[:, 0]), y[-1]: CubicSpline(x, arr[:, -1])}
+        model_x = lambda xv, yv: float(rows[yv](xv, 1))
+    phi_x = phi_x or model_x
 
-    nx, ny = x.size, y.size
-    u = np.empty((nx, ny, 2, 2), dtype=complex)
-
-    # bottom row along x, then every column along y
     def coef_x(yv):
-        return lambda t: _x_coefficient(fn_x(t, yv), float(a_fn(t)), lam0)
+        return lambda t: _x_coefficient(phi_x(t, yv), float(a_fn(t)), lam0)
 
-    def coef_y(xv):
-        return lambda t: _y_coefficient(fn(xv, t), float(b_fn(t)), lam0)
+    def coef_y(t):                                # (nx, 2, 2): every column at once
+        e = np.exp(1j * columns(t))
+        m = np.zeros((x.size, 2, 2), dtype=complex)
+        m[:, 0, 1], m[:, 1, 0] = e, np.conj(e)
+        return (-0.5j * float(b_fn(t)) / lam0) * m
 
-    u[0, 0] = init
-    row_coef = coef_x(y[0])
-    for i in range(nx - 1):
-        u[i + 1, 0] = _sweep(u[i, 0], row_coef, x[i:i + 2], substeps)
-    for i in range(nx):
-        ci = coef_y(x[i])
-        for j in range(ny - 1):
-            u[i, j + 1] = _sweep(u[i, j], ci, y[j:j + 2], substeps)
-
-    # other path: up the left column, then along the top row
-    u_alt = init
-    c0 = coef_y(x[0])
-    for j in range(ny - 1):
-        u_alt = _sweep(u_alt, c0, y[j:j + 2], substeps)
-    top_coef = coef_x(y[-1])
-    for i in range(nx - 1):
-        u_alt = _sweep(u_alt, top_coef, x[i:i + 2], substeps)
-
-    residual = float(np.max(np.abs(u[-1, -1] - u_alt)))
-    return u, residual
+    u = np.empty((x.size, y.size, 2, 2), dtype=complex)
+    u[0, 0] = np.eye(2) if init is None else init
+    # bottom row along x, then all columns together along y
+    for i in range(x.size - 1):
+        u[i + 1, 0] = _sweep(u[i, 0], coef_x(y[0]), x[i:i + 2], substeps)
+    for j in range(y.size - 1):
+        u[:, j + 1] = _sweep(u[:, j], coef_y, y[j:j + 2], substeps)
+    # the other path: up the left column, which is u[0, :], then along the top row
+    u_alt = _sweep(u[0, -1], coef_x(y[-1]), x, substeps)
+    return u, float(np.max(np.abs(u[-1, -1] - u_alt)))

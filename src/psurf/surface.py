@@ -16,7 +16,8 @@ import numpy as np
 from psurf import potentials as pots
 from psurf.birkhoff import MAX_TRUNC, TAIL_TOL, FactorizationFailure, split_plus_minusfree
 from psurf.frames import DRIFT_LAMBDAS, integrate_axis
-from psurf.loops import SU2_I, SU2_K, LaurentLoop, _dagger, adjoint_rotation, su2_to_r3
+from psurf.loops import (SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst, adjoint_rotation,
+                         su2_to_r3)
 
 EPS_DEGENERATE = 1e-6
 # central differences of the geometry report need this many nodes per axis
@@ -183,7 +184,8 @@ def sym_immersion(fgrid, lam0):
     """Immersion and unit normals at one associated-family parameter.
 
     f = (dU/dlog lambda) U^-1 with the exact coefficient-weighted
-    derivative; normals are the rotated vertical axis vector.
+    derivative; normals are the rotated vertical axis vector.  Raises
+    ValueError at the first node whose point or normal is not finite.
     """
     if not (np.isfinite(lam0) and lam0 > 0):
         raise ValueError(f"lambda must be a positive finite real, got {lam0}")
@@ -196,6 +198,9 @@ def sym_immersion(fgrid, lam0):
     f -= 0.5 * np.trace(f, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
     pts = su2_to_r3(f)
     nrm = su2_to_r3(ev @ SU2_K @ ev_inv, tol=1e-5)
+    bad = ~(np.isfinite(pts).all(axis=-1) & np.isfinite(nrm).all(axis=-1))
+    _raise_at_worst(bad, lambda w: f"Sym immersion at lambda = {lam0:g} is not finite at "
+                                   f"{int(bad.sum())} of {bad.size} nodes, the first")
     degenerate = np.abs(np.sin(fgrid.phi)) < EPS_DEGENERATE
     return SurfaceGrid(x=fgrid.x, y=fgrid.y, points=pts, normals=nrm,
                        phi=fgrid.phi.copy(), degenerate=degenerate, lam=float(lam0),

@@ -280,8 +280,8 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
 
     Returns a flat report dict (stable keys: equivariance_x, equivariance_y,
     monodromy_spread, surface_residual, rotation_angle_measured_rad, stage
-    pass flags) plus the measured descriptor.  Later stages are skipped when
-    an earlier one fails.
+    pass flags), the measured descriptor and the frame grid built on x by y.
+    Later stages are skipped when an earlier one fails.
     """
     report = {}
     fgrid = reconstruct_frames(pair, x, y, trunc=trunc, step=step,
@@ -300,7 +300,7 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
     report["equivariance_pass"] = bool(max(rx, ry) < equivariance_tol)
     if not report["equivariance_pass"]:
         report["skipped_after"] = "equivariance"
-        return report, d
+        return report, d, fgrid
 
     # thin the covered window for the per-node pipeline re-run
     sel_x = idx_x[np.unique(np.linspace(0, idx_x.size - 1, min(monodromy_nodes, idx_x.size)).astype(int))]
@@ -329,7 +329,7 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
     report["chi_vs_R"] = float(np.max(np.abs(chi_rot - r_lin)))
     if not report["monodromy_pass"]:
         report["skipped_after"] = "monodromy"
-        return report, d
+        return report, d, fgrid
 
     mask = np.zeros((fgrid.x.size, fgrid.y.size), dtype=bool)
     mask[np.ix_(idx_x, idx_y)] = True
@@ -352,4 +352,4 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
     report["surface_pass"] = bool(resid < surface_tol)
     report["all_pass"] = bool(report["equivariance_pass"] and report["monodromy_pass"]
                               and report["surface_pass"])
-    return report, d
+    return report, d, fgrid

@@ -198,11 +198,10 @@ def amsler_certification():
     th_img = np.linspace(-2.6 + 2 * np.pi / 3 - 0.02, -0.15, 105)
     ts_img = theta_to_t(th_img)
     step = (ts[-1] - ts[0]) / 4096
-    rep, measured = certify_from_potentials(
+    rep, measured, fgrid = certify_from_potentials(
         pair, desc, ts, ts, trunc=48, step=step, monodromy_nodes=7,
         interp_x=ts_img, interp_y=ts_img, interp_trunc=40, drift_samples=(1.0,),
         monodromy_lambdas=np.exp(2j * np.pi * np.arange(16) / 16.0))
-    fgrid = reconstruct_frames(pair, ts, ts, trunc=48, step=step, drift_samples=(1.0,))
     sgrid = sym_immersion(fgrid, 1.0)
     return rep, measured, sgrid
 

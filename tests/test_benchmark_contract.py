@@ -72,3 +72,42 @@ def test_tracer_records_the_frame_pipeline(soliton_pair):
     metrics = tracing.layer_metrics(tracer.spans, 1)
     assert metrics["frames.axis_calls"] == 2 and metrics["birkhoff.split_calls"] == 25
     assert 0.0 <= metrics["frames.drift_max"] < 1e-6
+
+
+SOLITON_16 = """
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+
+[grid]
+nx = 16
+ny = 16
+
+[run]
+lambdas = 0.5, 1
+
+[verify]
+suites = geometry, oracle
+
+[output]
+formats = obj, csv
+"""
+
+
+def test_traced_build_covers_the_soliton_build_workload(tmp_path):
+    """Every span the soliton_build workload requires fires in one in-process
+    build, so a renamed or bypassed traced function (direct_frame_solve,
+    goursat_solve, ...) fails here rather than in a traced benchmark run."""
+    from psurf import cli                # looked up after install, so the wrappers apply
+    config = tmp_path / "soliton_16.ini"
+    config.write_text(SOLITON_16)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["build", str(config), "--output-dir", str(tmp_path / "out")])
+    finally:
+        tracer.remove()
+    assert code in (0, 1)
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert tracing.coverage_problems("soliton_build", tracer.spans, 1, metrics) == []

@@ -472,3 +472,28 @@ def test_non_finite_or_decreasing_ranges_are_config_errors(tmp_path, capsys, key
     assert run(["build", cfg]) == cli.EXIT_CONFIG
     assert "x_range / y_range must be increasing pairs of finite reals" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("speed_a", "0"), ("speed_a", "builtin:zero"), ("speed_a", "nan"), ("speed_a", "-1"),
+    ("speed_b", "inf"), ("speed_b", "-0.5"),
+])
+def test_non_finite_or_non_positive_speeds_are_config_errors(tmp_path, capsys, key, value):
+    text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
+    text = text.replace("kind = normalized", f"kind = generalized\n{key} = {value}")
+    cfg = write_config(tmp_path / "s.ini", text)
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert f"{key} must be finite and > 0 at every grid node" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")  # the overflow is the case
+def test_non_finite_surface_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "n.ini", SOLITON_9.format(
+        run="lambdas = 1, 1e-300", suites="loops", out=tmp_path / "o"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Sym immersion at lambda = 1e-300 is not finite at 81 of 81 nodes" in err
+    assert "at index (0, 0)" in err
+    assert not (tmp_path / "o" / "report.json").exists()
+    assert not list((tmp_path / "o").glob("surface_*"))

@@ -187,3 +187,121 @@ def test_non_finite_drift_is_integration_drift():
     eta = lambda t: LaurentLoop.from_terms({1: np.full((2, 2), np.nan)})
     with pytest.raises(IntegrationDrift, match="unitarity drift nan"):
         integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64)
+
+
+# -- the fixed-lambda direct solve against its per-column form ----------------
+
+def reference_direct_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None):
+    """The per-column, per-node direct solve that the column-stack sweep replaced."""
+    from scipy.interpolate import CubicSpline
+    from psurf.potentials import speed_fn
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    a_fn, b_fn = speed_fn(a), speed_fn(b)
+    if callable(phi):
+        fn, hd = phi, 1e-6 * max(x[-1] - x[0], 1.0)
+        fn_x = lambda xv, yv: (fn(xv + hd, yv) - fn(xv - hd, yv)) / (2.0 * hd)
+    else:
+        arr = np.asarray(phi, dtype=float)
+        rows = [CubicSpline(x, arr[:, j]) for j in range(y.size)]
+        cols = [CubicSpline(y, arr[i, :]) for i in range(x.size)]
+
+        def fn(xv, yv):
+            j = int(np.argmin(np.abs(y - yv)))
+            if abs(y[j] - yv) < 1e-12:
+                return float(rows[j](xv))
+            return float(cols[int(np.argmin(np.abs(x - xv)))](yv))
+
+        fn_x = lambda xv, yv: float(rows[int(np.argmin(np.abs(y - yv)))](xv, 1))
+    fn_x = phi_x if phi_x is not None else fn_x
+    init = np.eye(2, dtype=complex) if init is None else init
+
+    def coef_x(yv):
+        return lambda t: 0.5j * np.array([[-fn_x(t, yv), float(a_fn(t)) * lam0],
+                                          [float(a_fn(t)) * lam0, fn_x(t, yv)]])
+
+    def coef_y(xv):
+        def coef(t):
+            e = np.exp(1j * fn(xv, t))
+            return (-0.5j * float(b_fn(t)) / lam0) * np.array([[0.0, e], [np.conj(e), 0.0]])
+        return coef
+
+    def sweep(u, coef, ts):
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            h, t = (t1 - t0) / substeps, t0
+            for _ in range(substeps):
+                k1 = u @ coef(t)
+                k2 = (u + 0.5 * h * k1) @ coef(t + 0.5 * h)
+                k3 = (u + 0.5 * h * k2) @ coef(t + 0.5 * h)
+                k4 = (u + h * k3) @ coef(t + h)
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += h
+        return u
+
+    u = np.empty((x.size, y.size, 2, 2), dtype=complex)
+    u[0, 0] = init
+    for i in range(x.size - 1):
+        u[i + 1, 0] = sweep(u[i, 0], coef_x(y[0]), x[i:i + 2])
+    for i in range(x.size):
+        for j in range(y.size - 1):
+            u[i, j + 1] = sweep(u[i, j], coef_y(x[i]), y[j:j + 2])
+    u_alt = init
+    for j in range(y.size - 1):
+        u_alt = sweep(u_alt, coef_y(x[0]), y[j:j + 2])
+    for i in range(x.size - 1):
+        u_alt = sweep(u_alt, coef_x(y[-1]), x[i:i + 2])
+    return u, float(np.max(np.abs(u[-1, -1] - u_alt)))
+
+
+def kink_phi_x(x, y):
+    return 4 * np.exp(x + y) / (1 + np.exp(2 * (x + y)))
+
+
+def speed_a(t):
+    return 1.0 + 0.3 * np.sin(t)
+
+
+def speed_b(t):
+    return 0.8 + 0.1 * np.asarray(t) ** 2
+
+
+@pytest.mark.parametrize("case", ["finite-difference phi_x", "exact phi_x", "non-unit speeds",
+                                  "non-square grid", "init", "substeps=3"])
+def test_stack_solve_matches_per_column_solve_bit_for_bit(case):
+    xs, ys = np.linspace(0.0, 1.0, 9), np.linspace(-0.5, 0.5, 9)
+    init = np.array([[np.exp(0.3j), 0.0], [0.0, np.exp(-0.3j)]])
+    kwargs = {
+        "finite-difference phi_x": {},
+        "exact phi_x": {"phi_x": kink_phi_x},
+        "non-unit speeds": {"a": speed_a, "b": speed_b},
+        "non-square grid": {"y": np.linspace(-0.5, 0.5, 14), "a": 1.3},
+        "init": {"init": init, "phi_x": kink_phi_x},
+        "substeps=3": {"substeps": 3, "b": speed_b},
+    }[case]
+    args = {"phi": kink_phi, "a": 1.0, "b": 1.0, "lam0": 0.7, "x": xs, "y": ys, **kwargs}
+    u, res = direct_frame_solve(**args)
+    u_ref, res_ref = reference_direct_solve(**args)
+    assert np.array_equal(u, u_ref) and res == res_ref
+
+
+@pytest.mark.parametrize("case", ["soliton 33", "theta-uniform amsler 25"])
+def test_stack_solve_matches_per_column_solve_on_angle_grids(case):
+    from psurf.surface import reconstruct_frames
+    from tests.conftest import theta_to_t
+    if case == "soliton 33":
+        xs = np.linspace(0.0, 1.0, 33)
+        args = (kink_phi(xs[:, None], xs[None, :]), 1.0, 1.0, 1.0, xs, xs)
+    else:
+        ts = theta_to_t(np.linspace(-2.6, -0.15, 25))
+        pair, _ = generalized_amsler_example(domain=(ts[0] - 1e-9, ts[-1] + 1e-9))
+        fg = reconstruct_frames(pair, ts, ts, trunc=48, step=(ts[-1] - ts[0]) / 4096,
+                                drift_samples=(1.0,))
+        args = (fg.phi, fg.a_fn, fg.b_fn, 1.0, ts, ts)
+    u, res = direct_frame_solve(*args)
+    u_ref, res_ref = reference_direct_solve(*args)
+    assert np.max(np.abs(u - u_ref)) < 1e-13 and abs(res - res_ref) < 1e-13
+
+
+def test_stack_solve_rejects_a_misshapen_angle_grid():
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="shape"):
+        direct_frame_solve(np.zeros((5, 4)), 1.0, 1.0, 1.0, xs, xs)
