@@ -88,6 +88,15 @@ def _positive_reals(section, key, default):
     return vals
 
 
+def _range_pairs(section, keys, default):
+    """The values of the two keys (default when absent), each an increasing
+    pair of finite reals."""
+    pairs = [tuple(_floats(section[k])) if k in section else default for k in keys]
+    if not all(r is None or (len(r) == 2 and -np.inf < r[0] < r[1] < np.inf) for r in pairs):
+        raise ConfigError(f"{keys[0]} / {keys[1]} must be increasing pairs of finite reals")
+    return pairs
+
+
 def _resolve_function(spec, base_dir):
     spec = spec.strip()
     if spec.startswith("builtin:"):
@@ -131,11 +140,11 @@ class RunConfig:
         self.ny = int(g.get("ny", 33))
         if self.nx < 2 or self.ny < 2:
             raise ConfigError("grid must be at least 2 x 2")
-        xr = _floats(g.get("x_range", "0, 1"))
-        yr = _floats(g.get("y_range", "0, 1"))
-        if not (len(xr) == len(yr) == 2 and all(-np.inf < r[0] < r[1] < np.inf for r in (xr, yr))):
-            raise ConfigError("x_range / y_range must be increasing pairs of finite reals")
+        xr, yr = _range_pairs(g, ("x_range", "y_range"), (0.0, 1.0))
         theta_uniform = str(g.get("theta_uniform", "false")).lower() in ("1", "true", "yes")
+        # theta -> tan((theta + pi) / 2) is finite and increasing on (-2 pi, 0) only
+        if theta_uniform and not all(-2 * np.pi < r[0] and r[1] < 0 for r in (xr, yr)):
+            raise ConfigError("with theta_uniform, x_range / y_range must lie inside (-2 pi, 0)")
         self.x = np.linspace(xr[0], xr[1], self.nx)
         self.y = np.linspace(yr[0], yr[1], self.ny)
         if theta_uniform:
@@ -166,8 +175,7 @@ class RunConfig:
             raise ConfigError("potential.kind must be normalized, generalized or amsler3")
         self.descriptor = None
         # explicit potential domains may exceed the grid ranges
-        dom_x = tuple(_floats(p["domain_x"])) if "domain_x" in p else None
-        dom_y = tuple(_floats(p["domain_y"])) if "domain_y" in p else None
+        dom_x, dom_y = _range_pairs(p, ("domain_x", "domain_y"), None)
         if self.kind == "amsler3":
             dom = dom_x or (min(self.x[0], self.y[0]) - 1e-9,
                             max(self.x[-1], self.y[-1]) + 1e-9)

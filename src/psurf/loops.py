@@ -48,51 +48,54 @@ def _raise_at_worst(excess, message):
 
 
 def _rows(c):
-    """(n, 2, 2) stack -> (2n, 2) block column [c_0; c_1; ...; c_{n-1}]."""
-    return c.reshape(2 * c.shape[0], 2)
+    """(..., n, 2, 2) stack -> (..., 2n, 2) block column [c_0; c_1; ...; c_{n-1}]."""
+    return c.reshape(c.shape[:-3] + (2 * c.shape[-3], 2))
 
 
 def _columns(c):
-    """(n, 2, 2) stack -> (2, 2n) block row [c_0 c_1 ... c_{n-1}]."""
-    return c.transpose(1, 0, 2).reshape(2, 2 * c.shape[0])
+    """(..., n, 2, 2) stack -> (..., 2, 2n) block row [c_0 c_1 ... c_{n-1}]."""
+    return np.swapaxes(c, -3, -2).reshape(c.shape[:-3] + (2, 2 * c.shape[-3]))
 
 
 def _uncolumns(r):
-    """Inverse of ``_columns`` (a view): (2, 2n) block row -> (n, 2, 2) stack."""
-    return r.reshape(2, r.shape[1] // 2, 2).transpose(1, 0, 2)
+    """Inverse of ``_columns`` (a view): (..., 2, 2n) block row -> (..., n, 2, 2) stack."""
+    return np.swapaxes(r.reshape(r.shape[:-2] + (2, r.shape[-1] // 2, 2)), -3, -2)
 
 
 def cauchy_product(a, b):
-    """Cauchy product of two (n, 2, 2) coefficient stacks: the coefficients of
-    the loop product, starting at the sum of the two lowest degrees.
+    """Cauchy product of two (..., n, 2, 2) coefficient stacks: the coefficients
+    of the loop product, starting at the sum of the two lowest degrees.
 
     The sum runs over the coefficients of the shorter operand; each term is
     one GEMM on the longer operand's coefficients laid side by side as a
     block column or block row, because ``@`` on an ``(n, 2, 2)`` stack makes
     one BLAS call per 2x2 slice.  Each output coefficient adds its terms in
-    increasing index of the shorter operand.
+    increasing index of the shorter operand.  Leading axes broadcast, so a
+    stack of nodes makes the same GEMMs per node as one product per node.
     """
-    na, nb = a.shape[0], b.shape[0]
-    out = np.zeros((na + nb - 1, 2, 2), dtype=complex)
+    na, nb = a.shape[-3], b.shape[-3]
+    lead = a.shape[:-3] if b.ndim == 3 else np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(lead + (na + nb - 1, 2, 2), dtype=complex)
     if nb <= na:
-        a_rows = _rows(a)
+        a_rows, shape = _rows(a), lead + (na, 2, 2)
         for j in range(nb):
-            out[j:j + na] += (a_rows @ b[j]).reshape(na, 2, 2)
+            out[..., j:j + na, :, :] += (a_rows @ b[..., j, :, :]).reshape(shape)
     else:
         b_cols = _columns(b)
         for j in range(na):
-            out[j:j + nb] += _uncolumns(a[j] @ b_cols)
+            out[..., j:j + nb, :, :] += _uncolumns(a[..., j, :, :] @ b_cols)
     return out
 
 
 def band_slice(coeffs, d_min, lo, hi):
-    """Degrees lo..hi of a coefficient stack starting at degree d_min, zero-padded."""
+    """Degrees lo..hi of a (..., n, 2, 2) coefficient stack starting at degree
+    d_min, zero-padded."""
     if lo > hi:
         raise ValueError("empty degree band")
-    out = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
-    s_lo, s_hi = max(lo, d_min), min(hi, d_min + coeffs.shape[0] - 1)
+    out = np.zeros(coeffs.shape[:-3] + (hi - lo + 1, 2, 2), dtype=complex)
+    s_lo, s_hi = max(lo, d_min), min(hi, d_min + coeffs.shape[-3] - 1)
     if s_lo <= s_hi:
-        out[s_lo - lo: s_hi - lo + 1] = coeffs[s_lo - d_min: s_hi - d_min + 1]
+        out[..., s_lo - lo: s_hi - lo + 1, :, :] = coeffs[..., s_lo - d_min: s_hi - d_min + 1, :, :]
     return out
 
 

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from psurf.loops import LaurentLoop, unitarity_defect
+from psurf.loops import (_ENTRY_PARITY, LaurentLoop, _dagger, band_slice, cauchy_product,
+                         unitarity_defect)
 
 # lambda samples of the symmetry checks: the sixteenth roots of unity, then
 # the radial probes 1/2 and 2
 CIRCLE_LAMBDAS = np.exp(2j * np.pi * np.arange(16) / 16.0)
 SYMMETRY_LAMBDAS = np.concatenate([CIRCLE_LAMBDAS, [0.5 + 0j, 2.0 + 0j]])
+# parameter samples per axis of the equivariance check
+EQUIVARIANCE_SAMPLES = 33
 
 
 def speed_fn(s):
@@ -226,35 +229,33 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
 # -- equivariance ------------------------------------------------------------
 
 def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
-                       dwx=None, dwy=None, sample_x=None, sample_y=None,
-                       n_samples=33, lambdas=SYMMETRY_LAMBDAS, fd_step=None):
+                       sample_x=None, sample_y=None, lambdas=SYMMETRY_LAMBDAS):
     """Residuals of the potential-level symmetry condition along each axis.
 
-    Checks (eta o gamma) gamma' = w^-1 eta w + w^-1 w' at sampled parameters
-    and lambda values; (0, 0) certifies the symmetry on the potentials.
+    Checks (eta o gamma) gamma' = w^-1 eta w + w^-1 w' at EQUIVARIANCE_SAMPLES
+    parameters and the given lambda values; (0, 0) certifies the symmetry on
+    the potentials.  w', and gamma' when dgamma is not given, are central
+    differences with step 1e-4 of the potential's domain.
     """
     wx_fn, wx_const = _as_loop_fn(wx)
     wy_fn, wy_const = _as_loop_fn(wy)
 
-    def axis_residual(eta, gamma, dgamma, w_fn, w_const, dw, window, domain):
+    def axis_residual(eta, gamma, dgamma, w_fn, w_const, window, domain):
         lo, hi = window if window is not None else domain
-        ts = np.linspace(lo, hi, n_samples)
-        h = fd_step if fd_step is not None else 1e-4 * (domain[1] - domain[0])
+        h = 1e-4 * (domain[1] - domain[0])
         res = 0.0
-        for t in ts:
+        for t in np.linspace(lo, hi, EQUIVARIANCE_SAMPLES):
             gp = dgamma(t) if dgamma is not None else (gamma(t + h) - gamma(t - h)) / (2.0 * h)
             if abs(gp) < 1e-12:
                 raise ValueError(f"gamma derivative vanishes near t = {t}")
-            rhs = _gauge_action(eta(t), w_fn, w_const, dw, t, h)
+            rhs = _gauge_action(eta(t), w_fn, w_const, None, t, h)
             lhs = eta(gamma(t)).scaled(gp)
             diff = (lhs - rhs).evaluate(lambdas)
             res = max(res, float(np.max(np.abs(diff))))
         return res
 
-    rx = axis_residual(pair.eta_x, gamma1, dgamma1, wx_fn, wx_const, dwx,
-                       sample_x, pair.domain_x)
-    ry = axis_residual(pair.eta_y, gamma2, dgamma2, wy_fn, wy_const, dwy,
-                       sample_y, pair.domain_y)
+    rx = axis_residual(pair.eta_x, gamma1, dgamma1, wx_fn, wx_const, sample_x, pair.domain_x)
+    ry = axis_residual(pair.eta_y, gamma2, dgamma2, wy_fn, wy_const, sample_y, pair.domain_y)
     return rx, ry
 
 
@@ -318,40 +319,30 @@ def generalized_amsler_example(domain=(-4.0, 4.0)):
 
 # -- diagonal-restriction potentials ------------------------------------------
 
-def _fd_weights_5(n, i, h):
-    """(offsets, weights) of the 5-point first-derivative stencil at row i."""
-    if i < 2:
-        offs = np.arange(0, 5) - i
-    elif i > n - 3:
-        offs = np.arange(-4, 1) + (n - 1 - i)
-    else:
-        offs = np.arange(-2, 3)
-    # solve Vandermonde for the first-derivative weights
-    a = np.vander(offs * h, 5, increasing=True).T
-    rhs = np.zeros(5)
-    rhs[1] = 1.0
-    return offs, np.linalg.solve(a, rhs)
+def _fd_rows_5(n, h):
+    """(taps, weights), each (n, 5): the nodes and weights of the 5-point
+    first-derivative stencil at every row of an n-node uniform grid."""
+    start = np.clip(np.arange(n) - 2, 0, n - 5)
+    taps = start[:, None] + np.arange(5)
+    # the stencil at row i has offsets arange(5) - shift with shift = i - start in 0..4
+    offs = (np.arange(5) - np.arange(5)[:, None]) * h
+    vander = offs[:, None, :] ** np.arange(5)[None, :, None]
+    weights = np.linalg.solve(vander, np.eye(5)[1])
+    return taps, weights[np.arange(n) - start]
 
 
 def _project_twisted_su(coeffs, d_min):
-    """Project loop coefficients onto the twisted su(2) pattern.
+    """Project loop coefficients (a (..., n, 2, 2) stack) onto the twisted
+    su(2) pattern.
 
     The true potential has skew-Hermitian traceless coefficients, diagonal
     at even degrees and off-diagonal at odd ones; finite-difference noise
     off that structure would otherwise leak into unitarity drift.
     """
-    out = np.array(coeffs, copy=True)
-    for idx in range(out.shape[0]):
-        c = out[idx]
-        c = 0.5 * (c - np.conj(c.T))
-        c -= 0.5 * np.trace(c) * np.eye(2)
-        k = d_min + idx
-        if k % 2 == 0:
-            c[0, 1] = c[1, 0] = 0.0
-        else:
-            c[0, 0] = c[1, 1] = 0.0
-        out[idx] = c
-    return out
+    c = 0.5 * (coeffs - _dagger(coeffs))
+    c = c - 0.5 * np.trace(c, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
+    k = d_min + np.arange(c.shape[-3])[:, None, None]
+    return np.where((k + _ENTRY_PARITY) % 2 == 0, c, 0.0)
 
 
 def extract_diagonal_potentials(frame_grid):
@@ -376,16 +367,14 @@ def extract_diagonal_potentials(frame_grid):
     hx = np.diff(x)
     if np.max(np.abs(hx - hx[0])) > 1e-9 * abs(hx[0]):
         raise ValueError("diagonal extraction requires uniform spacing")
-    h = float(hx[0])
 
     band = (-1, 1)
-    samples = []
-    for i in range(n):
-        offs, wts = _fd_weights_5(n, i, h)
-        du = _loop_comb([frame_grid.loop(i + o, i + o) for o in offs], wts)
-        eta = (frame_grid.loop(i, i).dagger() * du).truncated(*band)
-        samples.append(_project_twisted_su(eta.coeffs, band[0]))
-    data = np.stack(samples)
+    diag = frame_grid.coeffs[np.arange(n), np.arange(n)]        # (n, K, 2, 2)
+    taps, weights = _fd_rows_5(n, float(hx[0]))
+    du = np.einsum("nt,ntkab->nkab", weights, diag[taps])
+    # U^-1 dU with U^-1 the coefficientwise dagger, on degrees -1..1
+    eta_c = band_slice(cauchy_product(_dagger(diag), du), 2 * frame_grid.d_min, *band)
+    data = _project_twisted_su(eta_c, band[0])
     splines = CubicSpline(x, data.reshape(n, -1))
 
     def eta(t):

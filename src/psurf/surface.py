@@ -90,12 +90,8 @@ def _unwrap_grid(raw, ic, jc):
     two_pi = 2.0 * np.pi
     col = np.unwrap(raw[ic, :])
     col -= two_pi * np.round((col[jc] - raw[ic, jc]) / two_pi)
-    out = np.empty_like(raw)
-    for j in range(raw.shape[1]):
-        row = np.unwrap(raw[:, j])
-        row += two_pi * np.round((col[j] - row[ic]) / two_pi)
-        out[:, j] = row
-    return out
+    rows = np.unwrap(raw, axis=0)
+    return rows + two_pi * np.round((col - rows[ic]) / two_pi)
 
 
 def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None,
@@ -311,18 +307,16 @@ def darboux_frame(fgrid, lam0=1.0):
 
 def _edge_crossings(phi, points, di, dj):
     """Sign changes of sin(phi) on the grid edges from node (i, j) to node
-    (i + di, j + dj), in row-major order of (i, j): (multiple of pi crossed,
-    linearly interpolated image point, i, j)."""
+    (i + di, j + dj), in row-major order of (i, j): the multiples of pi
+    crossed, the linearly interpolated image points, and i, j."""
     s = np.sin(phi)
     nx, ny = s.shape
-    for i in range(nx - di):
-        for j in range(ny - dj):
-            a, b = (i, j), (i + di, j + dj)
-            if s[a] * s[b] < 0:
-                w = s[a] / (s[a] - s[b])
-                phi_c = (1 - w) * phi[a] + w * phi[b]
-                pt = (1 - w) * points[a] + w * points[b]
-                yield int(np.round(phi_c / np.pi)), pt, i, j
+    i, j = np.nonzero(s[:nx - di, :ny - dj] * s[di:, dj:] < 0)
+    a, b = (i, j), (i + di, j + dj)
+    w = s[a] / (s[a] - s[b])
+    phi_c = (1 - w) * phi[a] + w * phi[b]
+    pts = (1 - w)[:, None] * points[a] + w[:, None] * points[b]
+    return np.round(phi_c / np.pi).astype(int), pts, i, j
 
 
 def find_cone_point(sgrid):
@@ -330,30 +324,31 @@ def find_cone_point(sgrid):
 
     Crossings of sin(phi) along grid edges are collected, grouped by the
     multiple of pi the angle passes through, and the group covering the most
-    coordinate lines with the smallest image spread wins.  Returns a dict
-    with the measured point, its spread, the phi level, and the fraction of
-    coordinate lines that cross the curve.
+    coordinate lines with the smallest image spread wins (the first group
+    to appear on a tie).  Returns a dict with the measured point, its
+    spread, the phi level, and the fraction of coordinate lines that cross
+    the curve.
     """
     nx, ny = sgrid.phi.shape
-    groups = {}
-    for (di, dj), line, span in (((1, 0), "row", "colspan"), ((0, 1), "col", "rowspan")):
-        for level, pt, i, j in _edge_crossings(sgrid.phi, sgrid.points, di, dj):
-            fixed, moving = (j, i) if di else (i, j)
-            groups.setdefault(level, []).append((pt, (line, fixed), (span, moving)))
-    if not groups:
+    along_x = _edge_crossings(sgrid.phi, sgrid.points, 1, 0)
+    along_y = _edge_crossings(sgrid.phi, sgrid.points, 0, 1)
+    levels = np.concatenate([along_x[0], along_y[0]])
+    if not levels.size:
         return None
+    pts = np.concatenate([along_x[1], along_y[1]])
+    # an edge along x lies on the line y_j (ids 0..ny-1), one along y on x_i (ids ny..)
+    lines = np.concatenate([along_x[3], ny + along_y[2]])
+    _, first = np.unique(levels, return_index=True)
     best = None
-    n_lines = nx + ny
-    for level, items in groups.items():
-        pts = np.array([it[0] for it in items])
-        lines = {it[1] for it in items}
-        center = pts.mean(axis=0)
-        spread = float(np.max(np.linalg.norm(pts - center, axis=1))) if len(pts) > 1 else 0.0
-        cover = len(lines) / n_lines
-        cand = {"point": center, "spread": spread, "level": level,
-                "line_coverage": cover, "crossings": len(items)}
+    for level in levels[np.sort(first)]:
+        sel = levels == level
+        group = pts[sel]
+        center = group.mean(axis=0)
+        spread = float(np.max(np.linalg.norm(group - center, axis=1))) if len(group) > 1 else 0.0
+        cover = np.unique(lines[sel]).size / (nx + ny)
         if best is None or (cover, -spread) > (best["line_coverage"], -best["spread"]):
-            best = cand
+            best = {"point": center, "spread": spread, "level": int(level),
+                    "line_coverage": cover, "crossings": int(np.count_nonzero(sel))}
     return best
 
 

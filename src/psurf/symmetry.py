@@ -17,14 +17,18 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial.transform import Rotation
 
 from psurf.frames import DRIFT_LAMBDAS
-from psurf.loops import LaurentLoop, SU2_I, SU2_J, SU2_K, adjoint_rotation
+from psurf.loops import (SU2_I, SU2_J, SU2_K, LaurentLoop, _dagger, _frob, _rows,
+                         adjoint_rotation, cauchy_product)
 from psurf.oracle import register_rigid
 from psurf.potentials import SYMMETRY_LAMBDAS, check_equivariance
-from psurf.surface import reconstruct_frames, sym_immersion
+from psurf.surface import EPS_DEGENERATE, reconstruct_frames, sym_immersion
 
 CERT_EQUIVARIANCE_TOL = 1e-6
 CERT_MONODROMY_TOL = 1e-4
 CERT_SURFACE_TOL = 1e-3
+# lambda samples and SU(2) tolerance of the axis-switch frame relation
+AXIS_SWITCH_LAMBDAS = (0.5, 1.0, 2.0)
+AXIS_SWITCH_FRAME_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,11 @@ class SymmetryDescriptor:
 
 
 def su2_lift(rot3):
-    """One SU(2) preimage of a proper rotation under the adjoint double cover."""
-    q = Rotation.from_matrix(np.asarray(rot3, dtype=float)).as_quat()  # x, y, z, w
-    return q[3] * np.eye(2, dtype=complex) + 2.0 * (
-        q[0] * SU2_I + q[1] * SU2_J + q[2] * SU2_K)
+    """One SU(2) preimage of a proper rotation, or of each rotation in a
+    (..., 3, 3) stack, under the adjoint double cover."""
+    q = Rotation.from_matrix(np.asarray(rot3, dtype=float)).as_quat()
+    x, y, z, w = np.moveaxis(q, -1, 0)[..., None, None]
+    return w * np.eye(2, dtype=complex) + 2.0 * (x * SU2_I + y * SU2_J + z * SU2_K)
 
 
 def check_surface_symmetry(sgrid, d, sample_mask=None, target=None):
@@ -90,71 +95,52 @@ def check_surface_symmetry(sgrid, d, sample_mask=None, target=None):
     tgt = target if target is not None else sgrid
     interp = RegularGridInterpolator((tgt.x, tgt.y), tgt.points,
                                      bounds_error=False, fill_value=np.nan)
-    nx, ny = sgrid.x.size, sgrid.y.size
     if sample_mask is None:
-        sample_mask = np.ones((nx, ny), dtype=bool)
-    residual = 0.0
-    covered = 0
-    total = 0
-    for i in range(nx):
-        for j in range(ny):
-            if not sample_mask[i, j]:
-                continue
-            total += 1
-            gx, gy = d.gamma(sgrid.x[i], sgrid.y[j])
-            val = interp((gx, gy))
-            if np.any(np.isnan(val)):
-                continue
-            covered += 1
-            target = d.R_linear @ sgrid.points[i, j] + d.R_translation
-            residual = max(residual, float(np.max(np.abs(val - target))))
-    coverage = covered / total if total else 0.0
-    return residual, coverage
+        sample_mask = np.ones((sgrid.x.size, sgrid.y.size), dtype=bool)
+    images = np.stack(np.meshgrid(*_image_axes(d, sgrid.x, sgrid.y), indexing="ij"), axis=-1)
+    vals = interp(_image_nodes(images, d.switches_axes)[sample_mask])
+    moved = (d.R_linear @ sgrid.points[sample_mask][..., None])[..., 0] + d.R_translation
+    covered = ~np.any(np.isnan(vals), axis=-1)
+    residual = float(np.max(np.abs(vals[covered] - moved[covered]), initial=0.0))
+    return residual, (float(np.mean(covered)) if covered.size else 0.0)
 
 
 def _z_matrix(a, b, phi, lam):
-    return np.array([[lam * a, (b / lam) * np.cos(phi)],
-                     [0.0, (b / lam) * np.sin(phi)]])
+    """Tangent coordinates Z at each node: [[lam a, b cos(phi) / lam], [0, b sin(phi) / lam]]."""
+    z = np.zeros(np.shape(phi) + (2, 2))
+    z[..., 0, 0] = lam * a
+    z[..., 0, 1] = (b / lam) * np.cos(phi)
+    z[..., 1, 1] = (b / lam) * np.sin(phi)
+    return z
 
 
 def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon, lam=1.0):
     """K(x,y) = blockdiag(Z J^-1 (Z o gamma)^-1, epsilon) on the sample nodes.
 
-    Z holds the tangent coordinates [f_x, f_y] = F [Z; 0].  image_fgrid
-    supplies the exact angle at the gamma-images; idx_x/idx_y select the
-    sampled original nodes (image node (p, q) is the image of
-    (idx_x[p], idx_y[q]), with the roles of p, q swapped when gamma switches
-    the axes).  Degenerate or singular nodes are masked out.
+    Z holds the tangent coordinates [f_x, f_y] = F [Z; 0] and J is the
+    Jacobian of gamma.  image_fgrid supplies the exact angle at the
+    gamma-images; idx_x/idx_y select the sampled original nodes (image node
+    (p, q) is the image of (idx_x[p], idx_y[q]), with the roles of p, q
+    swapped when gamma switches the axes).  Nodes where sin(phi) or its
+    image is below EPS_DEGENERATE are masked out.
     """
-    npx, npy = len(idx_x), len(idx_y)
-    ks = np.full((npx, npy, 3, 3), np.nan)
-    ok = np.zeros((npx, npy), dtype=bool)
-    for p, i in enumerate(idx_x):
-        for q, j in enumerate(idx_y):
-            xi, yj = fgrid.x[i], fgrid.y[j]
-            phi = fgrid.phi[i, j]
-            if abs(np.sin(phi)) < 1e-9:
-                continue
-            z = _z_matrix(fgrid.a_vals[i], fgrid.b_vals[j], phi, lam)
-            if d.switches_axes:
-                jac = np.array([[0.0, d.d1(yj)], [d.d2(xi), 0.0]])
-                phi_im = image_fgrid.phi[q, p]
-                a_im = image_fgrid.a_vals[q]
-                b_im = image_fgrid.b_vals[p]
-            else:
-                jac = np.diag([d.d1(xi), d.d2(yj)])
-                phi_im = image_fgrid.phi[p, q]
-                a_im = image_fgrid.a_vals[p]
-                b_im = image_fgrid.b_vals[q]
-            if abs(np.sin(phi_im)) < 1e-9:
-                continue
-            z_im = _z_matrix(a_im, b_im, phi_im, lam)
-            block = z @ np.linalg.inv(jac) @ np.linalg.inv(z_im)
-            k = np.zeros((3, 3))
-            k[:2, :2] = block
-            k[2, 2] = epsilon
-            ks[p, q] = k
-            ok[p, q] = True
+    sw = int(d.switches_axes)
+    xs, ys = fgrid.x[idx_x], fgrid.y[idx_y]
+    # J on the image grid, from gamma1' and gamma2' at the samples gamma1 and gamma2 read
+    d1, d2 = _image_axes(replace(d, gamma1=d.d1, gamma2=d.d2), xs, ys)
+    jac = np.zeros((d1.size, d2.size, 2, 2))
+    jac[..., 0, sw] = d1[:, None]
+    jac[..., 1, 1 - sw] = d2[None, :]
+    z_im = _z_matrix(image_fgrid.a_vals[:, None], image_fgrid.b_vals[None, :],
+                     image_fgrid.phi, lam)
+    jac, z_im, phi_im = (_image_nodes(v, sw) for v in (jac, z_im, image_fgrid.phi))
+    phi = fgrid.phi[np.ix_(idx_x, idx_y)]
+    z = _z_matrix(fgrid.a_vals[idx_x][:, None], fgrid.b_vals[idx_y][None, :], phi, lam)
+    ok = ~(np.abs(np.sin(phi)) < EPS_DEGENERATE) & ~(np.abs(np.sin(phi_im)) < EPS_DEGENERATE)
+    ks = np.full(phi.shape + (3, 3), np.nan)
+    ks[ok] = 0.0
+    ks[ok, :2, :2] = z[ok] @ np.linalg.inv(jac[ok]) @ np.linalg.inv(z_im[ok])
+    ks[ok, 2, 2] = epsilon
     return ks, ok
 
 
@@ -162,6 +148,13 @@ def _image_nodes(values, switches):
     """Per-node image data indexed like the sampled originals: node (p, q)
     belongs to original (idx_x[p], idx_y[q])."""
     return values.swapaxes(0, 1) if switches else values
+
+
+def _image_axes(d, xs, ys):
+    """The image grid's axes over the samples xs by ys: gamma1 and gamma2 at
+    the samples they read, which are (ys, xs) when gamma switches the axes."""
+    src1, src2 = (ys, xs) if d.switches_axes else (xs, ys)
+    return np.array([d.gamma1(t) for t in src1]), np.array([d.gamma2(t) for t in src2])
 
 
 def _fit_epsilon(sgrid, image_sgrid, idx_x, idx_y, r_linear, switches):
@@ -176,12 +169,7 @@ def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=DRIFT_LA
     The integration stays anchored at the original basepoint so the image
     frames are the same global extended frame evaluated elsewhere.
     """
-    if d.switches_axes:
-        gx = np.array([d.gamma1(fgrid.y[j]) for j in idx_y])
-        gy = np.array([d.gamma2(fgrid.x[i]) for i in idx_x])
-    else:
-        gx = np.array([d.gamma1(fgrid.x[i]) for i in idx_x])
-        gy = np.array([d.gamma2(fgrid.y[j]) for j in idx_y])
+    gx, gy = _image_axes(d, fgrid.x[idx_x], fgrid.y[idx_y])
     if np.any(np.diff(gx) <= 0) or np.any(np.diff(gy) <= 0):
         raise ValueError("gamma must be increasing on the sampled window")
     return reconstruct_frames(fgrid.pair, gx, gy, trunc=trunc, step=step,
@@ -197,35 +185,34 @@ def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
     nodes agree.  Returns (chi_mean, spread, descriptor-ready diagnostics).
     """
     ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon)
-    chis = []
-    prev_lift = None
-    for p, i in enumerate(idx_x):
-        for q, j in enumerate(idx_y):
-            if not ok[p, q]:
-                continue
-            lift = su2_lift(ks[p, q])
-            if prev_lift is not None and np.linalg.norm(lift - prev_lift) > \
-                    np.linalg.norm(lift + prev_lift):
-                lift = -lift
-            prev_lift = lift
-            u_im = image_fgrid.loop(q, p) if d.switches_axes else image_fgrid.loop(p, q)
-            chi = (u_im * np.conj(lift.T)) * fgrid.loop(i, j).dagger()
-            chis.append(chi.trim(rel=1e-13))
-    if not chis:
+    if not np.any(ok):
         raise ValueError("no usable (non-degenerate) nodes for the monodromy")
-    total = sum(chis[1:], chis[0])
-    chi_mean = LaurentLoop(total.coeffs / len(chis), total.d_min).trim(rel=1e-12)
-    vals = chi_mean.evaluate(lambdas)
-    spread = max(float(np.max(np.abs(c.evaluate(lambdas) - vals))) for c in chis)
+    lifts = su2_lift(ks[ok])
+    # branch continuity: each lift takes the sign nearer its predecessor, in row-major node order
+    flip = _frob(lifts[1:] - lifts[:-1]) > _frob(lifts[1:] + lifts[:-1])
+    lifts *= np.cumprod(np.where(np.r_[False, flip], -1.0, 1.0))[:, None, None]
+    u_im = _image_nodes(image_fgrid.coeffs, d.switches_axes)[ok]
+    u = fgrid.coeffs[np.ix_(idx_x, idx_y)][ok]
+    # chi = (U o gamma) K_lift^-1 U^-1 at every node, with U^-1 the coefficientwise dagger
+    chis = cauchy_product((_rows(u_im) @ _dagger(lifts)).reshape(u_im.shape), _dagger(u))
+    d_min = image_fgrid.d_min + fgrid.d_min
+    # trim each node's chi like LaurentLoop.trim(rel=1e-13): |lambda| != 1 amplifies its end noise
+    norms = _frob(chis)
+    keep = norms > 1e-13 * np.max(norms, axis=1, keepdims=True)
+    chis[~(np.logical_or.accumulate(keep, axis=1)
+           & np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1])] = 0.0
+    chi_mean = LaurentLoop(np.mean(chis, axis=0), d_min).trim(rel=1e-12)
+    powers = np.asarray(lambdas, dtype=complex)[:, None] ** np.arange(d_min, d_min + chis.shape[1])
+    node_vals = np.einsum("lk,nkij->nlij", powers, chis)
+    spread = float(np.max(np.abs(node_vals - chi_mean.evaluate(lambdas))))
     return chi_mean, spread
 
 
-def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None,
-                      lambdas=(0.5, 1.0, 2.0), frame_tol=1e-4):
+def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None):
     """Residual of the coordinate-switching frame relation.
 
-    Checks F^lambda(gamma(x,y)) = chi(lambda) F^(1/lambda)(x,y) K(x,y) at the
-    given lambda values, with chi fitted at the first usable node.  In the
+    Checks F^lambda(gamma(x,y)) = chi(lambda) F^(1/lambda)(x,y) K(x,y) at
+    AXIS_SWITCH_LAMBDAS, with chi fitted at the first usable node.  In the
     switching case the surface motion is orientation-reversing, so chi and
     K land in O(3) and the normal sign epsilon is fitted by residual when
     not supplied.
@@ -236,11 +223,11 @@ def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None,
     def run(eps):
         ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, eps)
         residual = 0.0
-        for lam in lambdas:
-            f_im = adjoint_rotation(
-                _image_nodes(image_fgrid.evaluate(lam), d.switches_axes)[ok], tol=frame_tol)
+        for lam in AXIS_SWITCH_LAMBDAS:
+            f_im = adjoint_rotation(_image_nodes(image_fgrid.evaluate(lam), d.switches_axes)[ok],
+                                    tol=AXIS_SWITCH_FRAME_TOL)
             f_rev = adjoint_rotation(fgrid.evaluate(1.0 / lam)[np.ix_(idx_x, idx_y)][ok],
-                                     tol=frame_tol)
+                                     tol=AXIS_SWITCH_FRAME_TOL)
             rhs = f_rev @ ks[ok]
             if rhs.shape[0]:
                 chi_fit = f_im[0] @ rhs[0].T
@@ -252,24 +239,16 @@ def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None,
     return min(run(1.0), run(-1.0))
 
 
-def coverage_window(fgrid, d, margin=0.0):
+def coverage_window(fgrid, d):
     """Indices of grid parameters whose gamma-images stay inside the grid."""
     x, y = fgrid.x, fgrid.y
-    if d.switches_axes:
-        idx_x = [i for i in range(x.size)
-                 if y[0] + margin <= d.gamma2(x[i]) <= y[-1] - margin]
-        idx_y = [j for j in range(y.size)
-                 if x[0] + margin <= d.gamma1(y[j]) <= x[-1] - margin]
-    else:
-        idx_x = [i for i in range(x.size)
-                 if x[0] + margin <= d.gamma1(x[i]) <= x[-1] - margin]
-        idx_y = [j for j in range(y.size)
-                 if y[0] + margin <= d.gamma2(y[j]) <= y[-1] - margin]
-    return np.asarray(idx_x, dtype=int), np.asarray(idx_y, dtype=int)
+    gx, gy = _image_axes(d, x, y)
+    in_x = np.flatnonzero((x[0] <= gx) & (gx <= x[-1]))
+    in_y = np.flatnonzero((y[0] <= gy) & (gy <= y[-1]))
+    return (in_y, in_x) if d.switches_axes else (in_x, in_y)
 
 
-def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
-                            monodromy_nodes=10, step=None,
+def certify_from_potentials(pair, d, x, y, trunc=24, monodromy_nodes=10, step=None,
                             interp_x=None, interp_y=None, interp_trunc=None,
                             drift_samples=DRIFT_LAMBDAS,
                             monodromy_lambdas=SYMMETRY_LAMBDAS,
@@ -281,7 +260,9 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
     Returns a flat report dict (stable keys: equivariance_x, equivariance_y,
     monodromy_spread, surface_residual, rotation_angle_measured_rad, stage
     pass flags), the measured descriptor and the frame grid built on x by y.
-    Later stages are skipped when an earlier one fails.
+    Later stages are skipped when an earlier one fails.  The surface stage
+    passes only when every covered-window node's image is inside the
+    interpolation domain.
     """
     report = {}
     fgrid = reconstruct_frames(pair, x, y, trunc=trunc, step=step,
@@ -306,8 +287,8 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
     sel_x = idx_x[np.unique(np.linspace(0, idx_x.size - 1, min(monodromy_nodes, idx_x.size)).astype(int))]
     sel_y = idx_y[np.unique(np.linspace(0, idx_y.size - 1, min(monodromy_nodes, idx_y.size)).astype(int))]
     image_f = _image_grid(fgrid, d, sel_x, sel_y, trunc, step=step, drift_samples=drift_samples)
-    sgrid = sym_immersion(fgrid, lam)
-    image_s = sym_immersion(image_f, lam)
+    sgrid = sym_immersion(fgrid, 1.0)
+    image_s = sym_immersion(image_f, 1.0)
 
     # rigid motion from exact node pairs
     r_lin, t_vec, fit_rms = register_rigid(
@@ -345,11 +326,11 @@ def certify_from_potentials(pair, d, x, y, trunc=24, lam=1.0,
         fine_f = reconstruct_frames(pair, np.asarray(interp_x), np.asarray(interp_y),
                                     step=step, basepoint=(fgrid.base_x, fgrid.base_y),
                                     drift_samples=drift_samples, **kwargs)
-        target = sym_immersion(fine_f, lam)
+        target = sym_immersion(fine_f, 1.0)
     resid, coverage = check_surface_symmetry(sgrid, d, sample_mask=mask, target=target)
     report["surface_residual"] = resid
     report["surface_coverage"] = coverage
-    report["surface_pass"] = bool(resid < surface_tol)
+    report["surface_pass"] = bool(resid < surface_tol and coverage == 1.0)
     report["all_pass"] = bool(report["equivariance_pass"] and report["monodromy_pass"]
                               and report["surface_pass"])
     return report, d, fgrid

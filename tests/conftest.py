@@ -32,3 +32,20 @@ def soliton_surface_small(soliton_frames_small):
 def soliton_frames_65(soliton_pair):
     xs = np.linspace(0.0, 1.0, 65)
     return reconstruct_frames(soliton_pair, xs, xs, trunc=24)
+
+
+@pytest.fixture(scope="session")
+def amsler_window():
+    """Frames of the rotational example on a 6 x 6 theta window whose images
+    under the symmetry stay clear of its pole, with the image-grid re-run:
+    (frames, descriptor, image frames, sampled indices, step)."""
+    from psurf.potentials import generalized_amsler_example
+    from psurf.symmetry import _image_grid
+    ts = theta_to_t(np.linspace(-2.6, -2.2, 6))
+    hi = theta_to_t(-0.1)
+    pair, desc = generalized_amsler_example(domain=(ts[0] - 1e-9, hi))
+    step = (hi - ts[0]) / 4096
+    f = reconstruct_frames(pair, ts, ts, trunc=48, step=step, drift_samples=(1.0,))
+    idx = np.arange(ts.size)
+    img = _image_grid(f, desc, idx, idx, 48, step=step, drift_samples=(1.0,))
+    return f, desc, img, idx, step

@@ -111,3 +111,28 @@ def test_traced_build_covers_the_soliton_build_workload(tmp_path):
     assert code in (0, 1)
     metrics = tracing.layer_metrics(tracer.spans, 1)
     assert tracing.coverage_problems("soliton_build", tracer.spans, 1, metrics) == []
+
+
+def test_traced_verify_covers_the_amsler_certify_workload(tmp_path):
+    """The amsler_certify counterpart: one in-process verify of the benchmark's
+    config fires every required span, including the monodromy, the image grid
+    and the interpolation-target reconstruction.  A 9-node target keeps the run
+    short; trunc and step_divisor stay as configured, since lower values trip
+    the drift monitor."""
+    import configparser
+    from psurf import cli                # looked up after install, so the wrappers apply
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.read(os.path.join(os.path.dirname(TRACING), "configs", "amsler_certify.ini"))
+    cp["run"]["symmetry_interp"] = "9"
+    config = tmp_path / "amsler_certify_9.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", str(config), "--output-dir", str(tmp_path / "out")])
+    finally:
+        tracer.remove()
+    assert code in (0, 1)
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert tracing.coverage_problems("amsler_certify", tracer.spans, 1, metrics) == []

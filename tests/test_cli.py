@@ -474,6 +474,38 @@ def test_non_finite_or_decreasing_ranges_are_config_errors(tmp_path, capsys, key
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, value", [
+    ("normalized", "-1"), ("normalized", "1, -1"), ("normalized", "-1, 0, 1"),
+    ("generalized", "nan, 1"), ("generalized", "0, inf"), ("amsler3", "1, -1"),
+])
+def test_bad_potential_domains_are_config_errors(tmp_path, capsys, kind, value):
+    text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
+    text = text.replace("kind = normalized", f"kind = {kind}\ndomain_x = {value}")
+    cfg = write_config(tmp_path / "d.ini", text)
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert "domain_x / domain_y must be increasing pairs of finite reals" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ranges", [
+    ("-1, 0", "-2.6, -0.15"), ("-7, -6", "-2.6, -0.15"), ("-2.6, -0.15", "-6.3, -6"),
+    ("-0.5, 0.5", "-2.6, -0.15"),
+])
+def test_theta_uniform_ranges_outside_the_circle_chart_are_config_errors(tmp_path, capsys,
+                                                                        ranges):
+    text = THETA_UNIFORM_16.format(suites="", out=tmp_path / "o")
+    text = text.replace("kind = normalized\nalpha = builtin:soliton_alpha\n"
+                        "beta = builtin:soliton_beta", "kind = amsler3")
+    text = text.replace("x_range = -3.3, -2.9", f"x_range = {ranges[0]}")
+    text = text.replace("y_range = -3.3, -2.9", f"y_range = {ranges[1]}")
+    cfg = write_config(tmp_path / "t.ini", text)
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert "with theta_uniform, x_range / y_range must lie inside (-2 pi, 0)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("speed_a", "0"), ("speed_a", "builtin:zero"), ("speed_a", "nan"), ("speed_a", "-1"),
     ("speed_b", "inf"), ("speed_b", "-0.5"),

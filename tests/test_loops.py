@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psurf.loops import (LaurentLoop, edge_norm, SU2_I, SU2_J, SU2_K, adjoint_rotation,
-                         exp_loop, inverse_one_sided, r3_to_su2,
+                         band_slice, cauchy_product, exp_loop, inverse_one_sided, r3_to_su2,
                          random_twisted_su_loop, random_twisted_unitary_loop,
                          su2_to_r3, unitarity_defect)
 
@@ -287,6 +287,40 @@ def test_constant_matrix_products_match_reference(n, view):
     # a real 2x2 gauge (the T_x rotation) promotes to complex like a loop would
     rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     assert np.max(np.abs((g * rot).coeffs - g.coeffs @ rot)) <= kernel_tol(g.coeffs, rot)
+
+
+STACK_CASES = [(1, 1), (1, 6), (6, 1), (3, 97), (97, 3), (50, 50), (150, 149), (149, 150)]
+
+
+def _stack(rng, *shape):
+    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+
+
+@pytest.mark.parametrize("na, nb", STACK_CASES)
+def test_stacked_product_equals_per_node_products(na, nb):
+    rng = np.random.default_rng(7 * na + nb)
+    a, b = _stack(rng, 12, na), _stack(rng, 12, nb)
+    ref = np.stack([cauchy_product(a[n], b[n]) for n in range(12)])
+    assert np.array_equal(cauchy_product(a, b), ref)
+    # one operand shared by every node broadcasts over the node axis
+    a1, b1 = a[0], b[0]
+    assert np.array_equal(cauchy_product(a, b1), np.stack([cauchy_product(x, b1) for x in a]))
+    assert np.array_equal(cauchy_product(a1, b), np.stack([cauchy_product(a1, y) for y in b]))
+
+
+def test_stacked_product_broadcasts_two_node_axes():
+    rng = np.random.default_rng(11)
+    a, b = _stack(rng, 3, 1, 5), _stack(rng, 4, 7)
+    ref = np.array([[cauchy_product(a[i, 0], b[j]) for j in range(4)] for i in range(3)])
+    assert np.array_equal(cauchy_product(a, b), ref)
+
+
+def test_band_slice_of_a_stack_slices_every_node():
+    rng = np.random.default_rng(12)
+    c = _stack(rng, 4, 6)
+    for lo, hi in ((-5, 1), (0, 2), (4, 9), (-9, -6)):
+        ref = np.stack([band_slice(x, -2, lo, hi) for x in c])
+        assert np.array_equal(band_slice(c, -2, lo, hi), ref)
 
 
 # -- ring properties (hypothesis) ---------------------------------------------

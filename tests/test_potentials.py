@@ -9,6 +9,7 @@ from psurf.potentials import (AMSLER_GAMMA_POLE, BoundaryAngles, amsler_dgamma,
                               normalized_from_boundary, soliton_alpha,
                               soliton_beta, speed_fn, stretched_from_boundary,
                               x_axis_data, y_axis_data)
+from psurf.surface import reconstruct_frames
 
 ZETA = np.array([[0.0, 0.3j], [0.3j, 0.0]])
 
@@ -217,6 +218,46 @@ def test_diagonal_extraction_structure(soliton_frames_small):
     v = loop.evaluate(1.3)
     assert np.max(np.abs(v + np.conj(v.T))) < 1e-12
     assert p.eta_x is p.eta_y
+
+
+def reference_diagonal_samples(frame_grid):
+    """The diagonal Maurer-Cartan coefficients as a per-node loop of LaurentLoop sums."""
+    x = frame_grid.x
+    n, h = x.size, float(x[1] - x[0])
+    samples = []
+    for i in range(n):
+        if i < 2:
+            offs = np.arange(0, 5) - i
+        elif i > n - 3:
+            offs = np.arange(-4, 1) + (n - 1 - i)
+        else:
+            offs = np.arange(-2, 3)
+        wts = np.linalg.solve(np.vander(offs * h, 5, increasing=True).T, np.eye(5)[1])
+        du = frame_grid.loop(i + offs[0], i + offs[0]).scaled(wts[0])
+        for o, w in zip(offs[1:], wts[1:]):
+            du = du + frame_grid.loop(i + o, i + o).scaled(w)
+        c = (frame_grid.loop(i, i).dagger() * du).truncated(-1, 1).coeffs.copy()
+        for idx in range(3):
+            m = 0.5 * (c[idx] - np.conj(c[idx].T))
+            m -= 0.5 * np.trace(m) * np.eye(2)
+            if (idx - 1) % 2 == 0:
+                m[0, 1] = m[1, 0] = 0.0
+            else:
+                m[0, 0] = m[1, 1] = 0.0
+            c[idx] = m
+        samples.append(c)
+    return np.stack(samples)
+
+
+@pytest.mark.parametrize("n", [5, 6, 17])
+def test_diagonal_extraction_equals_the_node_loop(soliton_pair, soliton_frames_small, n):
+    f = soliton_frames_small if n == 17 else \
+        reconstruct_frames(soliton_pair, np.linspace(0, 1, n), np.linspace(0, 1, n), trunc=24)
+    ref = reference_diagonal_samples(f)
+    p = extract_diagonal_potentials(f)
+    got = np.stack([p.eta_x(t).coeffs for t in f.x])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_table_ingestion(tmp_path):

@@ -1,4 +1,5 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from psurf.loops import SU2_K, adjoint_rotation, su2_to_r3
 from psurf.potentials import BoundaryAngles, normalized_from_boundary, soliton_beta
 from psurf.surface import (associated_family, cone_line_check, darboux_frame,
                            find_cone_point, geometry_report, reconstruct_frames,
-                           sym_immersion, write_csv, write_obj)
+                           sym_immersion, write_csv, write_obj, _unwrap_grid)
 from tests.conftest import kink_phi
 
 
@@ -151,7 +152,6 @@ def test_darboux_so3_system_residual(soliton_frames_small):
 
 
 def test_unwrap_grid_continuity():
-    from psurf.surface import _unwrap_grid
     nx, ny = 12, 12
     truth = np.fromfunction(lambda i, j: 0.8 * i + 1.3 * j, (nx, ny)) * 0.9
     raw = np.angle(np.exp(1j * truth))
@@ -236,3 +236,96 @@ def test_batched_sym_and_darboux_match_node_formulas(soliton_frames_small):
         assert np.max(np.abs(frames[i, j] - adjoint_rotation(ev) @ rot)) < 1e-13
     # the kink's corner (0, 0) is degenerate
     assert np.all(np.isnan(frames[0, 0]))
+
+
+# -- the mask and array forms against the per-edge and per-row loops they replaced ------
+
+def reference_unwrap_grid(raw, ic, jc):
+    two_pi = 2.0 * np.pi
+    col = np.unwrap(raw[ic, :])
+    col -= two_pi * np.round((col[jc] - raw[ic, jc]) / two_pi)
+    out = np.empty_like(raw)
+    for j in range(raw.shape[1]):
+        row = np.unwrap(raw[:, j])
+        row += two_pi * np.round((col[j] - row[ic]) / two_pi)
+        out[:, j] = row
+    return out
+
+
+def reference_cone_point(sgrid):
+    phi, points = sgrid.phi, sgrid.points
+    s = np.sin(phi)
+    nx, ny = phi.shape
+    groups = {}
+    for (di, dj), line in (((1, 0), "row"), ((0, 1), "col")):
+        for i in range(nx - di):
+            for j in range(ny - dj):
+                a, b = (i, j), (i + di, j + dj)
+                if s[a] * s[b] < 0:
+                    w = s[a] / (s[a] - s[b])
+                    level = int(np.round(((1 - w) * phi[a] + w * phi[b]) / np.pi))
+                    pt = (1 - w) * points[a] + w * points[b]
+                    groups.setdefault(level, []).append((pt, (line, j if di else i)))
+    best = None
+    for level, items in groups.items():
+        pts = np.array([it[0] for it in items])
+        center = pts.mean(axis=0)
+        spread = float(np.max(np.linalg.norm(pts - center, axis=1))) if len(pts) > 1 else 0.0
+        cover = len({it[1] for it in items}) / (nx + ny)
+        if best is None or (cover, -spread) > (best["line_coverage"], -best["spread"]):
+            best = {"point": center, "spread": spread, "level": level,
+                    "line_coverage": cover, "crossings": len(items)}
+    return best
+
+
+def assert_same_cone(got, ref):
+    if ref is None:
+        assert got is None
+        return
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert np.array_equal(got[key], ref[key]) and type(got[key]) is type(ref[key]), key
+
+
+def random_angle_grid(rng, nx, ny):
+    """A smooth random angle whose sin(phi) = 0 curves cross the grid at several levels."""
+    x, y = np.linspace(0, 1, nx)[:, None], np.linspace(0, 1, ny)[None, :]
+    c = rng.uniform(-6, 6, 4)
+    return c[0] + c[1] * x + c[2] * y + c[3] * np.sin(3 * x * y)
+
+
+def test_unwrap_grid_equals_the_row_loop_on_random_grids():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        nx, ny = rng.integers(2, 15, 2)
+        raw = np.angle(np.exp(1j * rng.uniform(-3, 3) * random_angle_grid(rng, nx, ny)))
+        raw[rng.uniform(size=raw.shape) < 0.1] += rng.choice([-2, 2]) * np.pi   # aliased jumps
+        ic, jc = rng.integers(0, nx), rng.integers(0, ny)
+        assert np.array_equal(_unwrap_grid(raw, ic, jc), reference_unwrap_grid(raw, ic, jc))
+
+
+def test_unwrap_grid_equals_the_row_loop_on_the_amsler_window(amsler_window):
+    f = amsler_window[0]
+    raw = np.angle(np.exp(-0.5j * f.phi))
+    for ic, jc in ((0, 0), (2, 5), (5, 1)):
+        assert np.array_equal(_unwrap_grid(raw, ic, jc), reference_unwrap_grid(raw, ic, jc))
+
+
+def test_cone_point_equals_the_edge_loop_on_random_grids():
+    rng = np.random.default_rng(23)
+    found = 0
+    for _ in range(60):
+        nx, ny = rng.integers(2, 13, 2)
+        grid = SimpleNamespace(phi=random_angle_grid(rng, nx, ny),
+                               points=rng.standard_normal((nx, ny, 3)))
+        ref = reference_cone_point(grid)
+        assert_same_cone(find_cone_point(grid), ref)
+        found += ref is not None
+    assert found > 30
+
+
+def test_cone_point_equals_the_edge_loop_on_the_amsler_window(amsler_window):
+    s = sym_immersion(amsler_window[0], 1.0)
+    ref = reference_cone_point(s)
+    assert ref is not None and ref["line_coverage"] > 0.5
+    assert_same_cone(find_cone_point(s), ref)

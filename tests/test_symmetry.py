@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from psurf.loops import adjoint_rotation
-from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
-                              normalized_from_boundary)
-from psurf.surface import reconstruct_frames, sym_immersion
+from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import expm
+
+from psurf.loops import LaurentLoop, adjoint_rotation
+from psurf.potentials import (CIRCLE_LAMBDAS, SYMMETRY_LAMBDAS, BoundaryAngles,
+                              generalized_amsler_example, normalized_from_boundary)
+from psurf.surface import EPS_DEGENERATE, FrameGrid, reconstruct_frames, sym_immersion
 from psurf.symmetry import (SymmetryDescriptor, check_axis_switch,
-                            check_surface_symmetry, compute_K, coverage_window,
-                            measure_monodromy, su2_lift, _image_grid)
+                            check_surface_symmetry, certify_from_potentials, compute_K,
+                            coverage_window, measure_monodromy, su2_lift, _image_grid,
+                            _z_matrix)
 from tests.conftest import theta_to_t
 
 IDENT = lambda t: t
@@ -159,3 +163,180 @@ def test_monodromy_composition_amsler():
         qs = np.where(ok[p])[0]
         assert qs.size >= 2
         assert float(np.max(np.abs(ks[p, qs] - ks[p, qs[0]]))) < 1e-6
+
+
+# -- the stack code against the per-node loops it replaced -------------------------
+
+def reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon, lam=1.0):
+    """compute_K as a per-node loop (the degeneracy threshold is EPS_DEGENERATE)."""
+    npx, npy = len(idx_x), len(idx_y)
+    ks = np.full((npx, npy, 3, 3), np.nan)
+    ok = np.zeros((npx, npy), dtype=bool)
+    for p, i in enumerate(idx_x):
+        for q, j in enumerate(idx_y):
+            xi, yj = fgrid.x[i], fgrid.y[j]
+            phi = fgrid.phi[i, j]
+            if abs(np.sin(phi)) < EPS_DEGENERATE:
+                continue
+            z = _z_matrix(fgrid.a_vals[i], fgrid.b_vals[j], phi, lam)
+            if d.switches_axes:
+                jac = np.array([[0.0, d.d1(yj)], [d.d2(xi), 0.0]])
+                phi_im, a_im, b_im = image_fgrid.phi[q, p], image_fgrid.a_vals[q], image_fgrid.b_vals[p]
+            else:
+                jac = np.diag([d.d1(xi), d.d2(yj)])
+                phi_im, a_im, b_im = image_fgrid.phi[p, q], image_fgrid.a_vals[p], image_fgrid.b_vals[q]
+            if abs(np.sin(phi_im)) < EPS_DEGENERATE:
+                continue
+            block = z @ np.linalg.inv(jac) @ np.linalg.inv(_z_matrix(a_im, b_im, phi_im, lam))
+            ks[p, q] = np.zeros((3, 3))
+            ks[p, q, :2, :2] = block
+            ks[p, q, 2, 2] = epsilon
+            ok[p, q] = True
+    return ks, ok
+
+
+def reference_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
+                        lambdas=SYMMETRY_LAMBDAS):
+    """measure_monodromy as a per-node loop of LaurentLoop products."""
+    ks, ok = reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon)
+    chis, prev_lift = [], None
+    for p, i in enumerate(idx_x):
+        for q, j in enumerate(idx_y):
+            if not ok[p, q]:
+                continue
+            lift = su2_lift(ks[p, q])
+            if prev_lift is not None and \
+                    np.linalg.norm(lift - prev_lift) > np.linalg.norm(lift + prev_lift):
+                lift = -lift
+            prev_lift = lift
+            u_im = image_fgrid.loop(q, p) if d.switches_axes else image_fgrid.loop(p, q)
+            chis.append(((u_im * np.conj(lift.T)) * fgrid.loop(i, j).dagger()).trim(rel=1e-13))
+    total = sum(chis[1:], chis[0])
+    chi_mean = LaurentLoop(total.coeffs / len(chis), total.d_min).trim(rel=1e-12)
+    vals = chi_mean.evaluate(lambdas)
+    spread = max(float(np.max(np.abs(c.evaluate(lambdas) - vals))) for c in chis)
+    return chi_mean, spread
+
+
+def reference_surface_symmetry(sgrid, d, sample_mask=None):
+    """check_surface_symmetry as a per-node loop of interpolator calls."""
+    interp = RegularGridInterpolator((sgrid.x, sgrid.y), sgrid.points,
+                                     bounds_error=False, fill_value=np.nan)
+    residual, covered, total = 0.0, 0, 0
+    for i in range(sgrid.x.size):
+        for j in range(sgrid.y.size):
+            if sample_mask is not None and not sample_mask[i, j]:
+                continue
+            total += 1
+            val = interp(d.gamma(sgrid.x[i], sgrid.y[j]))
+            if np.any(np.isnan(val)):
+                continue
+            covered += 1
+            moved = d.R_linear @ sgrid.points[i, j] + d.R_translation
+            residual = max(residual, float(np.max(np.abs(val - moved))))
+    return residual, covered / total if total else 0.0
+
+
+def random_frame_grid(rng, nx, ny):
+    """Angle and speed data only, with nodes on and near the degenerate curve."""
+    phi = rng.uniform(-4.0, 4.0, (nx, ny))
+    phi.flat[rng.choice(phi.size, 4, replace=False)] = [0.0, np.pi, 3e-7, np.pi + 2e-8]
+    return FrameGrid(x=np.sort(rng.uniform(-1, 1, nx)), y=np.sort(rng.uniform(-1, 1, ny)),
+                     coeffs=None, d_min=0, phi=phi, a_vals=rng.uniform(0.5, 2.0, nx),
+                     b_vals=rng.uniform(0.5, 2.0, ny))
+
+
+def warped_descriptor(switches):
+    return SymmetryDescriptor(gamma1=np.sinh, gamma2=np.arctan, dgamma1=np.cosh,
+                              dgamma2=lambda t: 1.0 / (1.0 + t * t), switches_axes=switches)
+
+
+@pytest.mark.parametrize("switches", [False, True])
+def test_compute_K_equals_the_node_loop_on_random_grids(switches):
+    rng = np.random.default_rng(5 + switches)
+    f = random_frame_grid(rng, 7, 5)
+    idx_x, idx_y = np.array([0, 2, 3, 6]), np.array([1, 2, 4])
+    shape = (idx_y.size, idx_x.size) if switches else (idx_x.size, idx_y.size)
+    img = random_frame_grid(rng, *shape)
+    for d in (warped_descriptor(switches), identity_descriptor(switches)):
+        ks, ok = compute_K(f, d, img, idx_x, idx_y, epsilon=-1.0)
+        ref_ks, ref_ok = reference_compute_K(f, d, img, idx_x, idx_y, epsilon=-1.0)
+        assert np.array_equal(ok, ref_ok) and 0 < ok.sum() < ok.size
+        assert np.array_equal(ks, ref_ks, equal_nan=True)
+
+
+def test_compute_K_masks_nodes_below_the_degeneracy_threshold():
+    rng = np.random.default_rng(9)
+    f = random_frame_grid(rng, 4, 4)
+    f.phi[:] = 1.0
+    f.phi[1, 2] = 5e-7                   # above the old 1e-9 cut, below EPS_DEGENERATE
+    idx = np.arange(4)
+    _, ok = compute_K(f, identity_descriptor(), f, idx, idx, epsilon=1.0)
+    assert np.array_equal(np.argwhere(~ok), [[1, 2]])
+
+
+def test_compute_K_equals_the_node_loop_on_the_amsler_window(amsler_window):
+    f, desc, img, idx, _ = amsler_window
+    ks, ok = compute_K(f, desc, img, idx, idx, epsilon=1.0)
+    ref_ks, ref_ok = reference_compute_K(f, desc, img, idx, idx, epsilon=1.0)
+    assert np.array_equal(ok, ref_ok) and not np.all(ok)
+    assert np.array_equal(ks, ref_ks, equal_nan=True)
+
+
+def assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, lambdas):
+    chi, spread = measure_monodromy(f, d, img, idx_x, idx_y, lambdas=lambdas)
+    ref_chi, ref_spread = reference_monodromy(f, d, img, idx_x, idx_y, lambdas=lambdas)
+    assert np.max(np.abs(chi.evaluate(lambdas) - ref_chi.evaluate(lambdas))) < 1e-12
+    assert abs(spread - ref_spread) < 1e-12
+    return spread
+
+
+def test_monodromy_equals_the_node_loop_without_switching(amsler_window):
+    f, desc, img, idx, _ = amsler_window
+    assert assert_monodromy_matches_reference(f, desc, img, idx, idx, CIRCLE_LAMBDAS) < 1e-4
+
+
+def test_monodromy_equals_the_node_loop_with_switching():
+    th = np.linspace(-1.8, -1.25, 9)
+    ts = theta_to_t(th)
+    pair, _ = generalized_amsler_example(domain=(ts[0] - 1e-6, ts[-1] + 1e-6))
+    step = (ts[-1] - ts[0]) / 2048
+    f = reconstruct_frames(pair, ts, ts, trunc=32, step=step, drift_samples=(1.0,))
+    d = identity_descriptor(switches=True)
+    idx_x, idx_y = np.array([1, 4, 6]), np.array([0, 2, 5, 8])
+    img = _image_grid(f, d, idx_x, idx_y, 32, step=step, drift_samples=(1.0,))
+    assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, CIRCLE_LAMBDAS)
+
+
+def test_monodromy_equals_the_node_loop_at_the_default_radial_lambdas(soliton_frames_small):
+    f = soliton_frames_small
+    d = identity_descriptor()
+    idx_x, idx_y = np.array([0, 3, 8, 13]), np.array([2, 9, 16])
+    img = _image_grid(f, d, idx_x, idx_y, trunc=24)
+    assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, SYMMETRY_LAMBDAS)
+
+
+@pytest.mark.parametrize("switches", [False, True])
+def test_surface_symmetry_equals_the_node_loop(soliton_surface_small, switches):
+    s = soliton_surface_small
+    rng = np.random.default_rng(3)
+    skew = rng.standard_normal((3, 3))
+    rot = expm(skew - skew.T)
+    d = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=lambda t: 0.9 * t,
+                           switches_axes=switches).with_motion(rot, rng.standard_normal(3))
+    mask = rng.uniform(size=(s.x.size, s.y.size)) < 0.6
+    for sample_mask in (None, mask):
+        got = check_surface_symmetry(s, d, sample_mask=sample_mask)
+        assert got == reference_surface_symmetry(s, d, sample_mask=sample_mask)
+        assert 0.0 < got[1] < 1.0
+
+
+def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton_pair):
+    xs = np.linspace(0.0, 1.0, 9)
+    far = np.linspace(1.5, 2.0, 5)      # a target grid no image reaches
+    rep, _, _ = certify_from_potentials(soliton_pair, identity_descriptor(), xs, xs,
+                                        interp_x=far, interp_y=far)
+    assert rep["surface_coverage"] == 0.0 and rep["surface_residual"] == 0.0
+    assert rep["surface_pass"] is False and rep["all_pass"] is False
+    rep, _, _ = certify_from_potentials(soliton_pair, identity_descriptor(), xs, xs)
+    assert rep["surface_coverage"] == 1.0 and rep["all_pass"] is True
