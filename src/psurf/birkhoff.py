@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from psurf.loops import LaurentLoop, edge_norm, inverse_one_sided
+from psurf.loops import (CIRCLE64_LAMBDAS, RESIDUAL_LAMBDAS, LaurentLoop, edge_norm,
+                         inverse_one_sided)
 
 DEFAULT_TRUNC = 24
 MAX_TRUNC = 96
 TAIL_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-
-# residual sample set: tangential (unit circle) plus radial probes
-_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64.0)
-_RADIAL = np.array([0.5 + 0j, 2.0 + 0j])
-RESIDUAL_SAMPLES = np.concatenate([_CIRCLE, _RADIAL])
 
 
 def _residual_samples(g):
@@ -38,8 +34,8 @@ def _residual_samples(g):
     if g.d_min < 0:
         amp = max(amp, float(np.linalg.norm(g.coeff(g.d_min))) * 2.0 ** (-g.d_min))
     if amp < 1e-9 * max(1.0, g.max_coeff_norm()):
-        return RESIDUAL_SAMPLES
-    return _CIRCLE
+        return RESIDUAL_LAMBDAS
+    return CIRCLE64_LAMBDAS
 
 
 class FactorizationFailure(RuntimeError):

@@ -16,8 +16,8 @@ import numpy as np
 
 from psurf import birkhoff, potentials as pots
 from psurf.birkhoff import FactorizationFailure
-from psurf.frames import DRIFT_LAMBDAS, IntegrationDrift, direct_frame_solve
-from psurf.loops import random_twisted_unitary_loop
+from psurf.frames import IntegrationDrift, direct_frame_solve
+from psurf.loops import PROBE_LAMBDAS, random_twisted_unitary_loop
 from psurf.oracle import GoursatProblem, StiffnessError, goursat_solve
 from psurf.surface import (associated_family, cone_line_check, find_cone_point,
                            geometry_grid_problem, geometry_report, reconstruct_frames,
@@ -156,7 +156,7 @@ class RunConfig:
         if overrides.trunc is not None:
             self.trunc = overrides.trunc
         else:
-            self.trunc = int(r.get("trunc", 24))
+            self.trunc = int(r.get("trunc", birkhoff.DEFAULT_TRUNC))
         if self.trunc < 1:
             raise ConfigError(f"trunc must be >= 1, got {self.trunc}")
         self.seed = overrides.seed if overrides.seed is not None else int(r.get("seed", 20090228))
@@ -165,7 +165,7 @@ class RunConfig:
             raise ConfigError(f"step_divisor must be a positive number, got {div:g}")
         span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
         self.step = span / div
-        self.drift_samples = _positive_reals(r, "drift_lambdas", DRIFT_LAMBDAS)
+        self.drift_samples = _positive_reals(r, "drift_lambdas", PROBE_LAMBDAS)
         # fine interpolation target for the symmetry suite (0 = main grid)
         self.symmetry_interp = int(r.get("symmetry_interp", 0))
 
@@ -231,13 +231,13 @@ class RunConfig:
             raise ConfigError(f"{what} {problem}")
 
 
-def _write_report(report, outdir, name="report"):
+def _write_report(report, outdir):
     os.makedirs(outdir, exist_ok=True)
-    txt = os.path.join(outdir, name + ".txt")
+    txt = os.path.join(outdir, "report.txt")
     with open(txt, "w", encoding="utf-8", newline="\n") as fh:
         for key in report:
             fh.write(f"{key}: {report[key]}\n")
-    with open(os.path.join(outdir, name + ".json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump({k: (v.tolist() if isinstance(v, np.ndarray) else v)
                    for k, v in report.items()}, fh, indent=1, sort_keys=True)
     return txt
@@ -253,9 +253,9 @@ def _build_surfaces(cfg):
     return fgrid, surfaces
 
 
-def _geometry_pass(rep, tol, all_degenerate_ok=True):
-    if rep.get("all_degenerate"):
-        return all_degenerate_ok
+def _geometry_pass(rep, tol):
+    if rep.get("all_degenerate"):  # no node to check
+        return True
     checks = [rep["curvature_max_abs_err"] < tol["curvature"],
               rep["speed_x_max_err"] < tol["speed"],
               rep["speed_y_max_err"] < tol["speed"]]
@@ -316,10 +316,10 @@ def _suite_loops(cfg, fgrid, surfaces, geometry):
     for _ in range(50):
         g = random_twisted_unitary_loop(rng)
         h = random_twisted_unitary_loop(rng)
-        worst_twist = max(worst_twist, (g * h).check_twist())
-        lams = np.array([0.5, 1.0, 2.0])
+        gh = g * h
+        worst_twist = max(worst_twist, gh.check_twist())
         worst_hom = max(worst_hom, float(np.max(np.abs(
-            (g * h).evaluate(lams) - g.evaluate(lams) @ h.evaluate(lams)))))
+            gh.evaluate(PROBE_LAMBDAS) - g.evaluate(PROBE_LAMBDAS) @ h.evaluate(PROBE_LAMBDAS)))))
     rep = {"loops.twist_closure": worst_twist, "loops.evaluation_homomorphism": worst_hom}
     return rep, worst_twist < 1e-12 and worst_hom < 1e-12
 
@@ -391,11 +391,11 @@ def _suite_symmetry(cfg, fgrid, surfaces, geometry):
             img = np.array([d.gamma1(float(t)) for t in pre])
             if img.size >= 4 and np.all(np.diff(img) > 0):
                 interp = {"interp_x": img, "interp_y": img,
-                          "interp_trunc": max(24, cfg.trunc - 8)}
+                          "interp_trunc": max(birkhoff.DEFAULT_TRUNC, cfg.trunc - 8)}
     try:
         report, _, _ = certify_from_potentials(
             cfg.pair, d, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
-            drift_samples=cfg.drift_samples, monodromy_lambdas=pots.CIRCLE_LAMBDAS,
+            drift_samples=cfg.drift_samples,
             equivariance_tol=tol["equivariance"], monodromy_tol=tol["monodromy"],
             surface_tol=tol["surface_symmetry"], **interp)
     except ValueError as exc:

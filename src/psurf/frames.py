@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from psurf.loops import LaurentLoop, band_slice, cauchy_product, edge_norm, su2_defect
+from psurf.birkhoff import DEFAULT_TRUNC
+from psurf.loops import (PROBE_LAMBDAS, LaurentLoop, band_slice, cauchy_product, edge_norm,
+                         su2_defect)
 from psurf.potentials import speed_fn
 
 DRIFT_LIMIT = 1e-6
-# lambda samples of the unitarity drift monitor
-DRIFT_LAMBDAS = (0.5, 1.0, 2.0)
 
 
 class IntegrationDrift(RuntimeError):
@@ -73,7 +73,7 @@ def _march(eta, t_from, targets, g, step, band, out):
 
 
 def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
-                   drift_limit=DRIFT_LIMIT, drift_samples=DRIFT_LAMBDAS):
+                   drift_limit=DRIFT_LIMIT, drift_samples=PROBE_LAMBDAS):
     """Classical 4th-order integration of dG/dt = G eta(t) on a degree band.
 
     t_values are the parameters at which frames are recorded; t0 is the
@@ -99,7 +99,7 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
         step = max(span, 1e-12) / 256.0
     if band is None:
         probe = eta(t0)
-        band = (min(0, 24 * probe.d_min), max(0, 24 * probe.d_max))
+        band = (min(0, DEFAULT_TRUNC * probe.d_min), max(0, DEFAULT_TRUNC * probe.d_max))
     samples = np.asarray(drift_samples, dtype=complex)
     if not np.all(np.isfinite(samples)) or (band[0] < 0 and np.any(samples == 0)):
         raise ValueError(f"drift samples must be finite, and nonzero on a band with "

@@ -16,8 +16,18 @@ import numpy as np
 
 TRIM_REL = 1e-14
 
-# lambda samples used for unitarity / determinant spot checks on the real axis
-UNITARITY_SAMPLES = (0.25, 0.5, 1.0, 2.0, 4.0)
+# The lambda sample sets of every module (README, "Sample sets and tolerances"):
+# the probe triple, the radial probes, and the roots of unity of the splitting
+# residual (64) and of the symmetry checks (16).  The radial probes are read
+# only where the loops converge there: monodromy reads the 16 roots alone.
+PROBE_LAMBDAS = (0.5, 1.0, 2.0)
+RADIAL_LAMBDAS = np.array([0.5 + 0j, 2.0 + 0j])
+CIRCLE64_LAMBDAS = np.exp(2j * np.pi * np.arange(64) / 64.0)
+CIRCLE_LAMBDAS = np.exp(2j * np.pi * np.arange(16) / 16.0)
+RESIDUAL_LAMBDAS = np.concatenate([CIRCLE64_LAMBDAS, RADIAL_LAMBDAS])
+SYMMETRY_LAMBDAS = np.concatenate([CIRCLE_LAMBDAS, RADIAL_LAMBDAS])
+# unitarity / determinant spot checks on the real axis
+UNITARITY_SAMPLES = (0.25, *PROBE_LAMBDAS, 4.0)
 
 # su(2) images of the R^3 basis; the commutator matches the cross product.
 SU2_I = np.array([[0.0, 0.5j], [0.5j, 0.0]])

@@ -9,18 +9,14 @@ are extracted numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from psurf.loops import (_ENTRY_PARITY, LaurentLoop, _dagger, band_slice, cauchy_product,
-                         unitarity_defect)
+from psurf.loops import (_ENTRY_PARITY, PROBE_LAMBDAS, SYMMETRY_LAMBDAS, LaurentLoop, _dagger,
+                         band_slice, cauchy_product, unitarity_defect)
 
-# lambda samples of the symmetry checks: the sixteenth roots of unity, then
-# the radial probes 1/2 and 2
-CIRCLE_LAMBDAS = np.exp(2j * np.pi * np.arange(16) / 16.0)
-SYMMETRY_LAMBDAS = np.concatenate([CIRCLE_LAMBDAS, [0.5 + 0j, 2.0 + 0j]])
 # parameter samples per axis of the equivariance check
 EQUIVARIANCE_SAMPLES = 33
 
@@ -32,6 +28,12 @@ def speed_fn(s):
         return s
     c = 1.0 if s is None else float(s)
     return lambda t: np.full(np.shape(t), c)
+
+
+def is_uniform(t):
+    """Whether the increasing samples t are uniformly spaced, to 1e-9 of the step."""
+    h = np.diff(t)
+    return not np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0])
 
 
 def _offdiag(z):
@@ -77,29 +79,18 @@ class PotentialPair:
 
 
 def normalized_from_boundary(bnd, domain_x=(-1.0, 1.0), domain_y=(-1.0, 1.0)):
-    """Pair of normalized potentials for the given boundary angles."""
-    a0 = float(np.asarray(bnd.alpha(0.0)))
-    # 1e-8 leaves room for spline interpolants of tabulated angles
-    if abs(a0) > 1e-8:
-        raise ValueError(f"alpha(0) must vanish, got {a0}")
+    """Pair of normalized potentials for the given boundary angles: the
+    stretched pair with unit speeds."""
     if bnd.a is not None or bnd.b is not None:
         raise ValueError("normalized potentials have unit speeds; "
                          "use a generalized pair for nonunit speeds")
-
-    def eta_x(x):
-        return LaurentLoop.from_terms({1: _phase_matrix(bnd.alpha(x))})
-
-    def eta_y(y):
-        return LaurentLoop.from_terms({-1: -_phase_matrix(-bnd.beta(y))})
-
-    return PotentialPair(eta_x=eta_x, eta_y=eta_y, kind="normalized",
-                         domain_x=tuple(domain_x), domain_y=tuple(domain_y),
-                         boundary=bnd)
+    return replace(stretched_from_boundary(bnd, domain_x, domain_y), kind="normalized")
 
 
 def stretched_from_boundary(bnd, domain_x=(-1.0, 1.0), domain_y=(-1.0, 1.0)):
     """Generalized pair with speeds: the top-degree terms carry a(x), b(y)."""
     a0 = float(np.asarray(bnd.alpha(0.0)))
+    # 1e-8 leaves room for spline interpolants of tabulated angles
     if abs(a0) > 1e-8:
         raise ValueError(f"alpha(0) must vanish, got {a0}")
     a_fn, b_fn = bnd.speed_a(), bnd.speed_b()
@@ -122,11 +113,11 @@ def _unwrapped_angle(dense_t, dense_w):
     return CubicSpline(dense_t, ang)
 
 
-def _axis_data(eta, domain, degree, axis, n_dense):
+def _axis_data(eta, domain, degree, axis):
     """(speed, angle) from z, the top off-diagonal entry of the lambda^degree
     coefficient of eta (degree +-1): speed 2|z|, angle -degree times the
-    unwrapped phase of -2i degree z."""
-    ts = np.linspace(domain[0], domain[1], n_dense)
+    unwrapped phase of -2i degree z sampled at 2049 parameters."""
+    ts = np.linspace(domain[0], domain[1], 2049)
     zs = np.array([eta(t).coeff(degree)[0, 1] for t in ts])
     if np.min(np.abs(zs)) < 1e-14:
         raise ValueError(f"lambda^{degree} coefficient of eta_{axis} vanishes on the domain")
@@ -143,19 +134,19 @@ def _axis_data(eta, domain, degree, axis, n_dense):
     return speed, angle
 
 
-def x_axis_data(pair, n_dense=2049):
+def x_axis_data(pair):
     """(a(x), alpha(x)) with i/2 a e^{-i alpha} the top off-diagonal entry of
     the lambda^1 coefficient of eta_x."""
     if pair.kind == "normalized" and pair.boundary is not None:
         return speed_fn(None), pair.boundary.alpha
-    return _axis_data(pair.eta_x, pair.domain_x, 1, "x", n_dense)
+    return _axis_data(pair.eta_x, pair.domain_x, 1, "x")
 
 
-def y_axis_data(pair, n_dense=2049):
+def y_axis_data(pair):
     """(b(y), beta(y)) with rho = -b e^{i beta} = -2i * (lambda^-1 coeff)[0,1]."""
     if pair.kind == "normalized" and pair.boundary is not None:
         return speed_fn(None), pair.boundary.beta
-    return _axis_data(pair.eta_y, pair.domain_y, -1, "y", n_dense)
+    return _axis_data(pair.eta_y, pair.domain_y, -1, "y")
 
 
 # -- gauges ------------------------------------------------------------------
@@ -169,14 +160,14 @@ def _as_loop_fn(q):
     return q, False
 
 
-def _validate_gauge(q_fn, side, domain, n_check=7):
-    for t in np.linspace(domain[0], domain[1], n_check):
+def _validate_gauge(q_fn, side, domain):
+    for t in np.linspace(domain[0], domain[1], 7):
         q = q_fn(t)
         if side == "-" and q.d_max > 0:
             raise ValueError("x-gauge must lie in the minus loop group")
         if side == "+" and q.d_min < 0:
             raise ValueError("y-gauge must lie in the plus loop group")
-        u_def, det_def = unitarity_defect(q, samples=(0.5, 1.0, 2.0))
+        u_def, det_def = unitarity_defect(q, samples=PROBE_LAMBDAS)
         if max(u_def, det_def) > 1e-6:
             raise ValueError(f"gauge loop is not unitary-valued (defect {max(u_def, det_def):.3g})")
         if q.check_twist() > 1e-8:
@@ -201,12 +192,12 @@ def _gauge_action(eta_t, q_fn, is_const, dq, t, h):
     return out
 
 
-def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
+def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None):
     """Gauged pair eta~ = q^-1 eta q + q^-1 q' along each axis.
 
     qx (x-parametrized, minus loops) and qy (y-parametrized, plus loops) may
     be callables, constant loops, or None.  Derivatives default to central
-    differences with the given step; the result is a generalized pair for
+    differences with step 1e-5; the result is a generalized pair for
     the same surface when the frame integration is started from the gauge
     values at the basepoint.
     """
@@ -216,10 +207,10 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
     _validate_gauge(qy_fn, "+", pair.domain_y)
 
     def eta_x(x):
-        return _gauge_action(pair.eta_x(x), qx_fn, qx_const, dqx, x, fd_step).trim(rel=1e-13)
+        return _gauge_action(pair.eta_x(x), qx_fn, qx_const, dqx, x, 1e-5).trim(rel=1e-13)
 
     def eta_y(y):
-        return _gauge_action(pair.eta_y(y), qy_fn, qy_const, dqy, y, fd_step).trim(rel=1e-13)
+        return _gauge_action(pair.eta_y(y), qy_fn, qy_const, dqy, y, 1e-5).trim(rel=1e-13)
 
     return PotentialPair(eta_x=eta_x, eta_y=eta_y, kind="generalized",
                          domain_x=pair.domain_x, domain_y=pair.domain_y,
@@ -229,11 +220,11 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None, fd_step=1e-5):
 # -- equivariance ------------------------------------------------------------
 
 def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
-                       sample_x=None, sample_y=None, lambdas=SYMMETRY_LAMBDAS):
+                       sample_x=None, sample_y=None):
     """Residuals of the potential-level symmetry condition along each axis.
 
     Checks (eta o gamma) gamma' = w^-1 eta w + w^-1 w' at EQUIVARIANCE_SAMPLES
-    parameters and the given lambda values; (0, 0) certifies the symmetry on
+    parameters and at SYMMETRY_LAMBDAS; (0, 0) certifies the symmetry on
     the potentials.  w', and gamma' when dgamma is not given, are central
     differences with step 1e-4 of the potential's domain.
     """
@@ -250,7 +241,7 @@ def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
                 raise ValueError(f"gamma derivative vanishes near t = {t}")
             rhs = _gauge_action(eta(t), w_fn, w_const, None, t, h)
             lhs = eta(gamma(t)).scaled(gp)
-            diff = (lhs - rhs).evaluate(lambdas)
+            diff = (lhs - rhs).evaluate(SYMMETRY_LAMBDAS)
             res = max(res, float(np.max(np.abs(diff))))
         return res
 
@@ -274,15 +265,15 @@ def _amsler_p(t):
     return dw * (2.0 * w - 4.0 * w ** -5)
 
 
-def amsler_gamma(t, sign=1):
+def amsler_gamma(t):
     """Axis map: conjugate of the 2 pi/3 circle rotation by the Cayley transform."""
-    mu = np.exp(sign * 2j * np.pi / 3.0)
+    mu = np.exp(2j * np.pi / 3.0)
     w = mu * cayley(t)
     return float((1j * (1.0 + w) / (1.0 - w)).real)
 
 
-def amsler_dgamma(t, sign=1):
-    mu = np.exp(sign * 2j * np.pi / 3.0)
+def amsler_dgamma(t):
+    mu = np.exp(2j * np.pi / 3.0)
     w = cayley(t)
     val = -4.0 * mu / ((1.0 - mu * w) ** 2 * (np.asarray(t, dtype=complex) + 1j) ** 2)
     return float(val.real)
@@ -364,13 +355,12 @@ def extract_diagonal_potentials(frame_grid):
     n = x.size
     if n < 5:
         raise ValueError("need at least 5 diagonal nodes")
-    hx = np.diff(x)
-    if np.max(np.abs(hx - hx[0])) > 1e-9 * abs(hx[0]):
+    if not is_uniform(x):
         raise ValueError("diagonal extraction requires uniform spacing")
 
     band = (-1, 1)
     diag = frame_grid.coeffs[np.arange(n), np.arange(n)]        # (n, K, 2, 2)
-    taps, weights = _fd_rows_5(n, float(hx[0]))
+    taps, weights = _fd_rows_5(n, float(x[1] - x[0]))
     du = np.einsum("nt,ntkab->nkab", weights, diag[taps])
     # U^-1 dU with U^-1 the coefficientwise dagger, on degrees -1..1
     eta_c = band_slice(cauchy_product(_dagger(diag), du), 2 * frame_grid.d_min, *band)
@@ -423,4 +413,11 @@ def function_from_table(path):
         data = np.loadtxt(fh, delimiter=",")
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
         raise ValueError(f"{path}: need two columns and at least 4 rows")
+    finite = np.isfinite(data).all(axis=1)
+    bad = np.flatnonzero(~finite | np.r_[False, np.diff(data[:, 0]) <= 0])
+    if bad.size:  # data rows count from 1 after the header
+        k = bad[0]
+        why = "a non-finite entry" if not finite[k] else "t not above the previous row's"
+        raise ValueError(f"{path}: data row {k + 1} (t={data[k, 0]:g}, "
+                         f"value={data[k, 1]:g}) has {why}")
     return CubicSpline(data[:, 0], data[:, 1])

@@ -7,19 +7,24 @@ factor and the immersion from the exact log-lambda derivative.
 
 from __future__ import annotations
 
-import csv
 import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from psurf import potentials as pots
-from psurf.birkhoff import MAX_TRUNC, TAIL_TOL, FactorizationFailure, split_plus_minusfree
-from psurf.frames import DRIFT_LAMBDAS, integrate_axis
-from psurf.loops import (SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst, adjoint_rotation,
-                         su2_to_r3)
+from psurf.birkhoff import (DEFAULT_TRUNC, MAX_TRUNC, TAIL_TOL, FactorizationFailure,
+                            split_plus_minusfree)
+from psurf.frames import integrate_axis
+from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst,
+                         adjoint_rotation, su2_to_r3)
 
 EPS_DEGENERATE = 1e-6
+# relative trim of the per-node loops of reconstruct_frames; FrameGrid.loop
+# recovers a node's band from the zero-padded tensor only with the same trim
+FRAME_TRIM_REL = 1e-15
+# SU(2) tolerance of frame values read off a FrameGrid (normals, tangents, Darboux frames)
+FRAME_SU2_TOL = 1e-5
 # central differences of the geometry report need this many nodes per axis
 GEOMETRY_MIN_NODES = 16
 
@@ -62,7 +67,7 @@ class FrameGrid:
 
     def loop(self, i, j):
         """The frame at node (i, j) as a LaurentLoop on its own band."""
-        return LaurentLoop(self.coeffs[i, j], self.d_min).trim(rel=1e-15)
+        return LaurentLoop(self.coeffs[i, j], self.d_min).trim(rel=FRAME_TRIM_REL)
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,8 @@ def _unwrap_grid(raw, ic, jc):
     return rows + two_pi * np.round((col - rows[ic]) / two_pi)
 
 
-def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None,
-                       basepoint=None, drift_samples=DRIFT_LAMBDAS, split_tail_tol=TAIL_TOL):
+def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, init_y=None,
+                       basepoint=None, drift_samples=PROBE_LAMBDAS, split_tail_tol=TAIL_TOL):
     """Extended frame grid for a potential pair.
 
     For normalized pairs the frames are anchored at the origin and the
@@ -147,14 +152,14 @@ def reconstruct_frames(pair, x, y, trunc=24, step=None, init_x=None, init_y=None
     max_tail = max(path_x.tail_norm, path_y.tail_norm)
     for i in range(x.size):
         for j in range(y.size):
-            g = (d_loops[j] * w_loops[i]).trim(rel=1e-15)
+            g = (d_loops[j] * w_loops[i]).trim(rel=FRAME_TRIM_REL)
             try:
                 sp = split_plus_minusfree(g, trunc=trunc, tail_tol=split_tail_tol)
             except FactorizationFailure as exc:
                 raise FactorizationFailure(
                     f"splitting failed at node ({i},{j}), (x,y)=({x[i]:.6g},{y[j]:.6g}): {exc}",
                     residual=exc.residual, tail_norm=exc.tail_norm) from exc
-            u = (w_loops[i] * sp.minus).trim(rel=1e-15)
+            u = (w_loops[i] * sp.minus).trim(rel=FRAME_TRIM_REL)
             buf[u.d_min - lo: u.d_max - lo + 1, i, j] = u.coeffs
             used_lo, used_hi = min(used_lo, u.d_min), max(used_hi, u.d_max)
             raw_psi[i, j] = np.angle(sp.plus.coeff(0)[0, 0])
@@ -193,7 +198,7 @@ def sym_immersion(fgrid, lam0):
     f = 0.5 * (f - _dagger(f))
     f -= 0.5 * np.trace(f, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
     pts = su2_to_r3(f)
-    nrm = su2_to_r3(ev @ SU2_K @ ev_inv, tol=1e-5)
+    nrm = su2_to_r3(ev @ SU2_K @ ev_inv, tol=FRAME_SU2_TOL)
     bad = ~(np.isfinite(pts).all(axis=-1) & np.isfinite(nrm).all(axis=-1))
     _raise_at_worst(bad, lambda w: f"Sym immersion at lambda = {lam0:g} is not finite at "
                                    f"{int(bad.sum())} of {bad.size} nodes, the first")
@@ -216,10 +221,8 @@ def geometry_grid_problem(x, y):
     if min(x.size, y.size) < GEOMETRY_MIN_NODES:
         return (f"needs a grid of at least {GEOMETRY_MIN_NODES} nodes per axis, "
                 f"got {x.size} x {y.size}")
-    for t in (x, y):
-        h = np.diff(t)
-        if np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
-            return "needs a uniformly spaced grid"
+    if not (pots.is_uniform(x) and pots.is_uniform(y)):
+        return "needs a uniformly spaced grid"
     return None
 
 
@@ -283,7 +286,7 @@ def geometry_report(sgrid, fgrid=None):
 
     if fgrid is not None:
         ev = fgrid.evaluate(lam)[1:-1, 1:-1][interior_ok]
-        e1 = su2_to_r3(ev @ SU2_I @ _dagger(ev), tol=1e-5)
+        e1 = su2_to_r3(ev @ SU2_I @ _dagger(ev), tol=FRAME_SU2_TOL)
         speed = lam * np.broadcast_to(sgrid.a_vals[1:-1, None], interior_ok.shape)[interior_ok]
         report["tangent_cross_max"] = float(np.max(np.abs(
             fx[interior_ok] - speed[:, None] * e1), initial=0.0))
@@ -293,7 +296,7 @@ def geometry_report(sgrid, fgrid=None):
 def darboux_frame(fgrid, lam0=1.0):
     """Principal-direction frames (columns e1, e2, n), NaN at degenerate nodes."""
     ok = ~(np.abs(np.sin(fgrid.phi)) < EPS_DEGENERATE)
-    f3 = adjoint_rotation(fgrid.evaluate(lam0)[ok], tol=1e-5)
+    f3 = adjoint_rotation(fgrid.evaluate(lam0)[ok], tol=FRAME_SU2_TOL)
     th = 0.5 * fgrid.phi[ok]
     rot = np.zeros((th.size, 3, 3))
     rot[:, 0, 0] = rot[:, 1, 1] = np.cos(th)
@@ -352,10 +355,10 @@ def find_cone_point(sgrid):
     return best
 
 
-def cone_line_check(sgrid, cone_point, factor=10.0):
+def cone_line_check(sgrid, cone_point):
     """Max over coordinate lines of the min node distance to the cone point.
 
-    The mesh tolerance is factor * (median 3-d edge length); returns
+    The mesh tolerance is 10 * (median 3-d edge length); returns
     (max_min_distance, tolerance, passed).
     """
     f = sgrid.points
@@ -364,44 +367,36 @@ def cone_line_check(sgrid, cone_point, factor=10.0):
     h_mesh = float(np.median(np.concatenate([ex.ravel(), ey.ravel()])))
     d = np.linalg.norm(f - np.asarray(cone_point)[None, None, :], axis=-1)
     worst = max(float(np.max(np.min(d, axis=0))), float(np.max(np.min(d, axis=1))))
-    tol = factor * h_mesh
+    tol = 10.0 * h_mesh
     return worst, tol, bool(worst < tol)
 
 
 # -- exports ------------------------------------------------------------------
 
+def _quad_corners(a):
+    """Entries of the (nx, ny) array a at the corners (i, j), (i+1, j), (i+1, j+1),
+    (i, j+1) of every lattice quad, in row-major quad order: ((nx-1)(ny-1), 4)."""
+    return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=2).reshape(-1, 4)
+
+
 def write_obj(sgrid, path, drop_degenerate_faces=True):
     """ASCII OBJ with vertices, normals and quad faces over the lattice."""
     nx, ny = sgrid.points.shape[:2]
-    idx = lambda i, j: i * ny + j + 1
+    faces = _quad_corners(np.arange(1, nx * ny + 1).reshape(nx, ny))
+    if drop_degenerate_faces:
+        faces = faces[~_quad_corners(sgrid.degenerate).any(axis=1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# psurf surface lambda=%.17g\n" % sgrid.lam)
-        for i in range(nx):
-            for j in range(ny):
-                p = sgrid.points[i, j]
-                fh.write("v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
-        for i in range(nx):
-            for j in range(ny):
-                n = sgrid.normals[i, j]
-                fh.write("vn %.17g %.17g %.17g\n" % (n[0], n[1], n[2]))
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-                if drop_degenerate_faces and any(sgrid.degenerate[a, b] for a, b in corners):
-                    continue
-                fh.write("f " + " ".join("%d//%d" % (idx(a, b), idx(a, b))
-                                         for a, b in corners) + "\n")
+        np.savetxt(fh, sgrid.points.reshape(-1, 3), fmt="v %.17g %.17g %.17g")
+        np.savetxt(fh, sgrid.normals.reshape(-1, 3), fmt="vn %.17g %.17g %.17g")
+        np.savetxt(fh, np.repeat(faces, 2, axis=1), fmt="f" + " %d//%d" * 4)
 
 
 def write_csv(sgrid, path):
-    """RFC-4180 CSV: x,y,fx,fy,fz,phi,degenerate."""
+    """RFC-4180 CSV: x,y,fx,fy,fz,phi,degenerate, with CRLF line ends."""
+    xs, ys = np.meshgrid(sgrid.x, sgrid.y, indexing="ij")
+    cols = np.column_stack([xs.ravel(), ys.ravel(), sgrid.points.reshape(-1, 3),
+                            sgrid.phi.ravel(), sgrid.degenerate.ravel()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "fx", "fy", "fz", "phi", "degenerate"])
-        for i in range(sgrid.x.size):
-            for j in range(sgrid.y.size):
-                p = sgrid.points[i, j]
-                w.writerow(["%.17g" % sgrid.x[i], "%.17g" % sgrid.y[j],
-                            "%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2],
-                            "%.17g" % sgrid.phi[i, j],
-                            int(sgrid.degenerate[i, j])])
+        np.savetxt(fh, cols, fmt="%.17g," * 6 + "%d", newline="\r\n",
+                   header="x,y,fx,fy,fz,phi,degenerate", comments="")

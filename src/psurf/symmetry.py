@@ -16,18 +16,17 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial.transform import Rotation
 
-from psurf.frames import DRIFT_LAMBDAS
-from psurf.loops import (SU2_I, SU2_J, SU2_K, LaurentLoop, _dagger, _frob, _rows,
-                         adjoint_rotation, cauchy_product)
+from psurf.birkhoff import DEFAULT_TRUNC
+from psurf.loops import (CIRCLE_LAMBDAS, PROBE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop,
+                         _dagger, _frob, _rows, adjoint_rotation, cauchy_product)
 from psurf.oracle import register_rigid
-from psurf.potentials import SYMMETRY_LAMBDAS, check_equivariance
+from psurf.potentials import check_equivariance
 from psurf.surface import EPS_DEGENERATE, reconstruct_frames, sym_immersion
 
 CERT_EQUIVARIANCE_TOL = 1e-6
 CERT_MONODROMY_TOL = 1e-4
 CERT_SURFACE_TOL = 1e-3
-# lambda samples and SU(2) tolerance of the axis-switch frame relation
-AXIS_SWITCH_LAMBDAS = (0.5, 1.0, 2.0)
+# SU(2) tolerance of the axis-switch frame relation
 AXIS_SWITCH_FRAME_TOL = 1e-4
 
 
@@ -56,15 +55,15 @@ class SymmetryDescriptor:
             return self.gamma1(y), self.gamma2(x)
         return self.gamma1(x), self.gamma2(y)
 
-    def d1(self, t, h=1e-6):
+    def d1(self, t):
         if self.dgamma1 is not None:
             return self.dgamma1(t)
-        return (self.gamma1(t + h) - self.gamma1(t - h)) / (2 * h)
+        return (self.gamma1(t + 1e-6) - self.gamma1(t - 1e-6)) / 2e-6
 
-    def d2(self, t, h=1e-6):
+    def d2(self, t):
         if self.dgamma2 is not None:
             return self.dgamma2(t)
-        return (self.gamma2(t + h) - self.gamma2(t - h)) / (2 * h)
+        return (self.gamma2(t + 1e-6) - self.gamma2(t - 1e-6)) / 2e-6
 
     def with_motion(self, r, t):
         return replace(self, R_linear=np.asarray(r, dtype=float),
@@ -105,16 +104,16 @@ def check_surface_symmetry(sgrid, d, sample_mask=None, target=None):
     return residual, (float(np.mean(covered)) if covered.size else 0.0)
 
 
-def _z_matrix(a, b, phi, lam):
-    """Tangent coordinates Z at each node: [[lam a, b cos(phi) / lam], [0, b sin(phi) / lam]]."""
+def _z_matrix(a, b, phi):
+    """Tangent coordinates Z at each node, at lambda = 1: [[a, b cos(phi)], [0, b sin(phi)]]."""
     z = np.zeros(np.shape(phi) + (2, 2))
-    z[..., 0, 0] = lam * a
-    z[..., 0, 1] = (b / lam) * np.cos(phi)
-    z[..., 1, 1] = (b / lam) * np.sin(phi)
+    z[..., 0, 0] = a
+    z[..., 0, 1] = b * np.cos(phi)
+    z[..., 1, 1] = b * np.sin(phi)
     return z
 
 
-def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon, lam=1.0):
+def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
     """K(x,y) = blockdiag(Z J^-1 (Z o gamma)^-1, epsilon) on the sample nodes.
 
     Z holds the tangent coordinates [f_x, f_y] = F [Z; 0] and J is the
@@ -132,10 +131,10 @@ def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon, lam=1.0):
     jac[..., 0, sw] = d1[:, None]
     jac[..., 1, 1 - sw] = d2[None, :]
     z_im = _z_matrix(image_fgrid.a_vals[:, None], image_fgrid.b_vals[None, :],
-                     image_fgrid.phi, lam)
+                     image_fgrid.phi)
     jac, z_im, phi_im = (_image_nodes(v, sw) for v in (jac, z_im, image_fgrid.phi))
     phi = fgrid.phi[np.ix_(idx_x, idx_y)]
-    z = _z_matrix(fgrid.a_vals[idx_x][:, None], fgrid.b_vals[idx_y][None, :], phi, lam)
+    z = _z_matrix(fgrid.a_vals[idx_x][:, None], fgrid.b_vals[idx_y][None, :], phi)
     ok = ~(np.abs(np.sin(phi)) < EPS_DEGENERATE) & ~(np.abs(np.sin(phi_im)) < EPS_DEGENERATE)
     ks = np.full(phi.shape + (3, 3), np.nan)
     ks[ok] = 0.0
@@ -163,7 +162,7 @@ def _fit_epsilon(sgrid, image_sgrid, idx_x, idx_y, r_linear, switches):
     return 1.0 if np.mean(votes) >= 0 else -1.0
 
 
-def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=DRIFT_LAMBDAS):
+def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=PROBE_LAMBDAS):
     """Pipeline re-run at the exact gamma-images of the selected parameters.
 
     The integration stays anchored at the original basepoint so the image
@@ -178,11 +177,11 @@ def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=DRIFT_LA
 
 
 def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
-                      lambdas=SYMMETRY_LAMBDAS):
+                      lambdas=CIRCLE_LAMBDAS):
     """Monodromy loop chi with its node spread.
 
     chi(node) = (U o gamma) K_lift^-1 U^-1; a symmetry is certified when the
-    nodes agree.  Returns (chi_mean, spread, descriptor-ready diagnostics).
+    nodes agree at the given lambdas.  Returns (chi_mean, spread).
     """
     ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon)
     if not np.any(ok):
@@ -212,7 +211,7 @@ def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None):
     """Residual of the coordinate-switching frame relation.
 
     Checks F^lambda(gamma(x,y)) = chi(lambda) F^(1/lambda)(x,y) K(x,y) at
-    AXIS_SWITCH_LAMBDAS, with chi fitted at the first usable node.  In the
+    PROBE_LAMBDAS, with chi fitted at the first usable node.  In the
     switching case the surface motion is orientation-reversing, so chi and
     K land in O(3) and the normal sign epsilon is fitted by residual when
     not supplied.
@@ -223,7 +222,7 @@ def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None):
     def run(eps):
         ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, eps)
         residual = 0.0
-        for lam in AXIS_SWITCH_LAMBDAS:
+        for lam in PROBE_LAMBDAS:
             f_im = adjoint_rotation(_image_nodes(image_fgrid.evaluate(lam), d.switches_axes)[ok],
                                     tol=AXIS_SWITCH_FRAME_TOL)
             f_rev = adjoint_rotation(fgrid.evaluate(1.0 / lam)[np.ix_(idx_x, idx_y)][ok],
@@ -248,10 +247,9 @@ def coverage_window(fgrid, d):
     return (in_y, in_x) if d.switches_axes else (in_x, in_y)
 
 
-def certify_from_potentials(pair, d, x, y, trunc=24, monodromy_nodes=10, step=None,
+def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, monodromy_nodes=10, step=None,
                             interp_x=None, interp_y=None, interp_trunc=None,
-                            drift_samples=DRIFT_LAMBDAS,
-                            monodromy_lambdas=SYMMETRY_LAMBDAS,
+                            drift_samples=PROBE_LAMBDAS,
                             equivariance_tol=CERT_EQUIVARIANCE_TOL,
                             monodromy_tol=CERT_MONODROMY_TOL,
                             surface_tol=CERT_SURFACE_TOL):
@@ -301,8 +299,7 @@ def certify_from_potentials(pair, d, x, y, trunc=24, monodromy_nodes=10, step=No
 
     eps = _fit_epsilon(sgrid, image_s, sel_x, sel_y, r_lin, d.switches_axes)
     report["epsilon"] = eps
-    chi, spread = measure_monodromy(fgrid, d, image_f, sel_x, sel_y, epsilon=eps,
-                                    lambdas=monodromy_lambdas)
+    chi, spread = measure_monodromy(fgrid, d, image_f, sel_x, sel_y, epsilon=eps)
     d = d.with_chi(chi)
     report["monodromy_spread"] = spread
     report["monodromy_pass"] = bool(spread < monodromy_tol)

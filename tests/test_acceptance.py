@@ -200,8 +200,7 @@ def amsler_certification():
     step = (ts[-1] - ts[0]) / 4096
     rep, measured, fgrid = certify_from_potentials(
         pair, desc, ts, ts, trunc=48, step=step, monodromy_nodes=7,
-        interp_x=ts_img, interp_y=ts_img, interp_trunc=40, drift_samples=(1.0,),
-        monodromy_lambdas=np.exp(2j * np.pi * np.arange(16) / 16.0))
+        interp_x=ts_img, interp_y=ts_img, interp_trunc=40, drift_samples=(1.0,))
     sgrid = sym_immersion(fgrid, 1.0)
     return rep, measured, sgrid
 

@@ -208,7 +208,7 @@ def test_split_shapes_property(shape, seed, degree, scale, pad):
     g = random_twisted_unitary_loop(np.random.default_rng(seed), degree=degree, scale=scale,
                                     pad=pad)
     r = split(g)
-    # the radial probes of RESIDUAL_SAMPLES can lie outside the factors' domain
+    # the radial probes of RESIDUAL_LAMBDAS can lie outside the factors' domain
     # of convergence; unless g's band is radially converged (as it mostly is
     # with pad 16) the splitter checks the circle alone, and so does this test
     samples = _residual_samples(g)

@@ -313,6 +313,22 @@ directory = {out}
 """
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,0 0.25,nan 0.5,0 0.75,0", "data row 2 (t=0.25, value=nan) has a non-finite entry"),
+    ("0,0 0.25,0 nan,0 0.75,0", "data row 3 (t=nan, value=0) has a non-finite entry"),
+    ("0,0 0.5,0 0.25,0 0.75,0", "data row 3 (t=0.25, value=0) has t not above the previous"),
+    ("0,0 0.25,0 0.5,0 0.5,1", "data row 4 (t=0.5, value=1) has t not above the previous"),
+])
+def test_non_finite_or_non_increasing_tables_are_config_errors(tmp_path, capsys, rows, message):
+    table = tmp_path / "alpha.csv"
+    table.write_text("t,value\n" + "\n".join(rows.split()) + "\n")
+    text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
+    cfg = write_config(tmp_path / "t.ini", text.replace("builtin:soliton_alpha", "table:alpha.csv"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert f"{table}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, run_section, suites, extra, message", [
     ("build", "", "loops", ["--trunc", "0"], "trunc must be >= 1"),
     ("build", "trunc = -4", "loops", [], "trunc must be >= 1"),

@@ -7,7 +7,7 @@ import pytest
 from psurf.birkhoff import split_plus_star_minus
 from psurf.loops import SU2_K, adjoint_rotation, su2_to_r3
 from psurf.potentials import BoundaryAngles, normalized_from_boundary, soliton_beta
-from psurf.surface import (associated_family, cone_line_check, darboux_frame,
+from psurf.surface import (SurfaceGrid, associated_family, cone_line_check, darboux_frame,
                            find_cone_point, geometry_report, reconstruct_frames,
                            sym_immersion, write_csv, write_obj, _unwrap_grid)
 from tests.conftest import kink_phi
@@ -178,6 +178,63 @@ def test_exports(tmp_path, soliton_frames_small):
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "x,y,fx,fy,fz,phi,degenerate"
     assert len(rows) == 1 + n_nodes
+
+
+def reference_write_obj(sgrid, path, drop_degenerate_faces=True):
+    """write_obj as the per-vertex and per-face loops it replaced."""
+    nx, ny = sgrid.points.shape[:2]
+    idx = lambda i, j: i * ny + j + 1
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# psurf surface lambda=%.17g\n" % sgrid.lam)
+        for i in range(nx):
+            for j in range(ny):
+                p = sgrid.points[i, j]
+                fh.write("v %.17g %.17g %.17g\n" % (p[0], p[1], p[2]))
+        for i in range(nx):
+            for j in range(ny):
+                n = sgrid.normals[i, j]
+                fh.write("vn %.17g %.17g %.17g\n" % (n[0], n[1], n[2]))
+        for i in range(nx - 1):
+            for j in range(ny - 1):
+                corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                if drop_degenerate_faces and any(sgrid.degenerate[a, b] for a, b in corners):
+                    continue
+                fh.write("f " + " ".join("%d//%d" % (idx(a, b), idx(a, b))
+                                         for a, b in corners) + "\n")
+
+
+def reference_write_csv(sgrid, path):
+    """write_csv as the csv.writer loop it replaced."""
+    import csv
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "fx", "fy", "fz", "phi", "degenerate"])
+        for i in range(sgrid.x.size):
+            for j in range(sgrid.y.size):
+                p = sgrid.points[i, j]
+                w.writerow(["%.17g" % sgrid.x[i], "%.17g" % sgrid.y[j],
+                            "%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2],
+                            "%.17g" % sgrid.phi[i, j],
+                            int(sgrid.degenerate[i, j])])
+
+
+@pytest.mark.parametrize("degenerate_frac", [0.05, 1.0])
+def test_exports_equal_the_loop_writers_byte_for_byte(tmp_path, degenerate_frac):
+    rng = np.random.default_rng(17)
+    nx, ny = 23, 19
+    points = rng.standard_normal((nx, ny, 3)) * 10.0 ** rng.integers(-20, 20, (nx, ny, 3))
+    points[0, 0] = [-0.0, 0.0, 1e-300]
+    s = SurfaceGrid(x=np.linspace(-1, 2, nx), y=np.sort(rng.uniform(0, 1, ny)), points=points,
+                    normals=rng.standard_normal((nx, ny, 3)), phi=rng.uniform(-7, 7, (nx, ny)),
+                    degenerate=rng.uniform(size=(nx, ny)) < degenerate_frac, lam=0.7,
+                    a_vals=None, b_vals=None)
+    for drop in (True, False):
+        write_obj(s, tmp_path / "new.obj", drop_degenerate_faces=drop)
+        reference_write_obj(s, tmp_path / "ref.obj", drop_degenerate_faces=drop)
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+    write_csv(s, tmp_path / "new.csv")
+    reference_write_csv(s, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_cone_point_requires_crossings(soliton_frames_small):
