@@ -8,6 +8,7 @@ grammar).  Exit codes: 0 all requested checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -30,40 +31,14 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_TOLERANCES = {
-    "curvature": 5e-3,
-    "speed": 1e-3,
-    "asymptotic": 5e-3,
-    "boundary": 1e-7,
-    "oracle_phi": 1e-5,
-    "frame_match": 1e-5,
-    "birkhoff_residual": 1e-9,
-    "birkhoff_normalization": 1e-10,
-    "birkhoff_twist": 1e-10,
-    "equivariance": CERT_EQUIVARIANCE_TOL,
-    "monodromy": CERT_MONODROMY_TOL,
-    "surface_symmetry": CERT_SURFACE_TOL,
-}
-
-
-# the keys each config section may hold
-CONFIG_KEYS = {
-    "grid": {"nx", "ny", "x_range", "y_range", "theta_uniform"},
-    "run": {"lambdas", "trunc", "seed", "step_divisor", "drift_lambdas", "symmetry_interp"},
-    "potential": {"kind", "alpha", "beta", "speed_a", "speed_b", "domain_x", "domain_y"},
-    "verify": {"suites"},
-    "tolerances": set(DEFAULT_TOLERANCES),
-    "output": {"directory", "formats", "drop_degenerate_faces"},
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
 def _parse_config(path):
-    import configparser
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' in a value is plain text, not a syntax error
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:  # duplicate keys, lines without '='
@@ -73,162 +48,67 @@ def _parse_config(path):
     return cp
 
 
-def _floats(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+# Each parser maps an entry's text to its value, or raises ValueError with
+# the rule the text broke; _config_value adds the key and the text.
+
+def _rule(what, convert, ok):
+    """Parser of the texts that convert maps to a value v (not None) with ok(v)."""
+    def parse(text):
+        try:
+            val = convert(text)
+        except ValueError:
+            val = None
+        if val is None or not ok(val):
+            raise ValueError(f"must be {what}")
+        return val
+    return parse
 
 
-def _positive_reals(section, key, default):
-    """The values of key, which must be one or more positive finite reals."""
-    if key not in section:
-        return default
-    vals = tuple(_floats(section[key]))
-    if not vals or not all(np.isfinite(v) and v > 0 for v in vals):
-        raise ConfigError(f"{key} must be one or more positive finite reals, "
-                          f"got {section[key]!r}")
-    return vals
+def _real_list(text):
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _range_pairs(section, keys, default):
-    """The values of the two keys (default when absent), each an increasing
-    pair of finite reals."""
-    pairs = [tuple(_floats(section[k])) if k in section else default for k in keys]
-    if not all(r is None or (len(r) == 2 and -np.inf < r[0] < r[1] < np.inf) for r in pairs):
-        raise ConfigError(f"{keys[0]} / {keys[1]} must be increasing pairs of finite reals")
-    return pairs
+def _integer(lo):
+    return _rule(f">= {lo} (an integer)", int, lambda v: v >= lo)
 
 
-def _resolve_function(spec, base_dir):
-    spec = spec.strip()
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
+def _words(choices):
+    return _rule(f"a list of {' / '.join(choices)}", lambda t: t.replace(",", " ").split(),
+                 lambda words: set(words) <= set(choices))
+
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_boolean = _rule(f"one of {', '.join(_BOOLEANS)}", lambda t: _BOOLEANS.get(t.lower()),
+                 lambda v: True)
+_positive = _rule("a positive number", float, lambda v: 0 < v < np.inf)
+_positives = _rule("one or more positive finite reals", _real_list,
+                   lambda v: v and all(0 < s < np.inf for s in v))
+_pair = _rule("an increasing pair of finite reals", _real_list,
+              lambda v: len(v) == 2 and -np.inf < v[0] < v[1] < np.inf)
+_path = _rule("a non-empty path", str, bool)
+
+
+def _function(text, base_dir):
+    """A builtin:<name>, a table:<csv> relative to base_dir, or a constant."""
+    scheme, _, name = text.partition(":")
+    if scheme == "builtin":
         if name not in pots.BUILTIN_FUNCTIONS:
-            raise ConfigError(f"unknown builtin function {name!r}; "
-                              f"have {sorted(pots.BUILTIN_FUNCTIONS)}")
+            raise ValueError("must name a builtin, one of "
+                             f"{', '.join(sorted(pots.BUILTIN_FUNCTIONS))}")
         return pots.BUILTIN_FUNCTIONS[name]
-    if spec.startswith("table:"):
-        path = spec.split(":", 1)[1]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return pots.function_from_table(path)
+    if scheme == "table":
+        try:
+            return pots.function_from_table(os.path.join(base_dir, name))
+        except ValueError as exc:
+            raise ValueError(f"must name a valid table ({exc})") from None
     try:
-        return float(spec)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"function spec {spec!r} must be builtin:<name>, "
-                          "table:<csv>, or a constant") from None
+        raise ValueError("must be builtin:<name>, table:<csv>, or a constant") from None
 
 
 def _theta_to_t(th):
     return np.tan(0.5 * (np.asarray(th, dtype=float) + np.pi))
-
-
-class RunConfig:
-    """Validated run settings resolved from one config file."""
-
-    def __init__(self, cp, base_dir, overrides):
-        # a misspelled key would otherwise fall back to its default unnoticed;
-        # [DEFAULT] keys would land in every section
-        for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
-            if section not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config section [{section}]; "
-                                  f"have {sorted(CONFIG_KEYS)}")
-            unknown = sorted(set(cp[section]) - CONFIG_KEYS[section])
-            if unknown:
-                raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
-                                  f"have {sorted(CONFIG_KEYS[section])}")
-        g = cp["grid"] if cp.has_section("grid") else {}
-        self.nx = int(g.get("nx", 33))
-        self.ny = int(g.get("ny", 33))
-        if self.nx < 2 or self.ny < 2:
-            raise ConfigError("grid must be at least 2 x 2")
-        xr, yr = _range_pairs(g, ("x_range", "y_range"), (0.0, 1.0))
-        theta_uniform = str(g.get("theta_uniform", "false")).lower() in ("1", "true", "yes")
-        # theta -> tan((theta + pi) / 2) is finite and increasing on (-2 pi, 0) only
-        if theta_uniform and not all(-2 * np.pi < r[0] and r[1] < 0 for r in (xr, yr)):
-            raise ConfigError("with theta_uniform, x_range / y_range must lie inside (-2 pi, 0)")
-        self.x = np.linspace(xr[0], xr[1], self.nx)
-        self.y = np.linspace(yr[0], yr[1], self.ny)
-        if theta_uniform:
-            self.x = _theta_to_t(self.x)
-            self.y = _theta_to_t(self.y)
-
-        r = cp["run"] if cp.has_section("run") else {}
-        self.lambdas = _positive_reals(r, "lambdas", (1.0,))
-        if overrides.trunc is not None:
-            self.trunc = overrides.trunc
-        else:
-            self.trunc = int(r.get("trunc", birkhoff.DEFAULT_TRUNC))
-        if self.trunc < 1:
-            raise ConfigError(f"trunc must be >= 1, got {self.trunc}")
-        self.seed = overrides.seed if overrides.seed is not None else int(r.get("seed", 20090228))
-        div = float(r.get("step_divisor", 2048))
-        if not (np.isfinite(div) and div > 0):
-            raise ConfigError(f"step_divisor must be a positive number, got {div:g}")
-        span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
-        self.step = span / div
-        self.drift_samples = _positive_reals(r, "drift_lambdas", PROBE_LAMBDAS)
-        # fine interpolation target for the symmetry suite (0 = main grid)
-        self.symmetry_interp = int(r.get("symmetry_interp", 0))
-
-        p = cp["potential"] if cp.has_section("potential") else {}
-        self.kind = p.get("kind", "").strip()
-        if self.kind not in ("normalized", "generalized", "amsler3"):
-            raise ConfigError("potential.kind must be normalized, generalized or amsler3")
-        self.descriptor = None
-        # explicit potential domains may exceed the grid ranges
-        dom_x, dom_y = _range_pairs(p, ("domain_x", "domain_y"), None)
-        if self.kind == "amsler3":
-            dom = dom_x or (min(self.x[0], self.y[0]) - 1e-9,
-                            max(self.x[-1], self.y[-1]) + 1e-9)
-            self.pair, self.descriptor = pots.generalized_amsler_example(domain=dom)
-        else:
-            if "alpha" not in p or "beta" not in p:
-                raise ConfigError(f"potential.alpha and potential.beta are required for kind={self.kind}")
-            alpha = _resolve_function(p["alpha"], base_dir)
-            beta = _resolve_function(p["beta"], base_dir)
-            if not callable(alpha) or not callable(beta):
-                raise ConfigError("alpha/beta must resolve to functions, not constants")
-            dx = dom_x or (float(self.x[0]), float(self.x[-1]))
-            dy = dom_y or (float(self.y[0]), float(self.y[-1]))
-            if self.kind == "normalized":
-                if not (dx[0] <= 0.0 <= dx[1] and dy[0] <= 0.0 <= dy[1]):
-                    raise ConfigError("normalized potentials need 0 inside both grid ranges")
-                bnd = pots.BoundaryAngles(alpha=alpha, beta=beta)
-                self.pair = pots.normalized_from_boundary(bnd, dx, dy)
-            else:
-                sa = _resolve_function(p.get("speed_a", "1.0"), base_dir)
-                sb = _resolve_function(p.get("speed_b", "1.0"), base_dir)
-                for key, fn, nodes in (("speed_a", sa, self.x), ("speed_b", sb, self.y)):
-                    vals = np.array([float(pots.speed_fn(fn)(t)) for t in nodes])
-                    bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
-                    if bad.size:
-                        raise ConfigError(f"{key} must be finite and > 0 at every grid node; "
-                                          f"got {vals[bad[0]]:g} at {nodes[bad[0]]:g}")
-                bnd = pots.BoundaryAngles(alpha=alpha, beta=beta, a=sa, b=sb)
-                self.pair = pots.stretched_from_boundary(bnd, dx, dy)
-
-        v = cp["verify"] if cp.has_section("verify") else {}
-        self.suites = [s.strip() for s in v.get("suites", "").replace(",", " ").split() if s.strip()]
-        for s in self.suites:
-            if s not in SUITES:
-                raise ConfigError(f"unknown verify suite {s!r}; have {sorted(SUITES)}")
-        if "geometry" in self.suites:
-            self.require_geometry_grid("the geometry suite")
-
-        self.tolerances = dict(DEFAULT_TOLERANCES)
-        if cp.has_section("tolerances"):
-            for key, val in cp["tolerances"].items():
-                self.tolerances[key] = float(val)
-
-        o = cp["output"] if cp.has_section("output") else {}
-        self.output_dir = overrides.output_dir or o.get("directory", "out")
-        self.formats = [s.strip() for s in o.get("formats", "obj, csv").replace(",", " ").split() if s.strip()]
-        self.drop_degenerate_faces = str(o.get("drop_degenerate_faces", "true")).lower() \
-            in ("1", "true", "yes")
-
-    def require_geometry_grid(self, what):
-        problem = geometry_grid_problem(self.x, self.y)
-        if problem is not None:
-            raise ConfigError(f"{what} {problem}")
 
 
 def _write_report(report, outdir):
@@ -427,6 +307,125 @@ SUITES = {"loops": _suite_loops, "birkhoff": _suite_birkhoff, "geometry": _suite
           "oracle": _suite_oracle, "symmetry": _suite_symmetry, "cone": _suite_cone}
 
 
+# section -> key -> (parser, default); a default of None means unset
+CONFIG_SCHEMA = {
+    "grid": {"nx": (_integer(2), 33), "ny": (_integer(2), 33),
+             "x_range": (_pair, (0.0, 1.0)), "y_range": (_pair, (0.0, 1.0)),
+             "theta_uniform": (_boolean, False)},
+    "run": {"lambdas": (_positives, (1.0,)), "trunc": (_integer(1), birkhoff.DEFAULT_TRUNC),
+            "seed": (_integer(0), 20090228), "step_divisor": (_positive, 2048.0),
+            "drift_lambdas": (_positives, PROBE_LAMBDAS),
+            # fine interpolation target for the symmetry suite (0 = main grid)
+            "symmetry_interp": (_integer(0), 0)},
+    # explicit potential domains may exceed the grid ranges
+    "potential": {"kind": (_rule("one of normalized, generalized, amsler3", str,
+                                 lambda t: t in ("normalized", "generalized", "amsler3")), None),
+                  "alpha": (_function, None), "beta": (_function, None),
+                  "speed_a": (_function, 1.0), "speed_b": (_function, 1.0),
+                  "domain_x": (_pair, None), "domain_y": (_pair, None)},
+    "verify": {"suites": (_words(tuple(SUITES)), [])},
+    "tolerances": {key: (_positive, tol) for key, tol in dict(
+        curvature=5e-3, speed=1e-3, asymptotic=5e-3, boundary=1e-7, oracle_phi=1e-5,
+        frame_match=1e-5, birkhoff_residual=1e-9, birkhoff_normalization=1e-10,
+        birkhoff_twist=1e-10, equivariance=CERT_EQUIVARIANCE_TOL,
+        monodromy=CERT_MONODROMY_TOL, surface_symmetry=CERT_SURFACE_TOL).items()},
+    "output": {"directory": (_path, "out"), "formats": (_words(("obj", "csv")), ["obj", "csv"]),
+               "drop_degenerate_faces": (_boolean, True)},
+}
+
+
+def _config_value(cp, base_dir, section, key, flag=None):
+    """[section] key from its command-line flag, else the config, else the
+    default; a rejected text is a ConfigError naming the key and the text."""
+    parse, default = CONFIG_SCHEMA[section][key]
+    if flag is None and not cp.has_option(section, key):
+        return default
+    text = cp[section][key] if flag is None else flag
+    try:
+        return parse(text, base_dir) if parse is _function else parse(text)
+    except ValueError as exc:
+        source = "" if flag is None else f" from --{key}"
+        raise ConfigError(f"[{section}] {key} {exc}, got {text!r}{source}") from None
+
+
+class RunConfig:
+    """Validated run settings resolved from one config file."""
+
+    def __init__(self, cp, base_dir, overrides):
+        # a misspelled key would otherwise fall back to its default unnoticed;
+        # [DEFAULT] keys would land in every section
+        for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+            if section not in CONFIG_SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]; "
+                                  f"have {sorted(CONFIG_SCHEMA)}")
+            unknown = sorted(set(cp[section]) - set(CONFIG_SCHEMA[section]))
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                                  f"have {sorted(CONFIG_SCHEMA[section])}")
+        flags = {"trunc": overrides.trunc, "seed": overrides.seed}
+        val = {section: {key: _config_value(cp, base_dir, section, key, flags.get(key))
+                         for key in keys} for section, keys in CONFIG_SCHEMA.items()}
+        g, r, p, o = val["grid"], val["run"], val["potential"], val["output"]
+        # every check below spans several keys
+        xr, yr = g["x_range"], g["y_range"]
+        # theta -> tan((theta + pi) / 2) is finite and increasing on (-2 pi, 0) only
+        if g["theta_uniform"] and not all(-2 * np.pi < s[0] and s[1] < 0 for s in (xr, yr)):
+            raise ConfigError("[grid] with theta_uniform, x_range / y_range must lie inside "
+                              f"(-2 pi, 0), got {xr} and {yr}")
+        self.x = np.linspace(xr[0], xr[1], g["nx"])
+        self.y = np.linspace(yr[0], yr[1], g["ny"])
+        if g["theta_uniform"]:
+            self.x = _theta_to_t(self.x)
+            self.y = _theta_to_t(self.y)
+
+        self.lambdas, self.trunc, self.seed = r["lambdas"], r["trunc"], r["seed"]
+        span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
+        self.step = span / r["step_divisor"]
+        self.drift_samples, self.symmetry_interp = r["drift_lambdas"], r["symmetry_interp"]
+
+        self.kind, self.descriptor = p["kind"], None
+        if self.kind is None:
+            raise ConfigError("[potential] kind is required")
+        if self.kind == "amsler3":
+            dom = p["domain_x"] or (min(self.x[0], self.y[0]) - 1e-9,
+                                    max(self.x[-1], self.y[-1]) + 1e-9)
+            self.pair, self.descriptor = pots.generalized_amsler_example(domain=dom)
+        else:
+            for key in ("alpha", "beta"):
+                if not callable(p[key]):
+                    raise ConfigError(f"[potential] {key} must be builtin:<name> or table:<csv> "
+                                      f"for kind = {self.kind}, got {p[key]!r}")
+            dx = p["domain_x"] or (float(self.x[0]), float(self.x[-1]))
+            dy = p["domain_y"] or (float(self.y[0]), float(self.y[-1]))
+            if self.kind == "normalized":
+                if not (dx[0] <= 0.0 <= dx[1] and dy[0] <= 0.0 <= dy[1]):
+                    raise ConfigError("[potential] kind = normalized needs 0 inside both ranges "
+                                      f"(domain_x / domain_y, else the grid's), got {dx} and {dy}")
+                bnd = pots.BoundaryAngles(alpha=p["alpha"], beta=p["beta"])
+                self.pair = pots.normalized_from_boundary(bnd, dx, dy)
+            else:
+                for key, nodes in (("speed_a", self.x), ("speed_b", self.y)):
+                    vals = np.array([float(pots.speed_fn(p[key])(t)) for t in nodes])
+                    bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+                    if bad.size:
+                        raise ConfigError(f"[potential] {key} must be finite and > 0 at every "
+                                          f"grid node; got {vals[bad[0]]:g} at {nodes[bad[0]]:g}")
+                bnd = pots.BoundaryAngles(alpha=p["alpha"], beta=p["beta"],
+                                          a=p["speed_a"], b=p["speed_b"])
+                self.pair = pots.stretched_from_boundary(bnd, dx, dy)
+
+        self.suites, self.tolerances = val["verify"]["suites"], val["tolerances"]
+        if "geometry" in self.suites:
+            self.require_geometry_grid("the geometry suite")
+        self.output_dir = overrides.output_dir or o["directory"]
+        self.formats, self.drop_degenerate_faces = o["formats"], o["drop_degenerate_faces"]
+
+    def require_geometry_grid(self, what):
+        problem = geometry_grid_problem(self.x, self.y)
+        if problem is not None:
+            raise ConfigError(f"[grid] {what} {problem}")
+
+
 def _run_suites(cfg, fgrid, surfaces, geometry=None):
     """Run the configured suites; `geometry` holds the per-surface geometry
     reports when the caller has already computed them."""
@@ -485,8 +484,8 @@ def main(argv=None):
     parser.add_argument("command", choices=["build", "verify", "sweep"])
     parser.add_argument("config", help="INI-style run configuration")
     parser.add_argument("--output-dir", default=None)
-    parser.add_argument("--trunc", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--trunc", default=None, help="overrides [run] trunc")
+    parser.add_argument("--seed", default=None, help="overrides [run] seed")
     args = parser.parse_args(argv)
 
     try:
@@ -504,6 +503,10 @@ def main(argv=None):
         return cmd_sweep(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # the only files the commands touch are their outputs
+        print(f"configuration error: [output] directory {cfg.output_dir!r} cannot be written: "
+              f"{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FactorizationFailure, IntegrationDrift, StiffnessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

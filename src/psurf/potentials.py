@@ -405,19 +405,37 @@ BUILTIN_FUNCTIONS = {
 
 
 def function_from_table(path):
-    """Cubic-spline interpolant of a two-column t,value CSV (header required)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if any(ch.isdigit() for ch in header.split(",")[0]):
-            raise ValueError(f"{path}: header row 't,value' is required")
-        data = np.loadtxt(fh, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
-        raise ValueError(f"{path}: need two columns and at least 4 rows")
+    """Cubic-spline interpolant of a two-column t,value CSV (header required).
+
+    Every fault of the file is a ValueError that starts with the path; data
+    rows count from 1 after the header, '#' starts a comment.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    if lines and any(ch.isdigit() for ch in lines[0].split(",")[0]):
+        raise ValueError(f"{path}: header row 't,value' is required")
+    rows = {}  # data row number -> (t, value)
+    for k, line in enumerate(lines[1:], 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            t, value = (float(tok) for tok in text.split(","))
+        except ValueError:  # a non-numeric entry, or not two of them
+            raise ValueError(f"{path}: data row {k} ({text!r}) must be two numbers t,value") \
+                from None
+        rows[k] = (t, value)
+    if len(rows) < 4:
+        raise ValueError(f"{path}: need at least 4 data rows, got {len(rows)}")
+    numbers, data = list(rows), np.array(list(rows.values()))
     finite = np.isfinite(data).all(axis=1)
     bad = np.flatnonzero(~finite | np.r_[False, np.diff(data[:, 0]) <= 0])
-    if bad.size:  # data rows count from 1 after the header
+    if bad.size:
         k = bad[0]
         why = "a non-finite entry" if not finite[k] else "t not above the previous row's"
-        raise ValueError(f"{path}: data row {k + 1} (t={data[k, 0]:g}, "
+        raise ValueError(f"{path}: data row {numbers[k]} (t={data[k, 0]:g}, "
                          f"value={data[k, 1]:g}) has {why}")
     return CubicSpline(data[:, 0], data[:, 1])

@@ -99,8 +99,8 @@ def _unwrap_grid(raw, ic, jc):
     return rows + two_pi * np.round((col - rows[ic]) / two_pi)
 
 
-def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, init_y=None,
-                       basepoint=None, drift_samples=PROBE_LAMBDAS, split_tail_tol=TAIL_TOL):
+def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, basepoint=None,
+                       drift_samples=PROBE_LAMBDAS, split_tail_tol=TAIL_TOL):
     """Extended frame grid for a potential pair.
 
     For normalized pairs the frames are anchored at the origin and the
@@ -133,7 +133,7 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
 
     path_x = integrate_axis(pair.eta_x, x, init=init_x, step=step, band=band_x,
                             t0=bx, drift_samples=drift_samples)
-    path_y = integrate_axis(pair.eta_y, y, init=init_y, step=step, band=band_y,
+    path_y = integrate_axis(pair.eta_y, y, step=step, band=band_y,
                             t0=by, drift_samples=drift_samples)
 
     w_loops = [LaurentLoop(c, path_x.d_min) * _tx_matrix(float(alpha_fn(v)))

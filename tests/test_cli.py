@@ -1,9 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import pathlib
+import re
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from psurf import cli
 
@@ -318,10 +325,17 @@ directory = {out}
     ("0,0 0.25,0 nan,0 0.75,0", "data row 3 (t=nan, value=0) has a non-finite entry"),
     ("0,0 0.5,0 0.25,0 0.75,0", "data row 3 (t=0.25, value=0) has t not above the previous"),
     ("0,0 0.25,0 0.5,0 0.5,1", "data row 4 (t=0.5, value=1) has t not above the previous"),
+    ("0,0 0.25,abc 0.5,0 0.75,0", "data row 2 ('0.25,abc') must be two numbers t,value"),
+    ("0,0 0.25,0 0.5 0.75,0", "data row 3 ('0.5') must be two numbers t,value"),
+    ("<missing>", "No such file or directory"),
+    ("<directory>", "Is a directory"),
 ])
 def test_non_finite_or_non_increasing_tables_are_config_errors(tmp_path, capsys, rows, message):
     table = tmp_path / "alpha.csv"
-    table.write_text("t,value\n" + "\n".join(rows.split()) + "\n")
+    if rows == "<directory>":
+        table.mkdir()
+    elif rows != "<missing>":
+        table.write_text("t,value\n" + "\n".join(rows.split()) + "\n")
     text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
     cfg = write_config(tmp_path / "t.ini", text.replace("builtin:soliton_alpha", "table:alpha.csv"))
     assert run(["build", cfg]) == cli.EXIT_CONFIG
@@ -486,7 +500,7 @@ def test_non_finite_or_decreasing_ranges_are_config_errors(tmp_path, capsys, key
     text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
     cfg = write_config(tmp_path / "g.ini", text.replace(f"{key} = 0, 1", f"{key} = {value}"))
     assert run(["build", cfg]) == cli.EXIT_CONFIG
-    assert "x_range / y_range must be increasing pairs of finite reals" in capsys.readouterr().err
+    assert f"[grid] {key} must be an increasing pair of finite reals" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -499,7 +513,7 @@ def test_bad_potential_domains_are_config_errors(tmp_path, capsys, kind, value):
     text = text.replace("kind = normalized", f"kind = {kind}\ndomain_x = {value}")
     cfg = write_config(tmp_path / "d.ini", text)
     assert run(["build", cfg]) == cli.EXIT_CONFIG
-    assert "domain_x / domain_y must be increasing pairs of finite reals" in \
+    assert "[potential] domain_x must be an increasing pair of finite reals" in \
         capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -545,3 +559,93 @@ def test_non_finite_surface_is_config_error(tmp_path, capsys):
     assert "at index (0, 0)" in err
     assert not (tmp_path / "o" / "report.json").exists()
     assert not list((tmp_path / "o").glob("surface_*"))
+
+
+# a valid 5 x 5 soliton build that takes well under a second
+SOLITON_5 = {
+    "potential": {"kind": "normalized", "alpha": "builtin:soliton_alpha",
+                  "beta": "builtin:soliton_beta"},
+    "grid": {"nx": "5", "ny": "5", "x_range": "0, 1", "y_range": "0, 1"},
+    "run": {"trunc": "12", "step_divisor": "256"},
+    "verify": {"suites": "loops"},
+    "output": {"directory": "out"},
+}
+
+
+def config_text(section, key, value, directory="out"):
+    """SOLITON_5 written out with [section] key set to value."""
+    entries = {sec: dict(keys) for sec, keys in SOLITON_5.items()}
+    entries["output"]["directory"] = directory
+    entries.setdefault(section, {})[key] = value
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for sec, keys in entries.items())
+
+
+@pytest.mark.parametrize("section, key, value, flag", [
+    ("output", "formats", "png", False), ("output", "formats", "ojb", False),
+    ("grid", "theta_uniform", "maybe", False), ("output", "drop_degenerate_faces", "ture", False),
+    ("grid", "nx", "2.5", False), ("run", "seed", "-5", False), ("run", "seed", "-1", True),
+    ("tolerances", "curvature", "nan", False), ("tolerances", "curvature", "-1", False),
+    ("run", "symmetry_interp", "-3", False), ("potential", "alpha", "table:nope.csv", False),
+    ("potential", "speed_a", "table:nope.csv", False), ("potential", "alpha", "table:.", False),
+])
+def test_rejected_values_name_the_key_and_write_nothing(tmp_path, capsys, section, key, value,
+                                                       flag):
+    # a flag overrides the valid config value 0
+    cfg = write_config(tmp_path / "p.ini", config_text(
+        section, key, "0" if flag else value, directory=tmp_path / "o"))
+    assert run(["build", cfg] + ([f"--{key}", value] if flag else [])) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"[{section}] {key} " in err and repr(value) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_directory_that_is_a_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "o"
+    blocker.write_text("")
+    cfg = write_config(tmp_path / "f.ini", config_text("output", "directory", blocker))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert f"[output] directory '{blocker}' cannot be written" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+SCHEMA_KEYS = [(section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys]
+# no digits, so no draw can ask for a larger grid, truncation or step count
+GARBAGE = st.text(string.ascii_letters + string.punctuation + " ", min_size=1, max_size=10)
+BAD_VALUES = st.one_of(GARBAGE, st.sampled_from(
+    ["", "nan", "inf", "-inf", "0", "-3", "-0.5", "2.5", "ojb", "maybe", "elliptic"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from(SCHEMA_KEYS), value=BAD_VALUES)
+def test_one_bad_value_ends_in_a_documented_exit_code(entry, value):
+    section, key = entry
+    # the output directory must stay inside the scratch directory
+    assume(key != "directory" or ("/" not in value and value.strip() != ".."))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            path = write_config(pathlib.Path(tmp) / "c.ini",
+                                config_text(section, key, value))
+            try:  # the value as the file holds it, through the schema alone
+                cli._config_value(cli._parse_config(path), tmp, section, key)
+                rejected = False
+            except cli.ConfigError:
+                rejected = True
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["build", path])
+        finally:
+            os.chdir(cwd)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+    if rejected:
+        assert code == cli.EXIT_CONFIG
+        assert f"[{section}] {key} " in err.getvalue()
+
+
+def test_readme_key_table_lists_the_schema():
+    cli_docs = open(os.path.join(REPO, "README.md"), encoding="utf-8").read() \
+        .split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", cli_docs, re.M)
+    assert sorted(rows) == sorted(SCHEMA_KEYS)
