@@ -138,7 +138,8 @@ def _geometry_pass(rep, tol):
         return True
     checks = [rep["curvature_max_abs_err"] < tol["curvature"],
               rep["speed_x_max_err"] < tol["speed"],
-              rep["speed_y_max_err"] < tol["speed"]]
+              rep["speed_y_max_err"] < tol["speed"],
+              rep["asymptotic_max"] < tol["asymptotic"]]
     return all(bool(c) for c in checks)
 
 
@@ -332,6 +333,9 @@ CONFIG_SCHEMA = {
     "output": {"directory": (_path, "out"), "formats": (_words(("obj", "csv")), ["obj", "csv"]),
                "drop_degenerate_faces": (_boolean, True)},
 }
+# [potential] keys a kind never reads; setting one is a config error
+UNREAD_POTENTIAL_KEYS = {"normalized": ("speed_a", "speed_b"),
+                         "amsler3": ("alpha", "beta", "speed_a", "speed_b", "domain_y")}
 
 
 def _config_value(cp, base_dir, section, key, flag=None):
@@ -386,6 +390,9 @@ class RunConfig:
         self.kind, self.descriptor = p["kind"], None
         if self.kind is None:
             raise ConfigError("[potential] kind is required")
+        for key in UNREAD_POTENTIAL_KEYS.get(self.kind, ()):
+            if cp.has_option("potential", key):
+                raise ConfigError(f"[potential] {key} is not read by kind = {self.kind}")
         if self.kind == "amsler3":
             dom = p["domain_x"] or (min(self.x[0], self.y[0]) - 1e-9,
                                     max(self.x[-1], self.y[-1]) + 1e-9)

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from psurf.birkhoff import DEFAULT_TRUNC
 from psurf.loops import (PROBE_LAMBDAS, LaurentLoop, band_slice, cauchy_product, edge_norm,
-                         su2_defect)
+                         evaluate, su2_defect)
 from psurf.potentials import speed_fn
 
 DRIFT_LIMIT = 1e-6
@@ -112,9 +112,7 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
     _march(eta, t0, t_values[:n_below][::-1], init_b, step, band, coeffs[:n_below][::-1])
 
     # every frame carries the band, so one contraction evaluates them all
-    powers = samples[:, None] ** np.arange(band[0], band[1] + 1)
-    values = np.einsum("sk,nkij->nsij", powers, coeffs)
-    drift = max(su2_defect(values))
+    drift = max(su2_defect(evaluate(coeffs[:, None], band[0], samples)))
     span = max(1.0, float(t_values[-1] - t_values[0]))
     if not drift <= drift_limit * span:  # a NaN drift fails too
         raise IntegrationDrift(

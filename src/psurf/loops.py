@@ -49,6 +49,11 @@ def _frob(m):
     return np.linalg.norm(m, axis=(-2, -1))
 
 
+def _det(m):
+    """Determinant of each matrix in a (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def _raise_at_worst(excess, message):
     """Raise ValueError(message(index)) at the matrix with the largest excess > 0."""
     if np.any(excess > 0):
@@ -107,6 +112,30 @@ def band_slice(coeffs, d_min, lo, hi):
     if s_lo <= s_hi:
         out[..., s_lo - lo: s_hi - lo + 1, :, :] = coeffs[..., s_lo - d_min: s_hi - d_min + 1, :, :]
     return out
+
+
+def degree_sum(coeffs, weights):
+    """sum_k weights[..., k] c_k over the degree axis of a (..., K, 2, 2)
+    coefficient stack; the leading axes of weights and coeffs broadcast."""
+    return np.einsum("...k,...kij->...ij", weights, coeffs)
+
+
+def evaluate(coeffs, d_min, lam):
+    """Values sum_k c_k lam^k of a (..., K, 2, 2) coefficient stack starting at
+    degree d_min; lam (nonzero if d_min < 0) broadcasts against the leading axes."""
+    lam = np.asarray(lam, dtype=complex)
+    if d_min < 0 and np.any(lam == 0):
+        raise ValueError("lambda = 0 not in the domain of a loop with negative degrees")
+    return degree_sum(coeffs, lam[..., None] ** np.arange(d_min, d_min + coeffs.shape[-3]))
+
+
+def band_mask(coeffs, rel):
+    """(..., K) mask of each loop's degrees from its first to its last coefficient
+    whose norm exceeds rel times the loop's largest (all False if none does)."""
+    norms = _frob(coeffs)
+    keep = norms > rel * norms.max(axis=-1, keepdims=True)
+    return (np.logical_or.accumulate(keep, axis=-1)
+            & np.logical_or.accumulate(keep[..., ::-1], axis=-1)[..., ::-1])
 
 
 class LaurentLoop:
@@ -203,9 +232,7 @@ class LaurentLoop:
         if not isinstance(other, LaurentLoop):
             return NotImplemented
         lo = min(self.d_min, other.d_min)
-        hi = max(self.d_max, other.d_max)
-        out = np.zeros((hi - lo + 1, 2, 2), dtype=complex)
-        out[self.d_min - lo: self.d_max - lo + 1] = self.coeffs
+        out = band_slice(self.coeffs, self.d_min, lo, max(self.d_max, other.d_max))
         out[other.d_min - lo: other.d_max - lo + 1] += other.coeffs
         return LaurentLoop(out, lo, copy=False)
 
@@ -222,12 +249,7 @@ class LaurentLoop:
 
     def evaluate(self, lam):
         """Sum c_k lam^k; lam may be a scalar or an array of nonzero values."""
-        lam = np.asarray(lam, dtype=complex)
-        if self.d_min < 0 and np.any(lam == 0):
-            raise ValueError("lambda = 0 not in the domain of a loop with negative degrees")
-        ks = np.arange(self.d_min, self.d_max + 1)
-        powers = lam[..., None] ** ks
-        return np.einsum("...k,kij->...ij", powers, self.coeffs)
+        return evaluate(self.coeffs, self.d_min, lam)
 
     def dagger(self):
         """Coefficientwise conjugate transpose.
@@ -235,21 +257,7 @@ class LaurentLoop:
         On the real axis this is the pointwise adjoint, hence the inverse of
         a unitary-valued loop.
         """
-        return LaurentLoop(np.conj(np.transpose(self.coeffs, (0, 2, 1))),
-                           self.d_min, copy=False)
-
-    def inverse_unitary(self, tol=1e-8, samples=UNITARITY_SAMPLES):
-        """Inverse of a unitary-valued det-1 loop (the dagger loop).
-
-        Rejects inputs whose determinant drifts from 1 at the sample points,
-        since the dagger is only the inverse on that class.
-        """
-        vals = self.evaluate(np.asarray(samples))
-        dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
-        defect = float(np.max(np.abs(dets - 1.0)))
-        if defect > tol:
-            raise ValueError(f"det deviates from 1 by {defect:.3g}; loop is not unitary-valued")
-        return self.dagger()
+        return LaurentLoop(_dagger(self.coeffs), self.d_min, copy=False)
 
     def transpose_loop(self):
         return LaurentLoop(np.transpose(self.coeffs, (0, 2, 1)), self.d_min, copy=False)
@@ -269,13 +277,10 @@ class LaurentLoop:
 
     def trim(self, rel=TRIM_REL):
         """Drop leading/trailing coefficients below rel * max coefficient norm."""
-        norms = np.linalg.norm(self.coeffs, axis=(1, 2))
-        cut = rel * float(np.max(norms))
-        keep = np.nonzero(norms > cut)[0]
+        keep = np.flatnonzero(band_mask(self.coeffs, rel))
         if keep.size == 0:
             return LaurentLoop.zero()
-        lo, hi = keep[0], keep[-1]
-        return LaurentLoop(self.coeffs[lo:hi + 1], self.d_min + lo)
+        return LaurentLoop(self.coeffs[keep[0]:keep[-1] + 1], self.d_min + int(keep[0]))
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -300,8 +305,7 @@ def su2_defect(vals):
     """(max ||v^+ v - I||, max |det v - 1|) over a (..., 2, 2) stack of values."""
     gram = _dagger(vals) @ vals
     u_def = float(np.max(np.abs(gram - _EYE2)))
-    dets = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
-    return u_def, float(np.max(np.abs(dets - 1.0)))
+    return u_def, float(np.max(np.abs(_det(vals) - 1.0)))
 
 
 def edge_norm(g):
@@ -422,7 +426,7 @@ def adjoint_rotation(g, tol=1e-6):
     g = np.asarray(g, dtype=complex)
     g_inv = _dagger(g)
     gram_defect = _frob(g_inv @ g - _EYE2)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    det = _det(g)
     worst = np.maximum(gram_defect, np.abs(det - 1.0))
     _raise_at_worst(np.where(worst > tol, worst, 0.0),
                     lambda w: f"matrix is not in SU(2) (unitarity {gram_defect[w]:.3g}, "

@@ -17,7 +17,8 @@ from psurf.birkhoff import (DEFAULT_TRUNC, MAX_TRUNC, TAIL_TOL, FactorizationFai
                             split_plus_minusfree)
 from psurf.frames import integrate_axis
 from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst,
-                         adjoint_rotation, su2_to_r3)
+                         _rows, adjoint_rotation, band_mask, cauchy_product, degree_sum, evaluate,
+                         su2_to_r3)
 
 EPS_DEGENERATE = 1e-6
 # relative trim of the per-node loops of reconstruct_frames; FrameGrid.loop
@@ -52,18 +53,9 @@ class FrameGrid:
     a_fn: object = None
     b_fn: object = None
 
-    def _degrees(self):
-        return np.arange(self.d_min, self.d_min + self.coeffs.shape[2])
-
-    def _weighted_sum(self, weights):
-        """sum_k weights[k - d_min] c_k at every node, shape (nx, ny, 2, 2)."""
-        return np.einsum("k,ijkab->ijab", weights, self.coeffs)
-
     def evaluate(self, lam):
         """U(x_i, y_j)(lam) at every node, shape (nx, ny, 2, 2)."""
-        if lam == 0 and self.d_min < 0:
-            raise ValueError("lambda = 0 not in the domain of a loop with negative degrees")
-        return self._weighted_sum(complex(lam) ** self._degrees())
+        return evaluate(self.coeffs, self.d_min, lam)
 
     def loop(self, i, j):
         """The frame at node (i, j) as a LaurentLoop on its own band."""
@@ -136,9 +128,9 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     path_y = integrate_axis(pair.eta_y, y, step=step, band=band_y,
                             t0=by, drift_samples=drift_samples)
 
-    w_loops = [LaurentLoop(c, path_x.d_min) * _tx_matrix(float(alpha_fn(v)))
-               for c, v in zip(path_x.coeffs, x)]
-    d_loops = [LaurentLoop(c, path_y.d_min) for c in _dagger(path_y.coeffs)]
+    tx = np.array([_tx_matrix(float(alpha_fn(v))) for v in x])
+    w = (_rows(path_x.coeffs) @ tx).reshape(path_x.coeffs.shape)
+    d = _dagger(path_y.coeffs)
 
     # U = w_i * minus has degrees >= band_x[0] - MAX_TRUNC, but the nodes reach far
     # fewer.  A degree-major buffer on an anonymous mapping never backs the degrees
@@ -146,26 +138,31 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     lo = band_x[0] - MAX_TRUNC
     shape = (band_x[1] - lo + 1, x.size, y.size, 2, 2)
     buf = np.frombuffer(mmap.mmap(-1, 16 * int(np.prod(shape))), dtype=complex).reshape(shape)
-    used_lo, used_hi = band_x[1], lo
+    used_lo, used_hi = shape[0] - 1, 0
     raw_psi = np.empty((x.size, y.size))
     max_resid = 0.0
     max_tail = max(path_x.tail_norm, path_y.tail_norm)
     for i in range(x.size):
+        g_row = cauchy_product(d, w[i])
+        g_keep = band_mask(g_row, FRAME_TRIM_REL)
         for j in range(y.size):
-            g = (d_loops[j] * w_loops[i]).trim(rel=FRAME_TRIM_REL)
+            first, last = np.flatnonzero(g_keep[j])[[0, -1]].tolist()
+            g = LaurentLoop(g_row[j, first:last + 1], path_y.d_min + path_x.d_min + first)
             try:
                 sp = split_plus_minusfree(g, trunc=trunc, tail_tol=split_tail_tol)
             except FactorizationFailure as exc:
                 raise FactorizationFailure(
                     f"splitting failed at node ({i},{j}), (x,y)=({x[i]:.6g},{y[j]:.6g}): {exc}",
                     residual=exc.residual, tail_norm=exc.tail_norm) from exc
-            u = (w_loops[i] * sp.minus).trim(rel=FRAME_TRIM_REL)
-            buf[u.d_min - lo: u.d_max - lo + 1, i, j] = u.coeffs
-            used_lo, used_hi = min(used_lo, u.d_min), max(used_hi, u.d_max)
+            u = cauchy_product(w[i], sp.minus.coeffs)
+            first, last = np.flatnonzero(band_mask(u, FRAME_TRIM_REL))[[0, -1]].tolist()
+            row = path_x.d_min + sp.minus.d_min - lo    # buffer row of u's lowest degree
+            buf[row + first: row + last + 1, i, j] = u[first:last + 1]
+            used_lo, used_hi = min(used_lo, row + first), max(used_hi, row + last)
             raw_psi[i, j] = np.angle(sp.plus.coeff(0)[0, 0])
             max_resid = max(max_resid, sp.residual)
             max_tail = max(max_tail, sp.tail_norm)
-    coeffs = buf[used_lo - lo: used_hi - lo + 1].transpose(1, 2, 0, 3, 4)
+    coeffs = buf[used_lo: used_hi + 1].transpose(1, 2, 0, 3, 4)
 
     ic = int(np.argmin(np.abs(x - bx)))
     jc = int(np.argmin(np.abs(y - by)))
@@ -174,7 +171,7 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     phi = beta_vals[None, :] - 2.0 * psi
     a_vals = np.asarray(a_fn(x), dtype=float)
     b_vals = np.asarray(b_fn(y), dtype=float)
-    return FrameGrid(x=x, y=y, coeffs=coeffs, d_min=used_lo, phi=phi,
+    return FrameGrid(x=x, y=y, coeffs=coeffs, d_min=lo + used_lo, phi=phi,
                      a_vals=a_vals, b_vals=b_vals,
                      base_x=float(bx), base_y=float(by), pair=pair,
                      max_split_residual=max_resid, max_tail=max_tail,
@@ -190,11 +187,10 @@ def sym_immersion(fgrid, lam0):
     """
     if not (np.isfinite(lam0) and lam0 > 0):
         raise ValueError(f"lambda must be a positive finite real, got {lam0}")
-    ks = fgrid._degrees()
-    powers = complex(lam0) ** ks
-    ev = fgrid._weighted_sum(powers)
+    ev = fgrid.evaluate(lam0)
     ev_inv = np.linalg.inv(ev)
-    f = fgrid._weighted_sum(ks * powers) @ ev_inv
+    ks = np.arange(fgrid.d_min, fgrid.d_min + fgrid.coeffs.shape[2])
+    f = degree_sum(fgrid.coeffs, ks * complex(lam0) ** ks) @ ev_inv
     f = 0.5 * (f - _dagger(f))
     f -= 0.5 * np.trace(f, axis1=-2, axis2=-1)[..., None, None] * np.eye(2)
     pts = su2_to_r3(f)

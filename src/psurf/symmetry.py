@@ -18,7 +18,8 @@ from scipy.spatial.transform import Rotation
 
 from psurf.birkhoff import DEFAULT_TRUNC
 from psurf.loops import (CIRCLE_LAMBDAS, PROBE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop,
-                         _dagger, _frob, _rows, adjoint_rotation, cauchy_product)
+                         _dagger, _frob, _rows, adjoint_rotation, band_mask, cauchy_product,
+                         evaluate)
 from psurf.oracle import register_rigid
 from psurf.potentials import check_equivariance
 from psurf.surface import EPS_DEGENERATE, reconstruct_frames, sym_immersion
@@ -196,13 +197,9 @@ def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
     chis = cauchy_product((_rows(u_im) @ _dagger(lifts)).reshape(u_im.shape), _dagger(u))
     d_min = image_fgrid.d_min + fgrid.d_min
     # trim each node's chi like LaurentLoop.trim(rel=1e-13): |lambda| != 1 amplifies its end noise
-    norms = _frob(chis)
-    keep = norms > 1e-13 * np.max(norms, axis=1, keepdims=True)
-    chis[~(np.logical_or.accumulate(keep, axis=1)
-           & np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1])] = 0.0
+    chis[~band_mask(chis, 1e-13)] = 0.0
     chi_mean = LaurentLoop(np.mean(chis, axis=0), d_min).trim(rel=1e-12)
-    powers = np.asarray(lambdas, dtype=complex)[:, None] ** np.arange(d_min, d_min + chis.shape[1])
-    node_vals = np.einsum("lk,nkij->nlij", powers, chis)
+    node_vals = evaluate(chis[:, None], d_min, lambdas)
     spread = float(np.max(np.abs(node_vals - chi_mean.evaluate(lambdas))))
     return chi_mean, spread
 

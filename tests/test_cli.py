@@ -185,6 +185,15 @@ formats = csv
     assert not (tmp_path / "o" / "surface_lambda_1.obj").exists()
 
 
+def test_asymptotic_tolerance_gates_the_build(tmp_path):
+    # the same build passes at the default tolerance (test_build_soliton_and_determinism)
+    cfg = write_config(tmp_path / "a.ini", SOLITON_SMALL.format(out=tmp_path / "o")
+                       + "\n[tolerances]\nasymptotic = 1e-9\n")
+    assert run(["build", cfg]) == cli.EXIT_VERIFY
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["pass"] is False and report["lambda_1.asymptotic_max"] > 1e-9
+
+
 def test_symmetry_suite_mismatch_fails(tmp_path):
     # soliton potential with the rotational-example gamma: equivariance must fail
     cfg = write_config(tmp_path / "m.ini", """
@@ -597,6 +606,21 @@ def test_rejected_values_name_the_key_and_write_nothing(tmp_path, capsys, sectio
     assert run(["build", cfg] + ([f"--{key}", value] if flag else [])) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"[{section}] {key} " in err and repr(value) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("normalized", "speed_a"), ("normalized", "speed_b"), ("amsler3", "alpha"),
+    ("amsler3", "beta"), ("amsler3", "speed_a"), ("amsler3", "speed_b"), ("amsler3", "domain_y"),
+])
+def test_potential_keys_the_kind_does_not_read_are_config_errors(tmp_path, capsys, kind, key):
+    value = "-3, 0" if key == "domain_y" else "0.5"
+    text = config_text("potential", key, value, directory=tmp_path / "o")
+    if kind == "amsler3":
+        text = re.sub(r"(alpha|beta) = builtin:\w+\n", "", text)
+    cfg = write_config(tmp_path / "k.ini", text.replace("kind = normalized", f"kind = {kind}"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert f"[potential] {key} is not read by kind = {kind}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psurf.loops import (LaurentLoop, edge_norm, SU2_I, SU2_J, SU2_K, adjoint_rotation,
-                         band_slice, cauchy_product, exp_loop, inverse_one_sided, r3_to_su2,
-                         random_twisted_su_loop, random_twisted_unitary_loop,
-                         su2_to_r3, unitarity_defect)
+                         band_mask, band_slice, cauchy_product, degree_sum, evaluate, exp_loop,
+                         inverse_one_sided, r3_to_su2, random_twisted_su_loop,
+                         random_twisted_unitary_loop, su2_to_r3, unitarity_defect)
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -84,24 +84,11 @@ def test_unitarity_samples():
     assert u_def < 1e-10 and det_def < 1e-10
 
 
-def test_inverse_unitary_multiplies_back():
+def test_dagger_inverts_a_unitary_loop():
     rng = np.random.default_rng(5)
     g = random_twisted_unitary_loop(rng, pad=20, decay=0.25)
-    h = g.inverse_unitary()
-    prod = (g * h).truncated(-6, 6)
+    prod = (g * g.dagger()).truncated(-6, 6)
     assert (prod - LaurentLoop.identity().truncated(-6, 6)).max_coeff_norm() < 1e-10
-
-
-def test_inverse_unitary_constant_diagonal():
-    d = LaurentLoop.constant(np.diag([np.exp(0.7j), np.exp(-0.7j)]))
-    inv = d.inverse_unitary()
-    assert np.allclose(inv.coeff(0), np.diag([np.exp(-0.7j), np.exp(0.7j)]))
-
-
-def test_inverse_unitary_rejects_nonunitary():
-    g = LaurentLoop.constant(2.0 * np.eye(2))
-    with pytest.raises(ValueError, match="unitary"):
-        g.inverse_unitary()
 
 
 def test_evaluate_at_zero_with_negative_degrees():
@@ -458,3 +445,84 @@ def test_edge_norm_reads_the_two_outermost_coefficients_off_degree_zero():
     assert edge_norm(LaurentLoop(c[:4], -3)) == 5.0      # degrees -3..0: bottom end only
     assert edge_norm(LaurentLoop(c[3:5], 0)) == 8.0      # degrees 0..1 read degree 0 too
     assert edge_norm(LaurentLoop.identity()) == 0.0
+
+
+# -- the evaluation and trim kernels against the code they replaced -----------
+
+def reference_trim(coeffs, d_min, rel):
+    """LaurentLoop.trim as written out before band_mask: (kept coefficients,
+    their first degree), or None when no coefficient exceeds the cut."""
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    cut = rel * float(np.max(norms))
+    keep = np.nonzero(norms > cut)[0]
+    if keep.size == 0:
+        return None
+    lo, hi = keep[0], keep[-1]
+    return coeffs[lo:hi + 1], d_min + lo
+
+
+def reference_node_trim_mask(chis, rel):
+    """The per-node trim of measure_monodromy as written out before band_mask."""
+    norms = np.linalg.norm(chis, axis=(-2, -1))
+    keep = norms > rel * np.max(norms, axis=1, keepdims=True)
+    return (np.logical_or.accumulate(keep, axis=1)
+            & np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1])
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """(..., K, 2, 2) stacks with up to two leading axes, coefficient norms
+    spread over 18 decades so some ends fall below a trim cut, some all-zero
+    loops, and optionally the degree-major layout of a FrameGrid tensor."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal(lead + (k, 2, 2)) + 1j * rng.standard_normal(lead + (k, 2, 2))
+    c *= 10.0 ** rng.integers(-18, 1, size=lead + (k, 1, 1))
+    c[np.asarray(rng.random(lead) < 0.25)] = 0.0
+    if draw(st.booleans()):
+        c = np.moveaxis(np.ascontiguousarray(np.moveaxis(c, -3, 0)), 0, -3)
+    return c, draw(st.integers(-12, 12))
+
+
+@settings(deadline=None)
+@given(coefficient_stacks(), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.0, 2 * np.pi))
+def test_evaluation_kernels_reproduce_the_contractions_they_replaced(stack, radius, angle):
+    c, d_min = stack
+    ks = np.arange(d_min, d_min + c.shape[-3])
+    lams = np.asarray(radius * np.exp(1j * angle * np.arange(1, 4)), dtype=complex)
+    powers = lams[:, None] ** ks
+    for idx in np.ndindex(c.shape[:-3]):     # LaurentLoop.evaluate
+        loop = c[idx]
+        ref = np.einsum("...k,kij->...ij", powers, loop)
+        assert np.array_equal(evaluate(loop, d_min, lams), ref)
+        assert np.array_equal(LaurentLoop(loop, d_min).evaluate(lams), ref)
+    if c.ndim == 5:     # FrameGrid.evaluate and the Sym derivative weights
+        lam0 = complex(lams[0])
+        ref = np.einsum("k,ijkab->ijab", lam0 ** ks, c)
+        assert np.array_equal(evaluate(c, d_min, lam0), ref)
+        weights = ks * lam0 ** ks
+        assert np.array_equal(degree_sum(c, weights), np.einsum("k,ijkab->ijab", weights, c))
+    if c.ndim == 4:     # node values of the monodromy and the axis drift
+        ref = np.einsum("lk,nkij->nlij", powers, c)
+        assert np.array_equal(evaluate(c[:, None], d_min, lams), ref)
+
+
+@settings(deadline=None)
+@given(coefficient_stacks(), st.sampled_from([1e-15, 1e-14, 1e-13, 1e-12, 1e-6]))
+def test_band_mask_reproduces_the_trims_it_replaced(stack, rel):
+    c, d_min = stack
+    mask = band_mask(c, rel)
+    assert mask.shape == c.shape[:-2]
+    for idx in np.ndindex(c.shape[:-3]):
+        loop, keep = c[idx], mask[idx]
+        ref = reference_trim(loop, d_min, rel)
+        trimmed = LaurentLoop(loop, d_min).trim(rel)
+        if ref is None:
+            assert not keep.any()
+            assert trimmed.d_min == 0 and np.array_equal(trimmed.coeffs, np.zeros((1, 2, 2)))
+        else:
+            assert np.array_equal(loop[keep], ref[0])
+            assert trimmed.d_min == ref[1] and np.array_equal(trimmed.coeffs, ref[0])
+    if c.ndim == 4:
+        assert np.array_equal(mask, reference_node_trim_mask(c, rel))
