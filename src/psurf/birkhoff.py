@@ -3,7 +3,9 @@
 The factorization identity is expanded in powers of lambda; the unknown
 star-normalized factor's coefficients solve a block-Toeplitz least-squares
 system built from the input coefficients, which the twist splits into two
-scalar Toeplitz systems.  The other factor comes out as an
+scalar Toeplitz systems.  For input in the SU(2) real form the second
+system's solution is the quaternion conjugate of the first's, so each
+attempt makes one least-squares solve.  The other factor comes out as an
 exact banded product.  Residuals are measured on a fixed circle/radial
 sample set and truncation is widened adaptively when the retained tail of
 the solved factor is not negligible.
@@ -15,25 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from psurf.loops import (CIRCLE64_LAMBDAS, RESIDUAL_LAMBDAS, LaurentLoop, edge_norm,
-                         inverse_one_sided)
+from psurf.loops import (CIRCLE64_LAMBDAS, RESIDUAL_LAMBDAS, LaurentLoop, _frob, band_slice,
+                         edge_norm, inverse_one_sided)
 
 DEFAULT_TRUNC = 24
 MAX_TRUNC = 96
 TAIL_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
+_QUATERNION_SIGNS = np.array([1.0, -1.0])
 
 
 def _residual_samples(g):
     """Circle samples, plus the radial probes when the input band is
     radially converged (otherwise 2^degree amplification of the retained
     tail would swamp the factorization error)."""
+    norms = _frob(g.coeffs)
     amp = 0.0
     if g.d_max > 0:
-        amp = max(amp, float(np.linalg.norm(g.coeff(g.d_max))) * 2.0 ** g.d_max)
+        amp = max(amp, float(norms[-1]) * 2.0 ** g.d_max)
     if g.d_min < 0:
-        amp = max(amp, float(np.linalg.norm(g.coeff(g.d_min))) * 2.0 ** (-g.d_min))
-    if amp < 1e-9 * max(1.0, g.max_coeff_norm()):
+        amp = max(amp, float(norms[0]) * 2.0 ** (-g.d_min))
+    if amp < 1e-9 * max(1.0, float(norms.max())):
         return RESIDUAL_LAMBDAS
     return CIRCLE64_LAMBDAS
 
@@ -60,47 +64,101 @@ class SplitResult:
     tail_norm: float
 
 
+# flat index plans of the parity solve, keyed by truncation n: (system,
+# rhs, row0, row1) for equations j = 1..J, J the largest j_max asked for;
+# a smaller j_max takes the first j_max equations, which do not depend on J
+_SOLVE_PLANS = {}
+SOLVE_PLAN_SIZES = 16
+
+
+def _solve_plan(n, j_max):
+    """Flat gather / scatter indices of the row-0 parity solve at truncation n.
+
+    Gathers index c.reshape(-1) for c with c[d + n - 1] the lambda^d
+    coefficient, d = 1-n..j_max; scatters index the (n + 1, 2, 2) factor.
+    """
+    plan = _SOLVE_PLANS.get(n)
+    if plan is None or plan[1].size < j_max:
+        if plan is None and len(_SOLVE_PLANS) >= SOLVE_PLAN_SIZES:
+            _SOLVE_PLANS.pop(next(iter(_SOLVE_PLANS)), None)
+        ks = np.arange(1, n + 1)
+        js = np.arange(1, j_max + 1)
+        col_h, col_hg = ks % 2, js % 2
+        lag = js[:, None] - ks[None, :] + n - 1
+        plan = (4 * lag + 2 * col_h[None, :] + col_hg[:, None],   # system matrix
+                4 * (js + n - 1) + col_hg,                          # right-hand side
+                4 * ks + col_h,                                     # h_k[0, k % 2]
+                4 * ks + 2 + (1 - col_h))                           # h_k[1, (k + 1) % 2]
+        for a in plan:
+            a.flags.writeable = False
+        _SOLVE_PLANS[n] = plan
+    system, rhs, row0, row1 = plan
+    return system[:j_max], rhs[:j_max], row0, row1
+
+
 def _solve_plus_star(g, n):
     """h in Lambda^+_* (support 0..n, h_0 = I) minimizing the positive-degree
-    coefficients of h*g for twisted g; returns h or None on a singular solve.
+    coefficients of h*g for twisted g in the SU(2) real form; returns h or
+    None on a singular solve.
 
     Row p of h_k lives only in column (k+p) % 2 and row p of (h*g)_j only in
     column (j+p) % 2, so the block-Toeplitz system is the direct sum of one
     scalar Toeplitz system per row p of h:
         sum_k c_{j-k}[(k+p)%2, (j+p)%2] h_k[p, (k+p)%2] = -c_j[p, (j+p)%2],
-    for j = 1..j_max, each solved in the least-squares sense.
+    for j = 1..j_max.  Row 0 is solved in the least-squares sense.  With
+    every c_k = [[a, b], [-conj b, conj a]], row 1's system is row 0's
+    conjugated with the signs (-1)^j on the equations and (-1)^k on the
+    unknowns, so row 1 is row 0's quaternion conjugate: h_k[1, 1] =
+    conj h_k[0, 0] for even k and h_k[1, 0] = -conj h_k[0, 1] for odd k.
     """
     j_max = n + g.d_max
     if j_max < 1:
         return LaurentLoop.identity()
-    # c[d + n - 1] is the lambda^d coefficient, d = 1-n..j_max, zero off the band
-    c = g.truncated(1 - n, j_max).coeffs
-    ks = np.arange(1, n + 1)
-    js = np.arange(1, j_max + 1)
-    lag = js[:, None] - ks[None, :] + n - 1
+    system, rhs, row0, row1 = _solve_plan(n, j_max)
+    c = band_slice(g.coeffs, g.d_min, 1 - n, j_max).reshape(-1)
+    try:
+        sol, *_ = np.linalg.lstsq(c[system], -c[rhs], rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    mirror = np.conj(sol)
+    mirror[::2] = -mirror[::2]          # odd k = 1, 3, ...
     coeffs = np.zeros((n + 1, 2, 2), dtype=complex)
     coeffs[0] = np.eye(2)
-    for p in (0, 1):
-        col_h, col_hg = (ks + p) % 2, (js + p) % 2
-        try:
-            sol, *_ = np.linalg.lstsq(c[lag, col_h[None, :], col_hg[:, None]],
-                                      -c[js + n - 1, p, col_hg], rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        coeffs[ks, p, col_h] = sol
+    flat = coeffs.reshape(-1)
+    flat[row0] = sol
+    flat[row1] = mirror
     return LaurentLoop(coeffs, 0, copy=False)
 
 
-def _require_twisted(g, residual_tol):
-    """The parity solve drops off-twist content, which no factor pair it
-    returns can reproduce; reject input that has more of it than the residual
-    tolerance instead of running the truncation schedule to a failure."""
+def _require_real_form(g, residual_tol):
+    """Preconditions of the parity solve on the input loop.
+
+    A non-finite coefficient raises FactorizationFailure naming its degree
+    before any LAPACK call.  The parity solve drops off-twist content and the
+    mirrored row drops the part of each coefficient outside the SU(2) real
+    form [[a, b], [-conj b, conj a]]; no factor pair the solve returns can
+    reproduce either, so input with more of them than the residual tolerance
+    is rejected instead of running the truncation schedule to a failure.
+    """
+    c = g.coeffs
+    # row 1 reversed is conj(row 0) times (1, -1); every entry enters the
+    # defect, so a non-finite coefficient makes it non-finite
+    defect = float(np.max(np.abs(c[:, 1, ::-1] - np.conj(c[:, 0]) * _QUATERNION_SIGNS)))
+    if not np.isfinite(defect):
+        finite = np.isfinite(c).all(axis=(1, 2))
+        if not finite.all():
+            degree = g.d_min + int(np.argmin(finite))
+            raise FactorizationFailure(
+                f"input loop has a non-finite coefficient at degree {degree}")
     twist = g.check_twist()
     if twist > residual_tol:
         raise ValueError(f"input loop is not twisted: off-twist part {twist:.3g} "
                          f"exceeds residual_tol {residual_tol:.3g}")
+    if not defect <= residual_tol:
+        raise ValueError(f"input loop is not in the SU(2) real form: quaternion defect "
+                         f"{defect:.3g} exceeds residual_tol {residual_tol:.3g}")
 
 
 def _trunc_schedule(trunc):
@@ -123,7 +181,7 @@ def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors, back):
     before trimming, whose two outermost coefficients are the retained tail.
     back(plus(s), minus(s)) must reproduce g(s) on the residual samples.
     """
-    _require_twisted(g, residual_tol)
+    _require_real_form(g, residual_tol)
     samples = _residual_samples(g)
     gv = g.evaluate(samples)
     last = (np.inf, np.inf)
@@ -159,8 +217,10 @@ def split_minus_star_plus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
                           tail_tol=TAIL_TOL):
     """g = minus * plus with minus in Lambda^-_* (lambda^0 = I), plus in Lambda^+.
 
-    Reduced to the plus-star case by the lambda -> 1/lambda reflection.
+    Reduced to the plus-star case by the lambda -> 1/lambda reflection; the
+    preconditions are checked first on g, so that errors name g's degrees.
     """
+    _require_real_form(g, residual_tol)
     r = split_plus_star_minus(g.reflect(), trunc, residual_tol, tail_tol)
     return SplitResult(plus=r.minus.reflect(), minus=r.plus.reflect(),
                        residual=r.residual, tail_norm=r.tail_norm)
@@ -173,13 +233,18 @@ def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
     This is the splitting shape used by the frame reconstruction: the
     right factor is the star-normalized minus loop itself (not inverted),
     so the returned pair satisfies g * minus_star = plus up to the residual.
-    The right-multiplied unknown reduces to the left solve by transposing.
+    The right-multiplied unknown reduces to the left solve by transposing
+    and reflecting (coefficient c_k -> c_{-k}^T).
     """
+    def transpose_reflect(coeffs):
+        return np.swapaxes(coeffs, 1, 2)[::-1]
+
     def factors(h, n):
-        star = h.transpose_loop().reflect()  # Lambda^-_*, support -n..0
+        star = LaurentLoop(transpose_reflect(h.coeffs), -n, copy=False)  # Lambda^-_*
         minus = star.trim()
         prod = g * minus
-        return star, prod.truncated(0, max(prod.d_max, 0)).trim(), minus
+        plus = band_slice(prod.coeffs, prod.d_min, 0, max(prod.d_max, 0))
+        return star, LaurentLoop(plus, 0, copy=False).trim(), minus
     return _split(g, trunc, residual_tol, tail_tol, "plus*minus_star^-1",
-                  g.transpose_loop().reflect(), factors,
+                  LaurentLoop(transpose_reflect(g.coeffs), -g.d_max, copy=False), factors,
                   lambda pv, mv: pv @ np.linalg.inv(mv))

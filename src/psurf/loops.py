@@ -10,6 +10,7 @@ monitored tolerance.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -45,8 +46,9 @@ def _dagger(m):
 
 
 def _frob(m):
-    """Frobenius norm of each matrix in a (..., 2, 2) stack."""
-    return np.linalg.norm(m, axis=(-2, -1))
+    """Frobenius norm of each matrix in a (..., 2, 2) stack: the formula of
+    ``np.linalg.norm(m, axis=(-2, -1))``, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
 
 
 def _det(m):
@@ -120,13 +122,38 @@ def degree_sum(coeffs, weights):
     return np.einsum("...k,...kij->...ij", weights, coeffs)
 
 
+# lambda-power tables of the multi-point sample sets evaluate has seen, keyed
+# by the samples' bytes: (lowest degree, (n, degrees) table), oldest first
+_POWER_TABLES = {}
+POWER_TABLE_SETS = 8
+
+
+def _powers(lam, lo, hi):
+    """lam[..., None] ** (lo..hi).  For a 1-d multi-point lam the table is
+    cached, and widened to the union of the degree ranges asked for; powers
+    are elementwise, so a slice of the wider table has the same bits."""
+    if lam.ndim != 1 or lam.size < 2:
+        return lam[..., None] ** np.arange(lo, hi + 1)
+    key = lam.tobytes()
+    t_lo, table = _POWER_TABLES.get(key, (lo, None))
+    if table is None or t_lo > lo or t_lo + table.shape[1] <= hi:
+        if table is None and len(_POWER_TABLES) >= POWER_TABLE_SETS:
+            _POWER_TABLES.pop(next(iter(_POWER_TABLES)), None)
+        t_hi = hi if table is None else max(hi, t_lo + table.shape[1] - 1)
+        t_lo = min(lo, t_lo)
+        table = lam[:, None] ** np.arange(t_lo, t_hi + 1)
+        table.flags.writeable = False
+        _POWER_TABLES[key] = (t_lo, table)
+    return table[:, lo - t_lo: hi - t_lo + 1]
+
+
 def evaluate(coeffs, d_min, lam):
     """Values sum_k c_k lam^k of a (..., K, 2, 2) coefficient stack starting at
     degree d_min; lam (nonzero if d_min < 0) broadcasts against the leading axes."""
     lam = np.asarray(lam, dtype=complex)
     if d_min < 0 and np.any(lam == 0):
         raise ValueError("lambda = 0 not in the domain of a loop with negative degrees")
-    return degree_sum(coeffs, lam[..., None] ** np.arange(d_min, d_min + coeffs.shape[-3]))
+    return degree_sum(coeffs, _powers(lam, d_min, d_min + coeffs.shape[-3] - 1))
 
 
 def band_mask(coeffs, rel):
@@ -196,7 +223,7 @@ class LaurentLoop:
         return np.zeros((2, 2), dtype=complex)
 
     def max_coeff_norm(self):
-        return float(np.max(np.linalg.norm(self.coeffs, axis=(1, 2))))
+        return float(np.max(_frob(self.coeffs)))
 
     def __repr__(self):
         return "LaurentLoop(degrees [%d, %d], max coeff %.3g)" % (
@@ -276,9 +303,16 @@ class LaurentLoop:
         return LaurentLoop(band_slice(self.coeffs, self.d_min, lo, hi), lo, copy=False)
 
     def trim(self, rel=TRIM_REL):
-        """Drop leading/trailing coefficients below rel * max coefficient norm."""
+        """Drop leading/trailing coefficients below rel * max coefficient norm.
+
+        Raises ValueError at the first non-finite coefficient, whose norm
+        leaves no coefficient above the cut."""
         keep = np.flatnonzero(band_mask(self.coeffs, rel))
         if keep.size == 0:
+            finite = np.isfinite(self.coeffs).all(axis=(1, 2))
+            if not finite.all():
+                raise ValueError(f"cannot trim a loop with a non-finite coefficient at degree "
+                                 f"{self.d_min + int(np.argmin(finite))}")
             return LaurentLoop.zero()
         return LaurentLoop(self.coeffs[keep[0]:keep[-1] + 1], self.d_min + int(keep[0]))
 
@@ -290,10 +324,19 @@ class LaurentLoop:
         Even degrees must be diagonal, odd degrees off-diagonal; the residual
         is 0 exactly on twisted loops.
         """
-        k = np.arange(self.d_min, self.d_max + 1)[:, None, None]
-        off = self.coeffs[(k + _ENTRY_PARITY) % 2 == 1]
+        off = self.coeffs[_twist_mask(self.d_min % 2, self.coeffs.shape[0])]
         # hypot rounds like abs() on one complex scalar; np.abs may differ by an ulp
         return float(np.max(np.hypot(off.real, off.imag)))
+
+
+@functools.lru_cache(maxsize=256)
+def _twist_mask(parity, length):
+    """Entries off the twist pattern of a band of the given length whose
+    lowest degree has the given parity."""
+    k = np.arange(parity, parity + length)[:, None, None]
+    mask = (k + _ENTRY_PARITY) % 2 == 1
+    mask.flags.writeable = False
+    return mask
 
 
 def unitarity_defect(g, samples=UNITARITY_SAMPLES):
@@ -311,9 +354,11 @@ def su2_defect(vals):
 def edge_norm(g):
     """Largest norm of the two outermost coefficients at each end of g's band
     that lies off degree 0: the retained tail of a truncated loop."""
-    tips = [g.coeff(g.d_max), g.coeff(g.d_max - 1)] if g.d_max > 0 else []
-    tips += [g.coeff(g.d_min), g.coeff(g.d_min + 1)] if g.d_min < 0 else []
-    return float(max((np.linalg.norm(t) for t in tips), default=0.0))
+    tips = [g.d_max, g.d_max - 1] if g.d_max > 0 else []
+    tips += [g.d_min, g.d_min + 1] if g.d_min < 0 else []
+    # a tip outside the stored band is a zero coefficient
+    rows = [k - g.d_min for k in tips if g.d_min <= k <= g.d_max]
+    return float(_frob(g.coeffs[rows]).max(initial=0.0))
 
 
 def inverse_one_sided(g, trunc):

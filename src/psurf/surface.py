@@ -146,7 +146,9 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
         g_row = cauchy_product(d, w[i])
         g_keep = band_mask(g_row, FRAME_TRIM_REL)
         for j in range(y.size):
-            first, last = np.flatnonzero(g_keep[j])[[0, -1]].tolist()
+            keep = np.flatnonzero(g_keep[j])
+            # an empty mask means a non-finite g, which the splitter names
+            first, last = (int(keep[0]), int(keep[-1])) if keep.size else (0, g_row.shape[1] - 1)
             g = LaurentLoop(g_row[j, first:last + 1], path_y.d_min + path_x.d_min + first)
             try:
                 sp = split_plus_minusfree(g, trunc=trunc, tail_tol=split_tail_tol)

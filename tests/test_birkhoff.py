@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psurf.birkhoff import (RESIDUAL_TOL, FactorizationFailure,
-                            _residual_samples, _solve_plus_star, split_minus_star_plus,
-                            split_plus_minusfree, split_plus_star_minus)
+from psurf import birkhoff
+from psurf.birkhoff import (RESIDUAL_TOL, FactorizationFailure, _residual_samples,
+                            _solve_plus_star, split_minus_star_plus, split_plus_minusfree,
+                            split_plus_star_minus)
 from psurf.loops import LaurentLoop, random_twisted_unitary_loop
 
 
@@ -177,6 +178,50 @@ def test_parity_solve_matches_block_reference(degree, n, view):
         assert (h - ref).max_coeff_norm() <= 1e-12 * max(1.0, ref.max_coeff_norm())
 
 
+def two_solve_reference(g, n):
+    """The parity solve before the quaternion mirror: one least-squares solve
+    per row of h."""
+    j_max = n + g.d_max
+    if j_max < 1:
+        return LaurentLoop.identity()
+    c = g.truncated(1 - n, j_max).coeffs
+    ks = np.arange(1, n + 1)
+    js = np.arange(1, j_max + 1)
+    lag = js[:, None] - ks[None, :] + n - 1
+    coeffs = np.zeros((n + 1, 2, 2), dtype=complex)
+    coeffs[0] = np.eye(2)
+    for p in (0, 1):
+        col_h, col_hg = (ks + p) % 2, (js + p) % 2
+        sol, *_ = np.linalg.lstsq(c[lag, col_h[None, :], col_hg[:, None]],
+                                  -c[js + n - 1, p, col_hg], rcond=None)
+        coeffs[ks, p, col_h] = sol
+    return LaurentLoop(coeffs, 0, copy=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(2, 8), scale=st.floats(0.05, 1.0),
+       view=st.sampled_from(sorted(SOLVE_INPUTS)), n=st.sampled_from([8, 24, 48]))
+def test_mirrored_row_equals_the_two_solve_reference(seed, degree, scale, view, n):
+    g = SOLVE_INPUTS[view](random_twisted_unitary_loop(np.random.default_rng(seed),
+                                                       degree=degree, scale=scale))
+    h, ref = _solve_plus_star(g, n), two_solve_reference(g, n)
+    assert h.d_min == ref.d_min == 0
+    assert np.array_equal(h.coeffs, ref.coeffs)
+
+
+def test_solve_plans_grow_and_stay_bounded():
+    rng = np.random.default_rng(12)
+    wide = random_twisted_unitary_loop(rng, degree=8)
+    narrow = random_twisted_unitary_loop(rng, degree=2)
+    birkhoff._SOLVE_PLANS.clear()
+    for g in (narrow, wide, narrow):     # the wide loop grows the plan of n = 24
+        assert np.array_equal(_solve_plus_star(g, 24).coeffs, two_solve_reference(g, 24).coeffs)
+    assert birkhoff._SOLVE_PLANS[24][1].size == 24 + wide.d_max
+    for n in range(1, 3 * birkhoff.SOLVE_PLAN_SIZES):
+        _solve_plus_star(narrow, n)
+    assert len(birkhoff._SOLVE_PLANS) <= birkhoff.SOLVE_PLAN_SIZES
+
+
 def test_splitters_reject_untwisted_input():
     g = random_twisted_unitary_loop(np.random.default_rng(9))
     bad = g.coeffs.copy()
@@ -186,6 +231,32 @@ def test_splitters_reject_untwisted_input():
         with pytest.raises(ValueError, match="not twisted: off-twist part 0.001"):
             split(g_bad)
         assert split(g).residual < 1e-9
+
+
+@pytest.mark.parametrize("offset, entry", [(0, (1, 1)), (1, (1, 0))])
+def test_splitters_reject_input_outside_the_real_form(offset, entry):
+    # a row-1 entry on the twist pattern: lambda^0's diagonal, lambda^1's off-diagonal
+    g = random_twisted_unitary_loop(np.random.default_rng(10))
+    bad = g.coeffs.copy()
+    bad[(-g.d_min + offset,) + entry] += 1e-3
+    g_bad = LaurentLoop(bad, g.d_min)
+    assert g_bad.check_twist() == 0.0
+    for split in (split_plus_star_minus, split_minus_star_plus, split_plus_minusfree):
+        with pytest.raises(ValueError,
+                           match=r"not in the SU\(2\) real form: quaternion defect 0\.001 "):
+            split(g_bad)
+
+
+def test_non_finite_input_fails_before_any_lapack_call(capfd):
+    g = random_twisted_unitary_loop(np.random.default_rng(11))
+    bad = g.coeffs.copy()
+    bad[2, 0, 1] = np.nan
+    g_bad = LaurentLoop(bad, g.d_min)
+    for split in (split_plus_star_minus, split_minus_star_plus, split_plus_minusfree):
+        with pytest.raises(FactorizationFailure,
+                           match=f"non-finite coefficient at degree {g.d_min + 2}$"):
+            split(g_bad)
+    assert capfd.readouterr().err == ""
 
 
 # -- the three shapes (hypothesis) ---------------------------------------------

@@ -220,6 +220,41 @@ directory = {out}
     assert report["pass"] is False
 
 
+def test_non_finite_node_loop_names_its_node(tmp_path, capfd, monkeypatch):
+    # a NaN put into the x-axis frame at x index 2 after its drift check
+    from psurf import surface
+    real = surface.integrate_axis
+    calls = []
+
+    def poisoned(eta, t_values, **kwargs):
+        path = real(eta, t_values, **kwargs)
+        if not calls:                       # the x axis is integrated first
+            path.coeffs[2, path.coeffs.shape[1] // 2, 0, 0] = np.nan
+        calls.append(path)
+        return path
+
+    monkeypatch.setattr(surface, "integrate_axis", poisoned)
+    cfg = write_config(tmp_path / "nan.ini", """
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+
+[grid]
+nx = 5
+ny = 5
+x_range = 0, 1
+y_range = 0, 1
+
+[output]
+directory = {out}
+""".format(out=tmp_path / "o"))
+    assert run(["build", cfg]) == cli.EXIT_NUMERIC
+    err = capfd.readouterr().err
+    assert re.fullmatch(r"numerical failure: splitting failed at node \(2,0\), \(x,y\)=\(0\.5,0\): "
+                        r"input loop has a non-finite coefficient at degree -?\d+\n", err), err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a hopelessly coarse integration step drifts off the unitary group
     cfg = write_config(tmp_path / "n.ini", """

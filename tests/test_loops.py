@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psurf import loops as loops_module
 from psurf.loops import (LaurentLoop, edge_norm, SU2_I, SU2_J, SU2_K, adjoint_rotation,
                          band_mask, band_slice, cauchy_product, degree_sum, evaluate, exp_loop,
                          inverse_one_sided, r3_to_su2, random_twisted_su_loop,
@@ -437,6 +438,17 @@ def test_stack_checks_name_the_worst_matrix():
         adjoint_rotation(gs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trim_names_a_non_finite_coefficient(bad):
+    g = random_twisted_unitary_loop(np.random.default_rng(12))
+    c = g.coeffs.copy()
+    c[3, 0, 0] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=f"non-finite coefficient at degree {g.d_min + 3}$"):
+        LaurentLoop(c, g.d_min).trim()     # inf * conj(inf) in the norm is nan
+    assert LaurentLoop(np.zeros((3, 2, 2)), -1).trim().coeffs.shape == (1, 2, 2)
+
+
 def test_edge_norm_reads_the_two_outermost_coefficients_off_degree_zero():
     c = np.zeros((7, 2, 2), dtype=complex)
     c[:, 0, 0] = [5.0, 1.0, 7.0, 8.0, 4.0, 2.0, 3.0]     # degrees -3..3
@@ -526,3 +538,47 @@ def test_band_mask_reproduces_the_trims_it_replaced(stack, rel):
             assert trimmed.d_min == ref[1] and np.array_equal(trimmed.coeffs, ref[0])
     if c.ndim == 4:
         assert np.array_equal(mask, reference_node_trim_mask(c, rel))
+
+
+# -- the caches that depend only on shapes -------------------------------------
+
+@settings(deadline=None)
+@given(samples=st.sampled_from(["RESIDUAL_LAMBDAS", "CIRCLE64_LAMBDAS"]),
+       calls=st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 120)), min_size=1,
+                      max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_cached_evaluate_matches_the_uncached_power_table(samples, calls, seed):
+    lams = getattr(loops_module, samples)
+    rng = np.random.default_rng(seed)
+    loops_module._POWER_TABLES.clear()   # the drawn calls grow the table from cold
+    for d_min, k in calls:
+        c = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+        ref = np.einsum("...k,...kij->...ij", lams[:, None] ** np.arange(d_min, d_min + k), c)
+        assert np.array_equal(evaluate(c, d_min, lams), ref)
+        assert np.array_equal(LaurentLoop(c, d_min).evaluate(lams), ref)
+
+
+def test_a_wide_evaluation_after_a_narrow_one_widens_the_table():
+    lams = loops_module.RESIDUAL_LAMBDAS
+    rng = np.random.default_rng(13)
+    loops_module._POWER_TABLES.clear()
+    for d_min, k in ((0, 3), (-50, 120), (-2, 4)):
+        c = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+        ref = np.einsum("...k,...kij->...ij", lams[:, None] ** np.arange(d_min, d_min + k), c)
+        assert np.array_equal(evaluate(c, d_min, lams), ref)
+    lo, table = loops_module._POWER_TABLES[lams.tobytes()]
+    assert (lo, table.shape) == (-50, (lams.size, 120))
+
+
+def test_shape_caches_stay_bounded_after_many_sample_sets():
+    rng = np.random.default_rng(14)
+    c = rng.standard_normal((5, 2, 2)) + 0j
+    for _ in range(3 * loops_module.POWER_TABLE_SETS):
+        lams = np.exp(1j * rng.random(4))
+        assert np.array_equal(evaluate(c, -2, lams),
+                              np.einsum("...k,...kij->...ij", lams[:, None] ** np.arange(-2, 3), c))
+    assert len(loops_module._POWER_TABLES) <= loops_module.POWER_TABLE_SETS
+    for k in range(1, 3 * loops_module._twist_mask.cache_info().maxsize):
+        LaurentLoop(np.zeros((k, 2, 2)), -k).check_twist()
+    info = loops_module._twist_mask.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
