@@ -6,9 +6,9 @@ system built from the input coefficients, which the twist splits into two
 scalar Toeplitz systems.  For input in the SU(2) real form the second
 system's solution is the quaternion conjugate of the first's, so each
 attempt makes one least-squares solve.  The other factor comes out as an
-exact banded product.  Residuals are measured on a fixed circle/radial
-sample set and truncation is widened adaptively when the retained tail of
-the solved factor is not negligible.
+exact banded product.  The residual is the remainder of the factorization
+identity on a fixed circle/radial sample set, and truncation is widened
+adaptively when the retained tail of the solved factor is not negligible.
 """
 
 from __future__ import annotations
@@ -173,26 +173,26 @@ def _trunc_schedule(trunc):
         n = min(2 * n, MAX_TRUNC)
 
 
-def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors, back):
+def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors):
     """The truncation schedule and acceptance policy shared by the splitters.
 
     Each attempt solves for the star factor h of solve_on at truncation n;
-    factors(h, n) returns (star, plus, minus), star being the solved factor
-    before trimming, whose two outermost coefficients are the retained tail.
-    back(plus(s), minus(s)) must reproduce g(s) on the residual samples.
+    factors(h, n) returns (star, plus, minus, remainder), star being the
+    solved factor before trimming, whose two outermost coefficients are the
+    retained tail, and remainder the exact Laurent remainder of the shape's
+    identity.  An attempt is accepted when the remainder, evaluated on the
+    residual samples, is within residual_tol and the tail within tail_tol.
     """
     _require_real_form(g, residual_tol)
     samples = _residual_samples(g)
-    gv = g.evaluate(samples)
     last = (np.inf, np.inf)
     for n in _trunc_schedule(trunc):
         h = _solve_plus_star(solve_on, n)
         if h is None:
             continue
-        star, plus, minus = factors(h, n)
+        star, plus, minus, remainder = factors(h, n)
         tail = edge_norm(star)
-        residual = float(np.max(np.abs(gv - back(plus.evaluate(samples),
-                                                 minus.evaluate(samples)))))
+        residual = float(np.max(np.abs(remainder.evaluate(samples))))
         if residual <= residual_tol and tail <= tail_tol:
             return SplitResult(plus, minus, residual, tail)
         last = (residual, tail)
@@ -209,8 +209,9 @@ def split_plus_star_minus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
         # trim at the numerical noise floor: the radial residual samples
         # amplify degree-k content by 2^k, so roundoff-level coefficients in
         # the solved factor must not be carried around
-        return star, star.trim(), (h * g).truncated(min(g.d_min, 0), 0).trim()
-    return _split(g, trunc, residual_tol, tail_tol, "plus*minus", g, factors, np.matmul)
+        plus, minus = star.trim(), (h * g).truncated(min(g.d_min, 0), 0).trim()
+        return star, plus, minus, g - plus * minus
+    return _split(g, trunc, residual_tol, tail_tol, "plus*minus", g, factors)
 
 
 def split_minus_star_plus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
@@ -232,9 +233,10 @@ def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
 
     This is the splitting shape used by the frame reconstruction: the
     right factor is the star-normalized minus loop itself (not inverted),
-    so the returned pair satisfies g * minus_star = plus up to the residual.
-    The right-multiplied unknown reduces to the left solve by transposing
-    and reflecting (coefficient c_k -> c_{-k}^T).
+    so the returned pair satisfies g * minus_star = plus up to the residual,
+    the remainder g * minus_star - plus (negative degrees and trimmed ends)
+    on the residual samples.  The right-multiplied unknown reduces to the
+    left solve by transposing and reflecting (coefficient c_k -> c_{-k}^T).
     """
     def transpose_reflect(coeffs):
         return np.swapaxes(coeffs, 1, 2)[::-1]
@@ -243,8 +245,7 @@ def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
         star = LaurentLoop(transpose_reflect(h.coeffs), -n, copy=False)  # Lambda^-_*
         minus = star.trim()
         prod = g * minus
-        plus = band_slice(prod.coeffs, prod.d_min, 0, max(prod.d_max, 0))
-        return star, LaurentLoop(plus, 0, copy=False).trim(), minus
+        plus = prod.truncated(0, max(prod.d_max, 0)).trim()
+        return star, plus, minus, prod - plus
     return _split(g, trunc, residual_tol, tail_tol, "plus*minus_star^-1",
-                  LaurentLoop(transpose_reflect(g.coeffs), -g.d_max, copy=False), factors,
-                  lambda pv, mv: pv @ np.linalg.inv(mv))
+                  LaurentLoop(transpose_reflect(g.coeffs), -g.d_max, copy=False), factors)

@@ -326,7 +326,7 @@ CONFIG_SCHEMA = {
                   "domain_x": (_pair, None), "domain_y": (_pair, None)},
     "verify": {"suites": (_words(tuple(SUITES)), [])},
     "tolerances": {key: (_positive, tol) for key, tol in dict(
-        curvature=5e-3, speed=1e-3, asymptotic=5e-3, boundary=1e-7, oracle_phi=1e-5,
+        curvature=5e-3, speed=1e-3, asymptotic=5e-3, oracle_phi=1e-5,
         frame_match=1e-5, birkhoff_residual=1e-9, birkhoff_normalization=1e-10,
         birkhoff_twist=1e-10, equivariance=CERT_EQUIVARIANCE_TOL,
         monodromy=CERT_MONODROMY_TOL, surface_symmetry=CERT_SURFACE_TOL).items()},
@@ -364,7 +364,9 @@ class RunConfig:
                                   f"have {sorted(CONFIG_SCHEMA)}")
             unknown = sorted(set(cp[section]) - set(CONFIG_SCHEMA[section]))
             if unknown:
-                raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                key = unknown[0]
+                raise ConfigError(f"unknown key {key!r} in [{section}]: [{section}] {key} = "
+                                  f"{cp[section][key]!r} is read by nothing; "
                                   f"have {sorted(CONFIG_SCHEMA[section])}")
         flags = {"trunc": overrides.trunc, "seed": overrides.seed}
         val = {section: {key: _config_value(cp, base_dir, section, key, flags.get(key))

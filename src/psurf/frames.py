@@ -43,22 +43,22 @@ class AxisFramePath:
         return LaurentLoop(self.coeffs[idx], self.d_min)
 
 
-def _band_product(g, eta_t, band):
-    """Coefficients of G eta(t) on the band, for G given on the band."""
-    return band_slice(cauchy_product(g, eta_t.coeffs), band[0] + eta_t.d_min, *band)
-
-
-def _rk4_step(g, eta, t, h, band):
-    eta_0, eta_half, eta_1 = eta(t), eta(t + 0.5 * h), eta(t + h)
-    k1 = _band_product(g, eta_0, band)
-    k2 = _band_product(g + (0.5 * h) * k1, eta_half, band)
-    k3 = _band_product(g + (0.5 * h) * k2, eta_half, band)
-    k4 = _band_product(g + h * k3, eta_1, band)
-    return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(u, mul, coef, t, h):
+    """One classical RK4 step of du/dt = mul(u, coef(t)); coef is read once
+    per stage time (t, t + h/2, t + h)."""
+    c_0, c_half, c_1 = coef(t), coef(t + 0.5 * h), coef(t + h)
+    k1 = mul(u, c_0)
+    k2 = mul(u + (0.5 * h) * k1, c_half)
+    k3 = mul(u + (0.5 * h) * k2, c_half)
+    k4 = mul(u + h * k3, c_1)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _march(eta, t_from, targets, g, step, band, out):
     """Integrate from t_from through the targets; writes G(targets[n]) to out[n]."""
+    def mul(u, eta_t):            # coefficients of G eta(t) on the band
+        return band_slice(cauchy_product(u, eta_t.coeffs), band[0] + eta_t.d_min, *band)
+
     t = t_from
     for n, t_next in enumerate(targets):
         gap = t_next - t
@@ -66,7 +66,7 @@ def _march(eta, t_from, targets, g, step, band, out):
             nsub = max(1, int(np.ceil(abs(gap) / step)))
             h = gap / nsub
             for _ in range(nsub):
-                g = _rk4_step(g, eta, t, h, band)
+                g = _rk4(g, mul, eta, t, h)
                 t = t + h
         t = t_next
         out[n] = g
@@ -130,21 +130,13 @@ def _x_coefficient(phi_x, a_val, lam):
     return 0.5j * np.array([[-phi_x, a_val * lam], [a_val * lam, phi_x]])
 
 
-def _rk4_matrix(u, coef, t, h):
-    k1 = u @ coef(t)
-    k2 = (u + 0.5 * h * k1) @ coef(t + 0.5 * h)
-    k3 = (u + 0.5 * h * k2) @ coef(t + 0.5 * h)
-    k4 = (u + h * k3) @ coef(t + h)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _sweep(u0, coef, ts, substeps):
     u = u0
     for t0, t1 in zip(ts[:-1], ts[1:]):
         h = (t1 - t0) / substeps
         t = t0
         for _ in range(substeps):
-            u = _rk4_matrix(u, coef, t, h)
+            u = _rk4(u, np.matmul, coef, t, h)
             t += h
     return u
 

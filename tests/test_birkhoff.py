@@ -262,11 +262,16 @@ def test_non_finite_input_fails_before_any_lapack_call(capfd):
 # -- the three shapes (hypothesis) ---------------------------------------------
 
 # each shape: its splitter, how its factors multiply back to g on sample
-# values, and which factor is star-normalized
+# values, which factor is star-normalized, and the remainder of the identity
+# the splitter accepts on, as a loop (minus_star_plus reflects into the
+# plus-star shape)
 SHAPES = {
-    "plus_star_minus": (split_plus_star_minus, lambda p, m: p @ m, "plus"),
-    "minus_star_plus": (split_minus_star_plus, lambda p, m: m @ p, "minus"),
-    "plus_minusfree": (split_plus_minusfree, lambda p, m: p @ np.linalg.inv(m), "minus"),
+    "plus_star_minus": (split_plus_star_minus, lambda p, m: p @ m, "plus",
+                        lambda g, p, m: g - p * m),
+    "minus_star_plus": (split_minus_star_plus, lambda p, m: m @ p, "minus",
+                        lambda g, p, m: g.reflect() - m.reflect() * p.reflect()),
+    "plus_minusfree": (split_plus_minusfree, lambda p, m: p @ np.linalg.inv(m), "minus",
+                       lambda g, p, m: g * m - p),
 }
 
 
@@ -275,7 +280,7 @@ SHAPES = {
 @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(2, 8), scale=st.floats(0.0, 1.0),
        pad=st.sampled_from([0, 16]))
 def test_split_shapes_property(shape, seed, degree, scale, pad):
-    split, back, star = SHAPES[shape]
+    split, back, star, remainder = SHAPES[shape]
     g = random_twisted_unitary_loop(np.random.default_rng(seed), degree=degree, scale=scale,
                                     pad=pad)
     r = split(g)
@@ -285,6 +290,27 @@ def test_split_shapes_property(shape, seed, degree, scale, pad):
     samples = _residual_samples(g)
     got = back(r.plus.evaluate(samples), r.minus.evaluate(samples))
     assert np.max(np.abs(got - g.evaluate(samples))) <= RESIDUAL_TOL
+    # the reported residual is the remainder of the identity on those samples
+    expected = float(np.max(np.abs(remainder(g, r.plus, r.minus).evaluate(samples))))
+    assert abs(r.residual - expected) <= 1e-12 * expected
     assert np.max(np.abs(getattr(r, star).coeff(0) - np.eye(2))) < 1e-12
     assert r.plus.d_min >= 0 and r.minus.d_max <= 0
     assert r.plus.check_twist() <= 1e-12 and r.minus.check_twist() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_an_accepted_first_attempt_evaluates_one_loop(monkeypatch, shape):
+    calls = {"lstsq": 0, "evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(LaurentLoop, "evaluate", counted("evaluate", LaurentLoop.evaluate))
+    r = SHAPES[shape][0](random_twisted_unitary_loop(np.random.default_rng(13)))
+    assert r.residual <= RESIDUAL_TOL
+    # one solve: accepted at the first truncation, on one evaluated remainder
+    assert calls == {"lstsq": 1, "evaluate": 1}

@@ -632,6 +632,7 @@ def config_text(section, key, value, directory="out"):
     ("tolerances", "curvature", "nan", False), ("tolerances", "curvature", "-1", False),
     ("run", "symmetry_interp", "-3", False), ("potential", "alpha", "table:nope.csv", False),
     ("potential", "speed_a", "table:nope.csv", False), ("potential", "alpha", "table:.", False),
+    ("tolerances", "boundary", "1e-7", False),
 ])
 def test_rejected_values_name_the_key_and_write_nothing(tmp_path, capsys, section, key, value,
                                                        flag):
