@@ -24,7 +24,7 @@ from psurf.surface import (associated_family, cone_line_check, find_cone_point,
                            geometry_grid_problem, geometry_report, reconstruct_frames,
                            write_csv, write_obj)
 from psurf.symmetry import (CERT_EQUIVARIANCE_TOL, CERT_MONODROMY_TOL, CERT_SURFACE_TOL,
-                            certify_from_potentials)
+                            _image_axes, certify_from_potentials, coverage_window)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -263,16 +263,15 @@ def _suite_symmetry(cfg, fgrid, surfaces, geometry):
     else:
         d = cfg.descriptor
     interp = {}
-    if cfg.symmetry_interp > 0:
+    idx_x, idx_y = coverage_window(cfg.x, cfg.y, d)
+    # an empty window is certify_from_potentials' named error
+    if cfg.symmetry_interp and idx_x.size and idx_y.size:
         # refine the gamma-image of the covered sample window as the target
-        lo, hi = float(cfg.x[0]), float(cfg.x[-1])
-        window = [t for t in cfg.x if lo <= d.gamma1(float(t)) <= hi]
-        if len(window) >= 2:
-            pre = np.linspace(window[0], window[-1], cfg.symmetry_interp)
-            img = np.array([d.gamma1(float(t)) for t in pre])
-            if img.size >= 4 and np.all(np.diff(img) > 0):
-                interp = {"interp_x": img, "interp_y": img,
-                          "interp_trunc": max(birkhoff.DEFAULT_TRUNC, cfg.trunc - 8)}
+        n = cfg.symmetry_interp
+        pre_x = np.linspace(cfg.x[idx_x[0]], cfg.x[idx_x[-1]], n)
+        pre_y = np.linspace(cfg.y[idx_y[0]], cfg.y[idx_y[-1]], n)
+        interp_x, interp_y = _image_axes(d, pre_x, pre_y)
+        interp = {"interp_x": interp_x, "interp_y": interp_y}
     try:
         report, _, _ = certify_from_potentials(
             cfg.pair, d, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
@@ -317,7 +316,8 @@ CONFIG_SCHEMA = {
             "seed": (_integer(0), 20090228), "step_divisor": (_positive, 2048.0),
             "drift_lambdas": (_positives, PROBE_LAMBDAS),
             # fine interpolation target for the symmetry suite (0 = main grid)
-            "symmetry_interp": (_integer(0), 0)},
+            "symmetry_interp": (_rule("0, or an integer >= 4", int,
+                                      lambda v: v == 0 or v >= 4), 0)},
     # explicit potential domains may exceed the grid ranges
     "potential": {"kind": (_rule("one of normalized, generalized, amsler3", str,
                                  lambda t: t in ("normalized", "generalized", "amsler3")), None),

@@ -9,7 +9,7 @@ are extracted numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -75,7 +75,6 @@ class PotentialPair:
     domain_x: tuple = (-1.0, 1.0)
     domain_y: tuple = (-1.0, 1.0)
     boundary: BoundaryAngles = None
-    meta: dict = field(default_factory=dict)
 
 
 def normalized_from_boundary(bnd, domain_x=(-1.0, 1.0), domain_y=(-1.0, 1.0)):
@@ -213,8 +212,7 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None):
         return _gauge_action(pair.eta_y(y), qy_fn, qy_const, dqy, y, 1e-5).trim(rel=1e-13)
 
     return PotentialPair(eta_x=eta_x, eta_y=eta_y, kind="generalized",
-                         domain_x=pair.domain_x, domain_y=pair.domain_y,
-                         meta={"gauged_from": pair.kind})
+                         domain_x=pair.domain_x, domain_y=pair.domain_y)
 
 
 # -- equivariance ------------------------------------------------------------
@@ -297,8 +295,7 @@ def generalized_amsler_example(domain=(-4.0, 4.0)):
         return LaurentLoop.from_terms({1: m, -1: m})
 
     pair = PotentialPair(eta_x=eta, eta_y=eta, kind="generalized",
-                         domain_x=tuple(domain), domain_y=tuple(domain),
-                         meta={"name": "amsler3", "gamma_pole": AMSLER_GAMMA_POLE})
+                         domain_x=tuple(domain), domain_y=tuple(domain))
     gauge = LaurentLoop.constant(np.diag([np.exp(1j * np.pi / 3.0),
                                           np.exp(-1j * np.pi / 3.0)]))
     descriptor = SymmetryDescriptor(
@@ -372,8 +369,7 @@ def extract_diagonal_potentials(frame_grid):
 
     dom = (float(x[0]), float(x[-1]))
     return PotentialPair(eta_x=eta, eta_y=eta, kind="generalized",
-                         domain_x=dom, domain_y=dom,
-                         meta={"source": "diagonal_restriction"})
+                         domain_x=dom, domain_y=dom)
 
 
 def _loop_comb(loops, weights):

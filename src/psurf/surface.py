@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from psurf import potentials as pots
-from psurf.birkhoff import (DEFAULT_TRUNC, MAX_TRUNC, TAIL_TOL, FactorizationFailure,
-                            split_plus_minusfree)
+from psurf.birkhoff import DEFAULT_TRUNC, MAX_TRUNC, FactorizationFailure, split_plus_minusfree
 from psurf.frames import integrate_axis
 from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst,
                          _rows, adjoint_rotation, band_mask, cauchy_product, degree_sum, evaluate,
@@ -92,14 +91,16 @@ def _unwrap_grid(raw, ic, jc):
 
 
 def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, basepoint=None,
-                       drift_samples=PROBE_LAMBDAS, split_tail_tol=TAIL_TOL):
+                       drift_samples=PROBE_LAMBDAS):
     """Extended frame grid for a potential pair.
 
     For normalized pairs the frames are anchored at the origin and the
     boundary angles are used exactly; for generalized pairs the speeds and
     phases are extracted from the top lambda coefficients and the anchor
     defaults to the lower-left node (pass basepoint to evaluate the same
-    global frame on another sample window).
+    global frame on another sample window).  Every node is split from trunc
+    with split_plus_minusfree's own residual and tail tests, so all grids of
+    one pipeline share one accuracy rule.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -151,7 +152,7 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
             first, last = (int(keep[0]), int(keep[-1])) if keep.size else (0, g_row.shape[1] - 1)
             g = LaurentLoop(g_row[j, first:last + 1], path_y.d_min + path_x.d_min + first)
             try:
-                sp = split_plus_minusfree(g, trunc=trunc, tail_tol=split_tail_tol)
+                sp = split_plus_minusfree(g, trunc=trunc)
             except FactorizationFailure as exc:
                 raise FactorizationFailure(
                     f"splitting failed at node ({i},{j}), (x,y)=({x[i]:.6g},{y[j]:.6g}): {exc}",

@@ -29,6 +29,8 @@ CERT_MONODROMY_TOL = 1e-4
 CERT_SURFACE_TOL = 1e-3
 # SU(2) tolerance of the axis-switch frame relation
 AXIS_SWITCH_FRAME_TOL = 1e-4
+# covered-window nodes per axis at which the monodromy re-runs the pipeline
+MONODROMY_NODES = 10
 
 
 @dataclass(frozen=True)
@@ -235,18 +237,17 @@ def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None):
     return min(run(1.0), run(-1.0))
 
 
-def coverage_window(fgrid, d):
-    """Indices of grid parameters whose gamma-images stay inside the grid."""
-    x, y = fgrid.x, fgrid.y
+def coverage_window(x, y, d):
+    """Indices (into x, into y) of the parameters of the grid x by y whose
+    gamma-images stay inside it, each axis tested against its own range."""
     gx, gy = _image_axes(d, x, y)
     in_x = np.flatnonzero((x[0] <= gx) & (gx <= x[-1]))
     in_y = np.flatnonzero((y[0] <= gy) & (gy <= y[-1]))
     return (in_y, in_x) if d.switches_axes else (in_x, in_y)
 
 
-def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, monodromy_nodes=10, step=None,
-                            interp_x=None, interp_y=None, interp_trunc=None,
-                            drift_samples=PROBE_LAMBDAS,
+def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
+                            interp_x=None, interp_y=None, drift_samples=PROBE_LAMBDAS,
                             equivariance_tol=CERT_EQUIVARIANCE_TOL,
                             monodromy_tol=CERT_MONODROMY_TOL,
                             surface_tol=CERT_SURFACE_TOL):
@@ -255,14 +256,18 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, monodromy_nodes=
     Returns a flat report dict (stable keys: equivariance_x, equivariance_y,
     monodromy_spread, surface_residual, rotation_angle_measured_rad, stage
     pass flags), the measured descriptor and the frame grid built on x by y.
-    Later stages are skipped when an earlier one fails.  The surface stage
-    passes only when every covered-window node's image is inside the
-    interpolation domain.
+    Later stages are skipped when an earlier one fails.  The monodromy
+    samples at most MONODROMY_NODES of the covered window per axis.  The
+    surface stage interpolates f o gamma on the grid interp_x by interp_y
+    when given, else on x by y; that target is built like every other frame
+    grid, at trunc with the splitter's standard tail test.  The stage passes
+    only when every covered-window node's image is inside the interpolation
+    domain.
     """
     report = {}
     fgrid = reconstruct_frames(pair, x, y, trunc=trunc, step=step,
                                drift_samples=drift_samples)
-    idx_x, idx_y = coverage_window(fgrid, d)
+    idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
     if idx_x.size < 3 or idx_y.size < 3:
         raise ValueError("gamma-covered window is too small on this grid")
     win_x = (fgrid.x[idx_x[0]], fgrid.x[idx_x[-1]])
@@ -279,8 +284,8 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, monodromy_nodes=
         return report, d, fgrid
 
     # thin the covered window for the per-node pipeline re-run
-    sel_x = idx_x[np.unique(np.linspace(0, idx_x.size - 1, min(monodromy_nodes, idx_x.size)).astype(int))]
-    sel_y = idx_y[np.unique(np.linspace(0, idx_y.size - 1, min(monodromy_nodes, idx_y.size)).astype(int))]
+    sel_x = idx_x[np.unique(np.linspace(0, idx_x.size - 1, min(MONODROMY_NODES, idx_x.size)).astype(int))]
+    sel_y = idx_y[np.unique(np.linspace(0, idx_y.size - 1, min(MONODROMY_NODES, idx_y.size)).astype(int))]
     image_f = _image_grid(fgrid, d, sel_x, sel_y, trunc, step=step, drift_samples=drift_samples)
     sgrid = sym_immersion(fgrid, 1.0)
     image_s = sym_immersion(image_f, 1.0)
@@ -310,16 +315,10 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, monodromy_nodes=
     mask[np.ix_(idx_x, idx_y)] = True
     target = None
     if interp_x is not None:
-        # the interpolation target only feeds bilinear lookups of f, so its
-        # truncation may be lighter than the measurement grids'
-        kwargs = {}
-        if interp_trunc is not None:
-            kwargs = {"trunc": interp_trunc, "split_tail_tol": 1e-6}
-        else:
-            kwargs = {"trunc": trunc}
         fine_f = reconstruct_frames(pair, np.asarray(interp_x), np.asarray(interp_y),
-                                    step=step, basepoint=(fgrid.base_x, fgrid.base_y),
-                                    drift_samples=drift_samples, **kwargs)
+                                    trunc=trunc, step=step,
+                                    basepoint=(fgrid.base_x, fgrid.base_y),
+                                    drift_samples=drift_samples)
         target = sym_immersion(fine_f, 1.0)
     resid, coverage = check_surface_symmetry(sgrid, d, sample_mask=mask, target=target)
     report["surface_residual"] = resid

@@ -199,8 +199,8 @@ def amsler_certification():
     ts_img = theta_to_t(th_img)
     step = (ts[-1] - ts[0]) / 4096
     rep, measured, fgrid = certify_from_potentials(
-        pair, desc, ts, ts, trunc=48, step=step, monodromy_nodes=7,
-        interp_x=ts_img, interp_y=ts_img, interp_trunc=40, drift_samples=(1.0,))
+        pair, desc, ts, ts, trunc=48, step=step, interp_x=ts_img, interp_y=ts_img,
+        drift_samples=(1.0,))
     sgrid = sym_immersion(fgrid, 1.0)
     return rep, measured, sgrid
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from psurf import cli
+from psurf import birkhoff, cli, symmetry
 
 
 def run(args):
@@ -278,7 +278,15 @@ directory = {out}
     assert run(["build", cfg]) == cli.EXIT_NUMERIC
 
 
-def test_symmetry_suite_amsler_passes(tmp_path):
+# the second y_range moves only the y axis's covered window
+@pytest.mark.parametrize("y_range", ["-2.6, -0.15", "-2.6, -0.12"], ids=["same_ranges", "longer_y"])
+def test_symmetry_suite_amsler_passes(tmp_path, monkeypatch, y_range):
+    grids, recon = [], symmetry.reconstruct_frames
+
+    def recording(*args, **kwargs):
+        grids.append((kwargs.get("trunc"), recon(*args, **kwargs)))
+        return grids[-1][1]
+    monkeypatch.setattr(symmetry, "reconstruct_frames", recording)
     cfg = write_config(tmp_path / "a.ini", """
 [potential]
 kind = amsler3
@@ -287,7 +295,7 @@ kind = amsler3
 nx = 17
 ny = 17
 x_range = -2.6, -0.15
-y_range = -2.6, -0.15
+y_range = {y_range}
 theta_uniform = true
 
 [run]
@@ -304,12 +312,19 @@ surface_symmetry = 0.05   ; interpolation-limited at this grid size
 
 [output]
 directory = {out}
-""".format(out=tmp_path / "o"))
+""".format(out=tmp_path / "o", y_range=y_range))
     assert run(["verify", cfg]) == cli.EXIT_OK
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["equivariance_x"] < 1e-8
     assert report["monodromy_spread"] < 1e-4
+    assert report["symmetry.surface_coverage"] == 1.0
     assert "rotation_angle_measured_rad" in report
+    # the main grid, the monodromy image grid and the fine target: each is
+    # built at the config's trunc with the splitter's standard tail test
+    assert len(grids) == 3
+    for trunc, fgrid in grids:
+        assert trunc == 48
+        assert fgrid.max_tail <= birkhoff.TAIL_TOL
 
 
 def test_table_potential_roundtrip(tmp_path):
@@ -630,7 +645,8 @@ def config_text(section, key, value, directory="out"):
     ("grid", "theta_uniform", "maybe", False), ("output", "drop_degenerate_faces", "ture", False),
     ("grid", "nx", "2.5", False), ("run", "seed", "-5", False), ("run", "seed", "-1", True),
     ("tolerances", "curvature", "nan", False), ("tolerances", "curvature", "-1", False),
-    ("run", "symmetry_interp", "-3", False), ("potential", "alpha", "table:nope.csv", False),
+    ("run", "symmetry_interp", "-3", False), ("run", "symmetry_interp", "3", False),
+    ("potential", "alpha", "table:nope.csv", False),
     ("potential", "speed_a", "table:nope.csv", False), ("potential", "alpha", "table:.", False),
     ("tolerances", "boundary", "1e-7", False),
 ])

@@ -85,11 +85,8 @@ def test_monodromy_trivial(soliton_frames_small):
 def test_coverage_window_amsler():
     th = np.linspace(-2.6, -0.15, 33)
     ts = theta_to_t(th)
-    pair, desc = generalized_amsler_example(domain=(ts[0] - 1e-6, ts[-1] + 1e-6))
-    from psurf.surface import FrameGrid
-    fake = FrameGrid(x=ts, y=ts, coeffs=None, d_min=0, phi=None, a_vals=None,
-                     b_vals=None, pair=pair)
-    idx_x, idx_y = coverage_window(fake, desc)
+    _, desc = generalized_amsler_example()
+    idx_x, idx_y = coverage_window(ts, ts, desc)
     assert idx_x.size >= 3 and idx_y.size >= 3
     for i in idx_x:
         assert ts[0] <= desc.gamma1(ts[i]) <= ts[-1]
