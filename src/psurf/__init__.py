@@ -8,16 +8,15 @@ from psurf.loops import (LaurentLoop, adjoint_rotation, r3_to_su2, su2_to_r3,
                          unitarity_defect)
 from psurf.oracle import (GoursatProblem, RegistrationError, StiffnessError,
                           goursat_solve, register_rigid)
-from psurf.potentials import (BoundaryAngles, PotentialPair, check_equivariance,
-                              extract_diagonal_potentials, gauge_transform,
-                              generalized_amsler_example, normalized_from_boundary,
-                              stretched_from_boundary)
+from psurf.potentials import (BoundaryAngles, PotentialPair, SymmetryDescriptor,
+                              check_equivariance, extract_diagonal_potentials,
+                              gauge_transform, generalized_amsler_example,
+                              normalized_from_boundary, stretched_from_boundary)
 from psurf.surface import (FrameGrid, SurfaceGrid, associated_family,
                            darboux_frame, find_cone_point, geometry_report,
                            reconstruct_frames, sym_immersion, write_csv, write_obj)
-from psurf.symmetry import (SymmetryDescriptor, certify_from_potentials,
-                            check_axis_switch, check_surface_symmetry,
-                            compute_K, measure_monodromy)
+from psurf.symmetry import (certify_from_potentials, check_axis_switch,
+                            check_surface_symmetry, compute_K, measure_monodromy)
 
 __all__ = [
     "BoundaryAngles", "FactorizationFailure", "FrameGrid", "GoursatProblem",

@@ -282,7 +282,8 @@ def _suite_symmetry(cfg, fgrid, surfaces, geometry):
         return {"symmetry.error": str(exc)}, False
     rep = {f"symmetry.{k}": v for k, v in report.items()}
     for key in ("equivariance_x", "equivariance_y", "monodromy_spread",
-                "surface_residual", "rotation_angle_measured_rad"):
+                "surface_residual", "rotation_angle_measured_rad", "rigid_rotation",
+                "rigid_translation"):
         if key in report:
             rep[key] = report[key]
     return rep, bool(report.get("all_pass", False))

@@ -43,15 +43,16 @@ class AxisFramePath:
         return LaurentLoop(self.coeffs[idx], self.d_min)
 
 
-def _rk4(u, mul, coef, t, h):
-    """One classical RK4 step of du/dt = mul(u, coef(t)); coef is read once
-    per stage time (t, t + h/2, t + h)."""
-    c_0, c_half, c_1 = coef(t), coef(t + 0.5 * h), coef(t + h)
+def _rk4(u, mul, c_0, coef, t, h):
+    """One classical RK4 step of du/dt = mul(u, coef(t)), given c_0 = coef(t).
+    Returns (u at t + h, coef(t + h)), so consecutive steps read coef once
+    per stage time."""
+    c_half, c_1 = coef(t + 0.5 * h), coef(t + h)
     k1 = mul(u, c_0)
     k2 = mul(u + (0.5 * h) * k1, c_half)
     k3 = mul(u + (0.5 * h) * k2, c_half)
     k4 = mul(u + h * k3, c_1)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), c_1
 
 
 def _march(eta, t_from, targets, g, step, band, out):
@@ -65,8 +66,9 @@ def _march(eta, t_from, targets, g, step, band, out):
         if abs(gap) > 0:
             nsub = max(1, int(np.ceil(abs(gap) / step)))
             h = gap / nsub
+            eta_t = eta(t)
             for _ in range(nsub):
-                g = _rk4(g, mul, eta, t, h)
+                g, eta_t = _rk4(g, mul, eta_t, eta, t, h)
                 t = t + h
         t = t_next
         out[n] = g
@@ -134,9 +136,9 @@ def _sweep(u0, coef, ts, substeps):
     u = u0
     for t0, t1 in zip(ts[:-1], ts[1:]):
         h = (t1 - t0) / substeps
-        t = t0
+        t, c = t0, coef(t0)
         for _ in range(substeps):
-            u = _rk4(u, np.matmul, coef, t, h)
+            u, c = _rk4(u, np.matmul, c, coef, t, h)
             t += h
     return u
 

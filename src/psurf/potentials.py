@@ -217,24 +217,41 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None):
 
 # -- equivariance ------------------------------------------------------------
 
-def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
-                       sample_x=None, sample_y=None):
-    """Residuals of the potential-level symmetry condition along each axis.
+@dataclass(frozen=True)
+class SymmetryDescriptor:
+    """A candidate symmetry as declared on the potentials: the axis maps
+    gamma1, gamma2 with their derivatives dgamma1, dgamma2 (all callables of
+    one parameter), and the gauges wx, wy (as in gauge_transform; None is the
+    identity).  switches_axes marks maps that exchange the two asymptotic
+    families: gamma(x, y) = (gamma1(y), gamma2(x)).  What the certification
+    measures (rigid motion, monodromy) is returned, never stored here.
+    """
+
+    gamma1: object
+    gamma2: object
+    dgamma1: object
+    dgamma2: object
+    wx: object = None
+    wy: object = None
+    switches_axes: bool = False
+
+
+def check_equivariance(pair, d, sample_x=None, sample_y=None):
+    """Residuals of the potential-level symmetry condition of the descriptor
+    d along each axis.
 
     Checks (eta o gamma) gamma' = w^-1 eta w + w^-1 w' at EQUIVARIANCE_SAMPLES
-    parameters and at SYMMETRY_LAMBDAS; (0, 0) certifies the symmetry on
-    the potentials.  w', and gamma' when dgamma is not given, are central
-    differences with step 1e-4 of the potential's domain.
+    parameters of each window (default: the potential's domain) and at
+    SYMMETRY_LAMBDAS; (0, 0) certifies the symmetry on the potentials.  w' of
+    a non-constant gauge is a central difference with step 1e-4 of the domain.
     """
-    wx_fn, wx_const = _as_loop_fn(wx)
-    wy_fn, wy_const = _as_loop_fn(wy)
-
-    def axis_residual(eta, gamma, dgamma, w_fn, w_const, window, domain):
+    def axis_residual(eta, gamma, dgamma, w, window, domain):
+        w_fn, w_const = _as_loop_fn(w)
         lo, hi = window if window is not None else domain
         h = 1e-4 * (domain[1] - domain[0])
         res = 0.0
         for t in np.linspace(lo, hi, EQUIVARIANCE_SAMPLES):
-            gp = dgamma(t) if dgamma is not None else (gamma(t + h) - gamma(t - h)) / (2.0 * h)
+            gp = dgamma(t)
             if abs(gp) < 1e-12:
                 raise ValueError(f"gamma derivative vanishes near t = {t}")
             rhs = _gauge_action(eta(t), w_fn, w_const, None, t, h)
@@ -243,8 +260,8 @@ def check_equivariance(pair, gamma1, gamma2, wx, wy, dgamma1=None, dgamma2=None,
             res = max(res, float(np.max(np.abs(diff))))
         return res
 
-    rx = axis_residual(pair.eta_x, gamma1, dgamma1, wx_fn, wx_const, sample_x, pair.domain_x)
-    ry = axis_residual(pair.eta_y, gamma2, dgamma2, wy_fn, wy_const, sample_y, pair.domain_y)
+    rx = axis_residual(pair.eta_x, d.gamma1, d.dgamma1, d.wx, sample_x, pair.domain_x)
+    ry = axis_residual(pair.eta_y, d.gamma2, d.dgamma2, d.wy, sample_y, pair.domain_y)
     return rx, ry
 
 
@@ -288,7 +305,6 @@ def generalized_amsler_example(domain=(-4.0, 4.0)):
     rotation and the axis maps conjugate the 2 pi/3 circle rotation by the
     Cayley transform.
     """
-    from psurf.symmetry import SymmetryDescriptor
 
     def eta(t):
         m = _offdiag(complex(_amsler_p(t)))

@@ -10,8 +10,6 @@ the exact image parameters, never by interpolating loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial.transform import Rotation
@@ -21,7 +19,7 @@ from psurf.loops import (CIRCLE_LAMBDAS, PROBE_LAMBDAS, SU2_I, SU2_J, SU2_K, Lau
                          _dagger, _frob, _rows, adjoint_rotation, band_mask, cauchy_product,
                          evaluate)
 from psurf.oracle import register_rigid
-from psurf.potentials import check_equivariance
+from psurf.potentials import SymmetryDescriptor, check_equivariance  # noqa: F401 (re-export)
 from psurf.surface import EPS_DEGENERATE, reconstruct_frames, sym_immersion
 
 CERT_EQUIVARIANCE_TOL = 1e-6
@@ -33,67 +31,38 @@ AXIS_SWITCH_FRAME_TOL = 1e-4
 MONODROMY_NODES = 10
 
 
-@dataclass(frozen=True)
-class SymmetryDescriptor:
-    """Candidate symmetry: domain map (gamma1, gamma2), gauges, rigid motion.
-
-    R_linear / R_translation / chi start unset and are filled by
-    measurement; switches_axes marks maps that exchange the two asymptotic
-    families, in which case gamma(x, y) = (gamma1(y), gamma2(x)).
-    """
-
-    gamma1: object
-    gamma2: object
-    dgamma1: object = None
-    dgamma2: object = None
-    wx: object = None
-    wy: object = None
-    switches_axes: bool = False
-    R_linear: np.ndarray = None
-    R_translation: np.ndarray = None
-    chi: LaurentLoop = None
-
-    def gamma(self, x, y):
-        if self.switches_axes:
-            return self.gamma1(y), self.gamma2(x)
-        return self.gamma1(x), self.gamma2(y)
-
-    def d1(self, t):
-        if self.dgamma1 is not None:
-            return self.dgamma1(t)
-        return (self.gamma1(t + 1e-6) - self.gamma1(t - 1e-6)) / 2e-6
-
-    def d2(self, t):
-        if self.dgamma2 is not None:
-            return self.dgamma2(t)
-        return (self.gamma2(t + 1e-6) - self.gamma2(t - 1e-6)) / 2e-6
-
-    def with_motion(self, r, t):
-        return replace(self, R_linear=np.asarray(r, dtype=float),
-                       R_translation=np.asarray(t, dtype=float))
-
-    def with_chi(self, chi):
-        return replace(self, chi=chi)
-
-
-def su2_lift(rot3):
+def su2_lift(rot3, nodes=None):
     """One SU(2) preimage of a proper rotation, or of each rotation in a
-    (..., 3, 3) stack, under the adjoint double cover."""
-    q = Rotation.from_matrix(np.asarray(rot3, dtype=float)).as_quat()
+    (..., 3, 3) stack, under the adjoint double cover.
+
+    A matrix whose orthogonality defect ||R^T R - I|| or det error |det R - 1|
+    exceeds CERT_MONODROMY_TOL raises ValueError at the worst one, named by
+    its row of `nodes` (the grid node of each matrix of a flat stack) when
+    given, else by its stack index.
+    """
+    rot3 = np.asarray(rot3, dtype=float)
+    defect = np.linalg.norm(np.swapaxes(rot3, -1, -2) @ rot3 - np.eye(3), axis=(-2, -1))
+    det = np.linalg.det(rot3)
+    excess = np.maximum(defect, np.abs(det - 1.0))
+    if np.any(excess > CERT_MONODROMY_TOL):
+        w = np.unravel_index(np.argmax(excess), excess.shape)
+        at = tuple(int(v) for v in (w if nodes is None else nodes[w]))
+        raise ValueError(f"monodromy: K is not a rotation at node {at} "
+                         f"(orthogonality defect {defect[w]:.3g}, det {det[w]:.3g})")
+    q = Rotation.from_matrix(rot3).as_quat()
     x, y, z, w = np.moveaxis(q, -1, 0)[..., None, None]
     return w * np.eye(2, dtype=complex) + 2.0 * (x * SU2_I + y * SU2_J + z * SU2_K)
 
 
-def check_surface_symmetry(sgrid, d, sample_mask=None, target=None):
-    """Max of ||f(gamma(x,y)) - (R f(x,y) + t)|| over covered sample nodes.
+def check_surface_symmetry(sgrid, d, r, t, sample_mask=None, target=None):
+    """Max of ||f(gamma(x,y)) - (r f(x,y) + t)|| over covered sample nodes,
+    for the rigid motion (r, t) fitted by the caller.
 
     f o gamma is bilinearly interpolated on `target` (a finer surface grid
     of the same immersion when supplied, else sgrid itself), so the
     residual is interpolation-limited; nodes whose image leaves the
     interpolation domain are reported through the coverage fraction.
     """
-    if d.R_linear is None:
-        raise ValueError("descriptor carries no fitted rigid motion yet")
     tgt = target if target is not None else sgrid
     interp = RegularGridInterpolator((tgt.x, tgt.y), tgt.points,
                                      bounds_error=False, fill_value=np.nan)
@@ -101,7 +70,7 @@ def check_surface_symmetry(sgrid, d, sample_mask=None, target=None):
         sample_mask = np.ones((sgrid.x.size, sgrid.y.size), dtype=bool)
     images = np.stack(np.meshgrid(*_image_axes(d, sgrid.x, sgrid.y), indexing="ij"), axis=-1)
     vals = interp(_image_nodes(images, d.switches_axes)[sample_mask])
-    moved = (d.R_linear @ sgrid.points[sample_mask][..., None])[..., 0] + d.R_translation
+    moved = (r @ sgrid.points[sample_mask][..., None])[..., 0] + t
     covered = ~np.any(np.isnan(vals), axis=-1)
     residual = float(np.max(np.abs(vals[covered] - moved[covered]), initial=0.0))
     return residual, (float(np.mean(covered)) if covered.size else 0.0)
@@ -129,7 +98,7 @@ def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
     sw = int(d.switches_axes)
     xs, ys = fgrid.x[idx_x], fgrid.y[idx_y]
     # J on the image grid, from gamma1' and gamma2' at the samples gamma1 and gamma2 read
-    d1, d2 = _image_axes(replace(d, gamma1=d.d1, gamma2=d.d2), xs, ys)
+    d1, d2 = _image_axes(d, xs, ys, derivative=True)
     jac = np.zeros((d1.size, d2.size, 2, 2))
     jac[..., 0, sw] = d1[:, None]
     jac[..., 1, 1 - sw] = d2[None, :]
@@ -152,11 +121,13 @@ def _image_nodes(values, switches):
     return values.swapaxes(0, 1) if switches else values
 
 
-def _image_axes(d, xs, ys):
-    """The image grid's axes over the samples xs by ys: gamma1 and gamma2 at
-    the samples they read, which are (ys, xs) when gamma switches the axes."""
+def _image_axes(d, xs, ys, derivative=False):
+    """The image grid's axes over the samples xs by ys: gamma1 and gamma2, or
+    with `derivative` their derivatives, at the samples they read, which are
+    (ys, xs) when gamma switches the axes."""
     src1, src2 = (ys, xs) if d.switches_axes else (xs, ys)
-    return np.array([d.gamma1(t) for t in src1]), np.array([d.gamma2(t) for t in src2])
+    f1, f2 = (d.dgamma1, d.dgamma2) if derivative else (d.gamma1, d.gamma2)
+    return np.array([f1(t) for t in src1]), np.array([f2(t) for t in src2])
 
 
 def _fit_epsilon(sgrid, image_sgrid, idx_x, idx_y, r_linear, switches):
@@ -189,7 +160,7 @@ def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
     ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon)
     if not np.any(ok):
         raise ValueError("no usable (non-degenerate) nodes for the monodromy")
-    lifts = su2_lift(ks[ok])
+    lifts = su2_lift(ks[ok], nodes=np.stack(np.meshgrid(idx_x, idx_y, indexing="ij"), -1)[ok])
     # branch continuity: each lift takes the sign nearer its predecessor, in row-major node order
     flip = _frob(lifts[1:] - lifts[:-1]) > _frob(lifts[1:] + lifts[:-1])
     lifts *= np.cumprod(np.where(np.r_[False, flip], -1.0, 1.0))[:, None, None]
@@ -253,16 +224,18 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
                             surface_tol=CERT_SURFACE_TOL):
     """Chain equivariance -> monodromy -> surface symmetry, with thresholds.
 
-    Returns a flat report dict (stable keys: equivariance_x, equivariance_y,
-    monodromy_spread, surface_residual, rotation_angle_measured_rad, stage
-    pass flags), the measured descriptor and the frame grid built on x by y.
-    Later stages are skipped when an earlier one fails.  The monodromy
-    samples at most MONODROMY_NODES of the covered window per axis.  The
-    surface stage interpolates f o gamma on the grid interp_x by interp_y
-    when given, else on x by y; that target is built like every other frame
-    grid, at trunc with the splitter's standard tail test.  The stage passes
-    only when every covered-window node's image is inside the interpolation
-    domain.
+    Returns (report, chi, fgrid): a flat report dict (stable keys:
+    equivariance_x, equivariance_y, monodromy_spread, surface_residual,
+    rotation_angle_measured_rad, the fitted motion rigid_rotation and
+    rigid_translation as lists, stage pass flags), the measured monodromy
+    loop (None when the chain stops at equivariance) and the frame grid
+    built on x by y.  Later stages are skipped when an earlier one fails.
+    The monodromy samples at most MONODROMY_NODES of the covered window per
+    axis.  The surface stage interpolates f o gamma on the grid interp_x by
+    interp_y when given, else on x by y; that target is built like every
+    other frame grid, at trunc with the splitter's standard tail test.  The
+    stage passes only when every covered-window node's image is inside the
+    interpolation domain.
     """
     report = {}
     fgrid = reconstruct_frames(pair, x, y, trunc=trunc, step=step,
@@ -273,15 +246,13 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
     win_x = (fgrid.x[idx_x[0]], fgrid.x[idx_x[-1]])
     win_y = (fgrid.y[idx_y[0]], fgrid.y[idx_y[-1]])
 
-    rx, ry = check_equivariance(pair, d.gamma1, d.gamma2, d.wx, d.wy,
-                                dgamma1=d.dgamma1, dgamma2=d.dgamma2,
-                                sample_x=win_x, sample_y=win_y)
+    rx, ry = check_equivariance(pair, d, sample_x=win_x, sample_y=win_y)
     report["equivariance_x"] = rx
     report["equivariance_y"] = ry
     report["equivariance_pass"] = bool(max(rx, ry) < equivariance_tol)
     if not report["equivariance_pass"]:
         report["skipped_after"] = "equivariance"
-        return report, d, fgrid
+        return report, None, fgrid
 
     # thin the covered window for the per-node pipeline re-run
     sel_x = idx_x[np.unique(np.linspace(0, idx_x.size - 1, min(MONODROMY_NODES, idx_x.size)).astype(int))]
@@ -294,7 +265,8 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
     r_lin, t_vec, fit_rms = register_rigid(
         sgrid.points[np.ix_(sel_x, sel_y)].reshape(-1, 3),
         _image_nodes(image_s.points, d.switches_axes).reshape(-1, 3))
-    d = d.with_motion(r_lin, t_vec)
+    report["rigid_rotation"] = r_lin.tolist()
+    report["rigid_translation"] = t_vec.tolist()
     report["rigid_fit_rms"] = fit_rms
     angle = float(np.arccos(np.clip((np.trace(r_lin) - 1.0) / 2.0, -1.0, 1.0)))
     report["rotation_angle_measured_rad"] = angle
@@ -302,14 +274,13 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
     eps = _fit_epsilon(sgrid, image_s, sel_x, sel_y, r_lin, d.switches_axes)
     report["epsilon"] = eps
     chi, spread = measure_monodromy(fgrid, d, image_f, sel_x, sel_y, epsilon=eps)
-    d = d.with_chi(chi)
     report["monodromy_spread"] = spread
     report["monodromy_pass"] = bool(spread < monodromy_tol)
     chi_rot = adjoint_rotation(chi.evaluate(1.0), tol=1e-4)
     report["chi_vs_R"] = float(np.max(np.abs(chi_rot - r_lin)))
     if not report["monodromy_pass"]:
         report["skipped_after"] = "monodromy"
-        return report, d, fgrid
+        return report, chi, fgrid
 
     mask = np.zeros((fgrid.x.size, fgrid.y.size), dtype=bool)
     mask[np.ix_(idx_x, idx_y)] = True
@@ -320,10 +291,11 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
                                     basepoint=(fgrid.base_x, fgrid.base_y),
                                     drift_samples=drift_samples)
         target = sym_immersion(fine_f, 1.0)
-    resid, coverage = check_surface_symmetry(sgrid, d, sample_mask=mask, target=target)
+    resid, coverage = check_surface_symmetry(sgrid, d, r_lin, t_vec, sample_mask=mask,
+                                             target=target)
     report["surface_residual"] = resid
     report["surface_coverage"] = coverage
     report["surface_pass"] = bool(resid < surface_tol and coverage == 1.0)
     report["all_pass"] = bool(report["equivariance_pass"] and report["monodromy_pass"]
                               and report["surface_pass"])
-    return report, d, fgrid
+    return report, chi, fgrid

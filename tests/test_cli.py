@@ -278,16 +278,7 @@ directory = {out}
     assert run(["build", cfg]) == cli.EXIT_NUMERIC
 
 
-# the second y_range moves only the y axis's covered window
-@pytest.mark.parametrize("y_range", ["-2.6, -0.15", "-2.6, -0.12"], ids=["same_ranges", "longer_y"])
-def test_symmetry_suite_amsler_passes(tmp_path, monkeypatch, y_range):
-    grids, recon = [], symmetry.reconstruct_frames
-
-    def recording(*args, **kwargs):
-        grids.append((kwargs.get("trunc"), recon(*args, **kwargs)))
-        return grids[-1][1]
-    monkeypatch.setattr(symmetry, "reconstruct_frames", recording)
-    cfg = write_config(tmp_path / "a.ini", """
+AMSLER_17 = """
 [potential]
 kind = amsler3
 
@@ -312,13 +303,28 @@ surface_symmetry = 0.05   ; interpolation-limited at this grid size
 
 [output]
 directory = {out}
-""".format(out=tmp_path / "o", y_range=y_range))
+"""
+
+
+# the second y_range moves only the y axis's covered window
+@pytest.mark.parametrize("y_range", ["-2.6, -0.15", "-2.6, -0.12"], ids=["same_ranges", "longer_y"])
+def test_symmetry_suite_amsler_passes(tmp_path, monkeypatch, y_range):
+    grids, recon = [], symmetry.reconstruct_frames
+
+    def recording(*args, **kwargs):
+        grids.append((kwargs.get("trunc"), recon(*args, **kwargs)))
+        return grids[-1][1]
+    monkeypatch.setattr(symmetry, "reconstruct_frames", recording)
+    cfg = write_config(tmp_path / "a.ini", AMSLER_17.format(out=tmp_path / "o", y_range=y_range))
     assert run(["verify", cfg]) == cli.EXIT_OK
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["equivariance_x"] < 1e-8
     assert report["monodromy_spread"] < 1e-4
     assert report["symmetry.surface_coverage"] == 1.0
     assert "rotation_angle_measured_rad" in report
+    rot = np.array(report["rigid_rotation"])
+    assert report["symmetry.rigid_rotation"] == report["rigid_rotation"]
+    assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-9 and len(report["rigid_translation"]) == 3
     # the main grid, the monodromy image grid and the fine target: each is
     # built at the config's trunc with the splitter's standard tail test
     assert len(grids) == 3
@@ -451,6 +457,25 @@ def test_shipped_configs_use_known_keys(tmp_path, config):
     args = argparse.Namespace(trunc=None, seed=None, output_dir=None)
     cfg = cli.RunConfig(cli._parse_config(path), os.path.dirname(path), args)
     assert cfg.trunc in (24, 48)
+
+
+def test_symmetry_suite_names_a_monodromy_that_is_not_a_rotation(tmp_path):
+    # grid corners off the diagonal: K at the sampled nodes is far from SO(3)
+    cfg = write_config(tmp_path / "a.ini", AMSLER_17.format(out=tmp_path / "o",
+                                                            y_range="-2.75, -0.15"))
+    assert run(["verify", cfg]) == cli.EXIT_VERIFY
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert re.fullmatch(r"monodromy: K is not a rotation at node \(\d+, \d+\) "
+                        r"\(orthogonality defect [\d.e+-]+, det [\d.e+-]+\)",
+                        report["symmetry.error"]), report["symmetry.error"]
+
+
+def test_benchmark_soliton_config_is_the_readme_example(tmp_path):
+    # the benchmark's config declares itself the README example, unchanged
+    readme, bench = ({s: dict(cp[s]) for s in cp.sections()} for cp in (
+        cli._parse_config(_readme_example(tmp_path)),
+        cli._parse_config(os.path.join(REPO, "perfbench", "configs", "soliton_build.ini"))))
+    assert bench == readme
 
 
 def test_build_reuses_its_geometry_reports(tmp_path, monkeypatch):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from psurf.loops import LaurentLoop, exp_loop, unitarity_defect
-from psurf.potentials import (AMSLER_GAMMA_POLE, BoundaryAngles, amsler_dgamma,
-                              amsler_gamma, cayley, check_equivariance,
+from psurf.loops import SYMMETRY_LAMBDAS
+from psurf.potentials import (AMSLER_GAMMA_POLE, EQUIVARIANCE_SAMPLES, BoundaryAngles,
+                              SymmetryDescriptor, amsler_dgamma, amsler_gamma, cayley,
+                              check_equivariance,
                               extract_diagonal_potentials, function_from_table,
                               gauge_transform, generalized_amsler_example,
                               normalized_from_boundary, soliton_alpha,
@@ -132,23 +134,30 @@ def test_gauge_cocycle():
         assert diff.max_coeff_norm() < 1e-8
 
 
+IDENT = lambda t: t
+ONE = lambda t: 1.0
+
+
+def test_descriptor_requires_the_derivatives():
+    with pytest.raises(TypeError, match="dgamma1"):
+        SymmetryDescriptor(gamma1=IDENT, gamma2=IDENT)
+
+
 def test_equivariance_trivial_and_shift():
     pair = normalized_from_boundary(soliton_bnd(), (0, 1), (0, 1))
-    ident = lambda t: t
-    rx, ry = check_equivariance(pair, ident, ident, None, None,
-                                dgamma1=lambda t: 1.0, dgamma2=lambda t: 1.0)
+    rx, ry = check_equivariance(pair, SymmetryDescriptor(IDENT, IDENT, ONE, ONE))
     assert rx == 0.0 and ry == 0.0
-    rx, _ = check_equivariance(pair, lambda t: t + 0.2, ident, None, None,
-                               dgamma1=lambda t: 1.0, dgamma2=lambda t: 1.0,
+    rx, _ = check_equivariance(pair, SymmetryDescriptor(lambda t: t + 0.2, IDENT, ONE, ONE),
                                sample_x=(0.0, 0.7))
     assert rx > 1e-3
 
 
 def test_equivariance_rejects_critical_gamma():
     pair = normalized_from_boundary(soliton_bnd(), (0, 1), (0, 1))
+    d = SymmetryDescriptor(gamma1=lambda t: t ** 2, gamma2=IDENT,
+                           dgamma1=lambda t: 2 * t, dgamma2=ONE)
     with pytest.raises(ValueError, match="derivative"):
-        check_equivariance(pair, lambda t: t ** 2, lambda t: t, None, None,
-                           sample_x=(0.0, 1.0))
+        check_equivariance(pair, d, sample_x=(0.0, 1.0))
 
 
 def test_cayley_maps_line_to_circle():
@@ -168,10 +177,26 @@ def test_amsler_structure_and_equivariance():
         assert np.max(np.abs(v + np.conj(v.T))) < 1e-13
     window = (-4.0, 0.28)   # gamma stays finite left of the pulled-back pole
     assert window[1] < AMSLER_GAMMA_POLE
-    rx, ry = check_equivariance(pair, desc.gamma1, desc.gamma2, desc.wx, desc.wy,
-                                dgamma1=desc.dgamma1, dgamma2=desc.dgamma2,
-                                sample_x=window, sample_y=window)
+    rx, ry = check_equivariance(pair, desc, sample_x=window, sample_y=window)
     assert rx < 1e-8 and ry < 1e-8
+
+
+def reference_equivariance(eta, gamma, dgamma, w, window):
+    """One axis of check_equivariance for a constant gauge w, written out."""
+    res = 0.0
+    for t in np.linspace(*window, EQUIVARIANCE_SAMPLES):
+        diff = eta(gamma(t)).scaled(dgamma(t)) - (w.dagger() * eta(t)) * w
+        res = max(res, float(np.max(np.abs(diff.evaluate(SYMMETRY_LAMBDAS)))))
+    return res
+
+
+def test_equivariance_reads_the_descriptor_bit_for_bit():
+    pair, desc = generalized_amsler_example(domain=(-4.0, 4.0))
+    win_x, win_y = (-4.0, 0.28), (-3.0, 0.1)
+    rx, ry = check_equivariance(pair, desc, sample_x=win_x, sample_y=win_y)
+    assert rx == reference_equivariance(pair.eta_x, amsler_gamma, amsler_dgamma, desc.wx, win_x)
+    assert ry == reference_equivariance(pair.eta_y, amsler_gamma, amsler_dgamma, desc.wy, win_y)
+    assert max(rx, ry) < 1e-12
 
 
 def test_amsler_gamma_is_conjugated_rotation():
@@ -194,9 +219,7 @@ def test_perturbed_amsler_breaks_equivariance():
 
     from dataclasses import replace
     bad = replace(pair, eta_x=eta_bad, eta_y=eta_bad)
-    rx, ry = check_equivariance(bad, desc.gamma1, desc.gamma2, desc.wx, desc.wy,
-                                dgamma1=desc.dgamma1, dgamma2=desc.dgamma2,
-                                sample_x=(-4.0, 0.28), sample_y=(-4.0, 0.28))
+    rx, ry = check_equivariance(bad, desc, sample_x=(-4.0, 0.28), sample_y=(-4.0, 0.28))
     assert rx > 1e-3 and ry > 1e-3
 
 

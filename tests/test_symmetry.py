@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -39,26 +41,34 @@ def test_su2_lift_inverts_adjoint():
         assert np.max(np.abs(adjoint_rotation(lift) - rot)) < 1e-12
 
 
+def test_su2_lift_refuses_a_matrix_that_is_not_a_rotation():
+    with pytest.raises(ValueError, match=r"not a rotation at node \(1,\) "
+                                         r"\(orthogonality defect 0\.75, det 1\)"):
+        su2_lift([np.eye(3), [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+    with pytest.raises(ValueError, match=r"not a rotation at node \(7, 3\) .*det -1\)"):
+        su2_lift([np.diag([1.0, 1.0, -1.0])], nodes=np.array([[7, 3]]))
+
+
+def test_descriptor_is_declared_once():
+    import psurf
+    from psurf import potentials
+    assert SymmetryDescriptor is potentials.SymmetryDescriptor is psurf.SymmetryDescriptor
+    assert [f.name for f in fields(SymmetryDescriptor)] == [
+        "gamma1", "gamma2", "dgamma1", "dgamma2", "wx", "wy", "switches_axes"]
+
+
 def test_surface_symmetry_identity(soliton_frames_small):
     s = sym_immersion(soliton_frames_small, 1.0)
-    d = identity_descriptor().with_motion(np.eye(3), np.zeros(3))
-    resid, coverage = check_surface_symmetry(s, d)
+    resid, coverage = check_surface_symmetry(s, identity_descriptor(), np.eye(3), np.zeros(3))
     assert resid < 1e-12 and coverage == 1.0
 
 
 def test_surface_symmetry_shift_fails(soliton_frames_small):
     s = sym_immersion(soliton_frames_small, 1.0)
-    d = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=IDENT,
-                           dgamma1=ONE, dgamma2=ONE).with_motion(np.eye(3), np.zeros(3))
-    resid, coverage = check_surface_symmetry(s, d)
+    d = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=IDENT, dgamma1=ONE, dgamma2=ONE)
+    resid, coverage = check_surface_symmetry(s, d, np.eye(3), np.zeros(3))
     assert resid > 1e-2
     assert 0.0 < coverage < 1.0
-
-
-def test_surface_symmetry_requires_motion(soliton_frames_small):
-    s = sym_immersion(soliton_frames_small, 1.0)
-    with pytest.raises(ValueError, match="rigid motion"):
-        check_surface_symmetry(s, identity_descriptor())
 
 
 def test_compute_K_identity(soliton_frames_small):
@@ -177,10 +187,10 @@ def reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
                 continue
             z = _z_matrix(fgrid.a_vals[i], fgrid.b_vals[j], phi)
             if d.switches_axes:
-                jac = np.array([[0.0, d.d1(yj)], [d.d2(xi), 0.0]])
+                jac = np.array([[0.0, d.dgamma1(yj)], [d.dgamma2(xi), 0.0]])
                 phi_im, a_im, b_im = image_fgrid.phi[q, p], image_fgrid.a_vals[q], image_fgrid.b_vals[p]
             else:
-                jac = np.diag([d.d1(xi), d.d2(yj)])
+                jac = np.diag([d.dgamma1(xi), d.dgamma2(yj)])
                 phi_im, a_im, b_im = image_fgrid.phi[p, q], image_fgrid.a_vals[p], image_fgrid.b_vals[q]
             if abs(np.sin(phi_im)) < EPS_DEGENERATE:
                 continue
@@ -215,7 +225,7 @@ def reference_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
     return chi_mean, spread
 
 
-def reference_surface_symmetry(sgrid, d, sample_mask=None):
+def reference_surface_symmetry(sgrid, d, r, t, sample_mask=None):
     """check_surface_symmetry as a per-node loop of interpolator calls."""
     interp = RegularGridInterpolator((sgrid.x, sgrid.y), sgrid.points,
                                      bounds_error=False, fill_value=np.nan)
@@ -225,11 +235,12 @@ def reference_surface_symmetry(sgrid, d, sample_mask=None):
             if sample_mask is not None and not sample_mask[i, j]:
                 continue
             total += 1
-            val = interp(d.gamma(sgrid.x[i], sgrid.y[j]))
+            x, y = (sgrid.y[j], sgrid.x[i]) if d.switches_axes else (sgrid.x[i], sgrid.y[j])
+            val = interp((d.gamma1(x), d.gamma2(y)))
             if np.any(np.isnan(val)):
                 continue
             covered += 1
-            moved = d.R_linear @ sgrid.points[i, j] + d.R_translation
+            moved = r @ sgrid.points[i, j] + t
             residual = max(residual, float(np.max(np.abs(val - moved))))
     return residual, covered / total if total else 0.0
 
@@ -327,12 +338,13 @@ def test_surface_symmetry_equals_the_node_loop(soliton_surface_small, switches):
     rng = np.random.default_rng(3)
     skew = rng.standard_normal((3, 3))
     rot = expm(skew - skew.T)
-    d = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=lambda t: 0.9 * t,
-                           switches_axes=switches).with_motion(rot, rng.standard_normal(3))
+    shift = rng.standard_normal(3)
+    d = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=lambda t: 0.9 * t, dgamma1=ONE,
+                           dgamma2=lambda t: 0.9, switches_axes=switches)
     mask = rng.uniform(size=(s.x.size, s.y.size)) < 0.6
     for sample_mask in (None, mask):
-        got = check_surface_symmetry(s, d, sample_mask=sample_mask)
-        assert got == reference_surface_symmetry(s, d, sample_mask=sample_mask)
+        got = check_surface_symmetry(s, d, rot, shift, sample_mask=sample_mask)
+        assert got == reference_surface_symmetry(s, d, rot, shift, sample_mask=sample_mask)
         assert 0.0 < got[1] < 1.0
 
 
@@ -343,5 +355,17 @@ def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton
                                         interp_x=far, interp_y=far)
     assert rep["surface_coverage"] == 0.0 and rep["surface_residual"] == 0.0
     assert rep["surface_pass"] is False and rep["all_pass"] is False
-    rep, _, _ = certify_from_potentials(soliton_pair, identity_descriptor(), xs, xs)
+    rep, chi, _ = certify_from_potentials(soliton_pair, identity_descriptor(), xs, xs)
     assert rep["surface_coverage"] == 1.0 and rep["all_pass"] is True
+    # the measurements are returned: the fitted motion as report lists, chi as a loop
+    assert np.max(np.abs(np.array(rep["rigid_rotation"]) - np.eye(3))) < 1e-9
+    assert np.max(np.abs(rep["rigid_translation"])) < 1e-9
+    assert np.max(np.abs(chi.evaluate(CIRCLE_LAMBDAS) - np.eye(2))) < 1e-9
+
+
+def test_certification_returns_no_chi_when_equivariance_fails(soliton_pair):
+    xs = np.linspace(0.0, 1.0, 9)
+    shift = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=IDENT, dgamma1=ONE, dgamma2=ONE)
+    rep, chi, fgrid = certify_from_potentials(soliton_pair, shift, xs, xs)
+    assert rep["equivariance_pass"] is False and rep["skipped_after"] == "equivariance"
+    assert chi is None and "rigid_rotation" not in rep and fgrid.coeffs.shape[:2] == (9, 9)
