@@ -111,7 +111,10 @@ def _theta_to_t(th):
     return np.tan(0.5 * (np.asarray(th, dtype=float) + np.pi))
 
 
-def _write_report(report, outdir):
+def _write_report(report, ok, outdir):
+    """Write report.txt and report.json with the verdict ok as `pass`; a
+    command's exit code."""
+    report["pass"] = bool(ok)
     os.makedirs(outdir, exist_ok=True)
     txt = os.path.join(outdir, "report.txt")
     with open(txt, "w", encoding="utf-8", newline="\n") as fh:
@@ -120,7 +123,8 @@ def _write_report(report, outdir):
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump({k: (v.tolist() if isinstance(v, np.ndarray) else v)
                    for k, v in report.items()}, fh, indent=1, sort_keys=True)
-    return txt
+    print(f"report written to {txt}")
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _build_surfaces(cfg):
@@ -182,14 +186,12 @@ def cmd_build(cfg):
         vr, vok = _run_suites(cfg, fgrid, surfaces, geometry)
         report.update(vr)
         ok = ok and vok
-    report["pass"] = bool(ok)
-    path = _write_report(report, cfg.output_dir)
-    print(f"report written to {path}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _write_report(report, ok, cfg.output_dir)
 
 
-# suite runners return (report entries, passed); fgrid and surfaces are None
-# unless the suite needs a build, geometry holds the build's reports if any
+# suite runners return (report entries, passed); fgrid and surfaces are the
+# command's one build (None when no suite needs it), geometry holds the
+# build's reports if any
 
 def _suite_loops(cfg, fgrid, surfaces, geometry):
     rng = np.random.default_rng(cfg.seed)
@@ -257,26 +259,20 @@ def _suite_oracle(cfg, fgrid, surfaces, geometry):
 
 
 def _suite_symmetry(cfg, fgrid, surfaces, geometry):
-    tol = cfg.tolerances
-    if cfg.descriptor is None:
-        _, d = pots.generalized_amsler_example(domain=(float(cfg.x[0]), float(cfg.x[-1])))
-    else:
-        d = cfg.descriptor
+    tol, d = cfg.tolerances, cfg.descriptor
     interp = {}
-    idx_x, idx_y = coverage_window(cfg.x, cfg.y, d)
+    idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
     # an empty window is certify_from_potentials' named error
     if cfg.symmetry_interp and idx_x.size and idx_y.size:
         # refine the gamma-image of the covered sample window as the target
         n = cfg.symmetry_interp
-        pre_x = np.linspace(cfg.x[idx_x[0]], cfg.x[idx_x[-1]], n)
-        pre_y = np.linspace(cfg.y[idx_y[0]], cfg.y[idx_y[-1]], n)
+        pre_x = np.linspace(fgrid.x[idx_x[0]], fgrid.x[idx_x[-1]], n)
+        pre_y = np.linspace(fgrid.y[idx_y[0]], fgrid.y[idx_y[-1]], n)
         interp_x, interp_y = _image_axes(d, pre_x, pre_y)
         interp = {"interp_x": interp_x, "interp_y": interp_y}
     try:
-        report, _, _ = certify_from_potentials(
-            cfg.pair, d, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
-            drift_samples=cfg.drift_samples,
-            equivariance_tol=tol["equivariance"], monodromy_tol=tol["monodromy"],
+        report, _ = certify_from_potentials(
+            fgrid, d, equivariance_tol=tol["equivariance"], monodromy_tol=tol["monodromy"],
             surface_tol=tol["surface_symmetry"], **interp)
     except ValueError as exc:
         return {"symmetry.error": str(exc)}, False
@@ -427,6 +423,9 @@ class RunConfig:
         self.suites, self.tolerances = val["verify"]["suites"], val["tolerances"]
         if "geometry" in self.suites:
             self.require_geometry_grid("the geometry suite")
+        if "symmetry" in self.suites and self.descriptor is None:
+            raise ConfigError(f"[verify] suites: the symmetry suite needs a declared symmetry, "
+                              f"and kind = {self.kind} declares none (only amsler3 does)")
         self.output_dir = overrides.output_dir or o["directory"]
         self.formats, self.drop_degenerate_faces = o["formats"], o["drop_degenerate_faces"]
 
@@ -451,15 +450,11 @@ def _run_suites(cfg, fgrid, surfaces, geometry=None):
 def cmd_verify(cfg):
     if not cfg.suites:
         raise ConfigError("verify requires a [verify] suites entry")
-    need_build = any(s in ("geometry", "oracle", "cone") for s in cfg.suites)
-    fgrid = surfaces = None
-    if need_build:
-        fgrid, surfaces = _build_surfaces(cfg)
+    # every suite but loops and birkhoff reads the build
+    need_build = set(cfg.suites) - {"loops", "birkhoff"}
+    fgrid, surfaces = _build_surfaces(cfg) if need_build else (None, None)
     report, ok = _run_suites(cfg, fgrid, surfaces)
-    report["pass"] = bool(ok)
-    path = _write_report(report, cfg.output_dir)
-    print(f"report written to {path}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _write_report(report, ok, cfg.output_dir)
 
 
 def cmd_sweep(cfg):
@@ -480,10 +475,7 @@ def cmd_sweep(cfg):
     with open(os.path.join(cfg.output_dir, "family_summary.csv"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    report["pass"] = bool(ok)
-    path = _write_report(report, cfg.output_dir)
-    print(f"report written to {path}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _write_report(report, ok, cfg.output_dir)
 
 
 def main(argv=None):

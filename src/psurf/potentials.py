@@ -242,10 +242,13 @@ def check_equivariance(pair, d, sample_x=None, sample_y=None):
 
     Checks (eta o gamma) gamma' = w^-1 eta w + w^-1 w' at EQUIVARIANCE_SAMPLES
     parameters of each window (default: the potential's domain) and at
-    SYMMETRY_LAMBDAS; (0, 0) certifies the symmetry on the potentials.  w' of
-    a non-constant gauge is a central difference with step 1e-4 of the domain.
+    SYMMETRY_LAMBDAS; (0, 0) certifies the symmetry on the potentials.  When
+    d switches the axes, the x residual compares (eta_y o gamma2) gamma2' with
+    the wx action on eta_x reflected (lambda -> 1/lambda), and the y residual
+    the same with x and y exchanged.  w' of a non-constant gauge is a central
+    difference with step 1e-4 of the domain.
     """
-    def axis_residual(eta, gamma, dgamma, w, window, domain):
+    def axis_residual(eta, w, window, domain, image_eta, gamma, dgamma):
         w_fn, w_const = _as_loop_fn(w)
         lo, hi = window if window is not None else domain
         h = 1e-4 * (domain[1] - domain[0])
@@ -255,13 +258,17 @@ def check_equivariance(pair, d, sample_x=None, sample_y=None):
             if abs(gp) < 1e-12:
                 raise ValueError(f"gamma derivative vanishes near t = {t}")
             rhs = _gauge_action(eta(t), w_fn, w_const, None, t, h)
-            lhs = eta(gamma(t)).scaled(gp)
-            diff = (lhs - rhs).evaluate(SYMMETRY_LAMBDAS)
+            lhs = image_eta(gamma(t)).scaled(gp)
+            diff = (lhs - (rhs.reflect() if d.switches_axes else rhs)).evaluate(SYMMETRY_LAMBDAS)
             res = max(res, float(np.max(np.abs(diff))))
         return res
 
-    rx = axis_residual(pair.eta_x, d.gamma1, d.dgamma1, d.wx, sample_x, pair.domain_x)
-    ry = axis_residual(pair.eta_y, d.gamma2, d.dgamma2, d.wy, sample_y, pair.domain_y)
+    # the image potential and axis map of each axis; a switching gamma exchanges them
+    image = [(pair.eta_x, d.gamma1, d.dgamma1), (pair.eta_y, d.gamma2, d.dgamma2)]
+    if d.switches_axes:
+        image.reverse()
+    rx = axis_residual(pair.eta_x, d.wx, sample_x, pair.domain_x, *image[0])
+    ry = axis_residual(pair.eta_y, d.wy, sample_y, pair.domain_y, *image[1])
     return rx, ry
 
 

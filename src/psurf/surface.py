@@ -34,7 +34,9 @@ class FrameGrid:
     """Extended frames U(x_i, y_j) with the extracted angle data.
 
     coeffs[i, j, k - d_min] is the lambda^k coefficient of U(x_i, y_j); the
-    degree axis covers the union of the per-node bands, zero-padded.
+    degree axis covers the union of the per-node bands, zero-padded.  pair,
+    the anchor (base_x, base_y) and trunc, step, init_x, drift_samples (as
+    passed to reconstruct_frames) are the recipe frames_at replays.
     """
 
     x: np.ndarray
@@ -51,6 +53,10 @@ class FrameGrid:
     max_tail: float = 0.0
     a_fn: object = None
     b_fn: object = None
+    trunc: int = DEFAULT_TRUNC
+    step: object = None
+    init_x: object = None
+    drift_samples: tuple = PROBE_LAMBDAS
 
     def evaluate(self, lam):
         """U(x_i, y_j)(lam) at every node, shape (nx, ny, 2, 2)."""
@@ -97,8 +103,8 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     For normalized pairs the frames are anchored at the origin and the
     boundary angles are used exactly; for generalized pairs the speeds and
     phases are extracted from the top lambda coefficients and the anchor
-    defaults to the lower-left node (pass basepoint to evaluate the same
-    global frame on another sample window).  Every node is split from trunc
+    defaults to the lower-left node (frames_at evaluates the same global
+    frame on another sample window).  Every node is split from trunc
     with split_plus_minusfree's own residual and tail tests, so all grids of
     one pipeline share one accuracy rule.
     """
@@ -178,7 +184,16 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
                      a_vals=a_vals, b_vals=b_vals,
                      base_x=float(bx), base_y=float(by), pair=pair,
                      max_split_residual=max_resid, max_tail=max_tail,
-                     a_fn=a_fn, b_fn=b_fn)
+                     a_fn=a_fn, b_fn=b_fn, trunc=trunc, step=step, init_x=init_x,
+                     drift_samples=drift_samples)
+
+
+def frames_at(fgrid, x, y):
+    """The global frame of fgrid on the samples x by y: reconstruct_frames
+    re-run with the arguments fgrid was built with, from its anchor."""
+    return reconstruct_frames(fgrid.pair, x, y, trunc=fgrid.trunc, step=fgrid.step,
+                              init_x=fgrid.init_x, basepoint=(fgrid.base_x, fgrid.base_y),
+                              drift_samples=fgrid.drift_samples)
 
 
 def sym_immersion(fgrid, lam0):

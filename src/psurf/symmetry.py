@@ -5,7 +5,7 @@ The guiding relation is U(gamma(x,y)) = chi(lambda) U(x,y) K_lift(x,y):
 K is computed pointwise from tangent data, its SU(2) lift is chosen
 branch-continuously, and chi is measured as the node-averaged conjugation
 defect.  U o gamma is always produced by re-running the frame pipeline at
-the exact image parameters, never by interpolating loops.
+the exact image parameters (surface.frames_at), never by interpolating loops.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial.transform import Rotation
 
-from psurf.birkhoff import DEFAULT_TRUNC
 from psurf.loops import (CIRCLE_LAMBDAS, PROBE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop,
                          _dagger, _frob, _rows, adjoint_rotation, band_mask, cauchy_product,
                          evaluate)
 from psurf.oracle import register_rigid
 from psurf.potentials import SymmetryDescriptor, check_equivariance  # noqa: F401 (re-export)
-from psurf.surface import EPS_DEGENERATE, reconstruct_frames, sym_immersion
+from psurf.surface import EPS_DEGENERATE, frames_at, sym_immersion
 
 CERT_EQUIVARIANCE_TOL = 1e-6
 CERT_MONODROMY_TOL = 1e-4
@@ -136,18 +135,13 @@ def _fit_epsilon(sgrid, image_sgrid, idx_x, idx_y, r_linear, switches):
     return 1.0 if np.mean(votes) >= 0 else -1.0
 
 
-def _image_grid(fgrid, d, idx_x, idx_y, trunc, step=None, drift_samples=PROBE_LAMBDAS):
-    """Pipeline re-run at the exact gamma-images of the selected parameters.
-
-    The integration stays anchored at the original basepoint so the image
-    frames are the same global extended frame evaluated elsewhere.
-    """
+def _image_grid(fgrid, d, idx_x, idx_y):
+    """The frames of fgrid at the exact gamma-images of the selected
+    parameters: the same global extended frame, evaluated elsewhere."""
     gx, gy = _image_axes(d, fgrid.x[idx_x], fgrid.y[idx_y])
     if np.any(np.diff(gx) <= 0) or np.any(np.diff(gy) <= 0):
         raise ValueError("gamma must be increasing on the sampled window")
-    return reconstruct_frames(fgrid.pair, gx, gy, trunc=trunc, step=step,
-                              basepoint=(fgrid.base_x, fgrid.base_y),
-                              drift_samples=drift_samples)
+    return frames_at(fgrid, gx, gy)
 
 
 def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
@@ -217,47 +211,43 @@ def coverage_window(x, y, d):
     return (in_y, in_x) if d.switches_axes else (in_x, in_y)
 
 
-def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
-                            interp_x=None, interp_y=None, drift_samples=PROBE_LAMBDAS,
+def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
                             equivariance_tol=CERT_EQUIVARIANCE_TOL,
                             monodromy_tol=CERT_MONODROMY_TOL,
                             surface_tol=CERT_SURFACE_TOL):
-    """Chain equivariance -> monodromy -> surface symmetry, with thresholds.
+    """Chain equivariance -> monodromy -> surface symmetry on the frame grid
+    fgrid of fgrid.pair, with thresholds.
 
-    Returns (report, chi, fgrid): a flat report dict (stable keys:
-    equivariance_x, equivariance_y, monodromy_spread, surface_residual,
+    Returns (report, chi): a flat report dict (stable keys: equivariance_x,
+    equivariance_y, monodromy_spread, surface_residual,
     rotation_angle_measured_rad, the fitted motion rigid_rotation and
-    rigid_translation as lists, stage pass flags), the measured monodromy
-    loop (None when the chain stops at equivariance) and the frame grid
-    built on x by y.  Later stages are skipped when an earlier one fails.
-    The monodromy samples at most MONODROMY_NODES of the covered window per
-    axis.  The surface stage interpolates f o gamma on the grid interp_x by
-    interp_y when given, else on x by y; that target is built like every
-    other frame grid, at trunc with the splitter's standard tail test.  The
-    stage passes only when every covered-window node's image is inside the
-    interpolation domain.
+    rigid_translation as lists, stage pass flags) and the measured monodromy
+    loop (None when the chain stops at equivariance).  Later stages are
+    skipped when an earlier one fails.  The monodromy samples at most
+    MONODROMY_NODES of the covered window per axis.  The surface stage
+    interpolates f o gamma on frames_at(fgrid, interp_x, interp_y) when
+    given, else on fgrid, and passes only when every covered-window node's
+    image is inside the interpolation domain.
     """
     report = {}
-    fgrid = reconstruct_frames(pair, x, y, trunc=trunc, step=step,
-                               drift_samples=drift_samples)
     idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
     if idx_x.size < 3 or idx_y.size < 3:
         raise ValueError("gamma-covered window is too small on this grid")
     win_x = (fgrid.x[idx_x[0]], fgrid.x[idx_x[-1]])
     win_y = (fgrid.y[idx_y[0]], fgrid.y[idx_y[-1]])
 
-    rx, ry = check_equivariance(pair, d, sample_x=win_x, sample_y=win_y)
+    rx, ry = check_equivariance(fgrid.pair, d, sample_x=win_x, sample_y=win_y)
     report["equivariance_x"] = rx
     report["equivariance_y"] = ry
     report["equivariance_pass"] = bool(max(rx, ry) < equivariance_tol)
     if not report["equivariance_pass"]:
         report["skipped_after"] = "equivariance"
-        return report, None, fgrid
+        return report, None
 
     # thin the covered window for the per-node pipeline re-run
     sel_x = idx_x[np.unique(np.linspace(0, idx_x.size - 1, min(MONODROMY_NODES, idx_x.size)).astype(int))]
     sel_y = idx_y[np.unique(np.linspace(0, idx_y.size - 1, min(MONODROMY_NODES, idx_y.size)).astype(int))]
-    image_f = _image_grid(fgrid, d, sel_x, sel_y, trunc, step=step, drift_samples=drift_samples)
+    image_f = _image_grid(fgrid, d, sel_x, sel_y)
     sgrid = sym_immersion(fgrid, 1.0)
     image_s = sym_immersion(image_f, 1.0)
 
@@ -280,17 +270,11 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
     report["chi_vs_R"] = float(np.max(np.abs(chi_rot - r_lin)))
     if not report["monodromy_pass"]:
         report["skipped_after"] = "monodromy"
-        return report, chi, fgrid
+        return report, chi
 
     mask = np.zeros((fgrid.x.size, fgrid.y.size), dtype=bool)
     mask[np.ix_(idx_x, idx_y)] = True
-    target = None
-    if interp_x is not None:
-        fine_f = reconstruct_frames(pair, np.asarray(interp_x), np.asarray(interp_y),
-                                    trunc=trunc, step=step,
-                                    basepoint=(fgrid.base_x, fgrid.base_y),
-                                    drift_samples=drift_samples)
-        target = sym_immersion(fine_f, 1.0)
+    target = None if interp_x is None else sym_immersion(frames_at(fgrid, interp_x, interp_y), 1.0)
     resid, coverage = check_surface_symmetry(sgrid, d, r_lin, t_vec, sample_mask=mask,
                                              target=target)
     report["surface_residual"] = resid
@@ -298,4 +282,4 @@ def certify_from_potentials(pair, d, x, y, trunc=DEFAULT_TRUNC, step=None,
     report["surface_pass"] = bool(resid < surface_tol and coverage == 1.0)
     report["all_pass"] = bool(report["equivariance_pass"] and report["monodromy_pass"]
                               and report["surface_pass"])
-    return report, chi, fgrid
+    return report, chi

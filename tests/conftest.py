@@ -38,7 +38,7 @@ def soliton_frames_65(soliton_pair):
 def amsler_window():
     """Frames of the rotational example on a 6 x 6 theta window whose images
     under the symmetry stay clear of its pole, with the image-grid re-run:
-    (frames, descriptor, image frames, sampled indices, step)."""
+    (frames, descriptor, image frames, sampled indices)."""
     from psurf.potentials import generalized_amsler_example
     from psurf.symmetry import _image_grid
     ts = theta_to_t(np.linspace(-2.6, -2.2, 6))
@@ -47,5 +47,5 @@ def amsler_window():
     step = (hi - ts[0]) / 4096
     f = reconstruct_frames(pair, ts, ts, trunc=48, step=step, drift_samples=(1.0,))
     idx = np.arange(ts.size)
-    img = _image_grid(f, desc, idx, idx, 48, step=step, drift_samples=(1.0,))
-    return f, desc, img, idx, step
+    img = _image_grid(f, desc, idx, idx)
+    return f, desc, img, idx

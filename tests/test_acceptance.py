@@ -198,9 +198,8 @@ def amsler_certification():
     th_img = np.linspace(-2.6 + 2 * np.pi / 3 - 0.02, -0.15, 105)
     ts_img = theta_to_t(th_img)
     step = (ts[-1] - ts[0]) / 4096
-    rep, chi, fgrid = certify_from_potentials(
-        pair, desc, ts, ts, trunc=48, step=step, interp_x=ts_img, interp_y=ts_img,
-        drift_samples=(1.0,))
+    fgrid = reconstruct_frames(pair, ts, ts, trunc=48, step=step, drift_samples=(1.0,))
+    rep, chi = certify_from_potentials(fgrid, desc, interp_x=ts_img, interp_y=ts_img)
     sgrid = sym_immersion(fgrid, 1.0)
     return rep, chi, sgrid
 

@@ -6,13 +6,14 @@ import os
 import pathlib
 import re
 import string
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from psurf import birkhoff, cli, symmetry
+from psurf import birkhoff, cli, surface
 
 
 def run(args):
@@ -194,8 +195,8 @@ def test_asymptotic_tolerance_gates_the_build(tmp_path):
     assert report["pass"] is False and report["lambda_1.asymptotic_max"] > 1e-9
 
 
-def test_symmetry_suite_mismatch_fails(tmp_path):
-    # soliton potential with the rotational-example gamma: equivariance must fail
+def test_symmetry_suite_mismatch_fails(tmp_path, capsys):
+    # a soliton potential declares no symmetry, so there is nothing to certify
     cfg = write_config(tmp_path / "m.ini", """
 [potential]
 kind = normalized
@@ -214,10 +215,10 @@ suites = symmetry
 [output]
 directory = {out}
 """.format(out=tmp_path / "o"))
-    code = run(["verify", cfg])
-    assert code == cli.EXIT_VERIFY
-    report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["pass"] is False
+    assert run(["verify", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[verify] suites" in err and "kind = normalized" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_node_loop_names_its_node(tmp_path, capfd, monkeypatch):
@@ -306,15 +307,24 @@ directory = {out}
 """
 
 
+def record_frame_builds(monkeypatch):
+    """(keyword arguments, grid) of every reconstruct_frames call, through
+    each psurf namespace that binds the name."""
+    grids, real = [], surface.reconstruct_frames
+
+    def recording(*args, **kwargs):
+        grids.append((kwargs, real(*args, **kwargs)))
+        return grids[-1][1]
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("psurf") and getattr(module, "reconstruct_frames", None) is real:
+            monkeypatch.setattr(module, "reconstruct_frames", recording)
+    return grids
+
+
 # the second y_range moves only the y axis's covered window
 @pytest.mark.parametrize("y_range", ["-2.6, -0.15", "-2.6, -0.12"], ids=["same_ranges", "longer_y"])
 def test_symmetry_suite_amsler_passes(tmp_path, monkeypatch, y_range):
-    grids, recon = [], symmetry.reconstruct_frames
-
-    def recording(*args, **kwargs):
-        grids.append((kwargs.get("trunc"), recon(*args, **kwargs)))
-        return grids[-1][1]
-    monkeypatch.setattr(symmetry, "reconstruct_frames", recording)
+    grids = record_frame_builds(monkeypatch)
     cfg = write_config(tmp_path / "a.ini", AMSLER_17.format(out=tmp_path / "o", y_range=y_range))
     assert run(["verify", cfg]) == cli.EXIT_OK
     report = json.loads((tmp_path / "o" / "report.json").read_text())
@@ -325,12 +335,25 @@ def test_symmetry_suite_amsler_passes(tmp_path, monkeypatch, y_range):
     rot = np.array(report["rigid_rotation"])
     assert report["symmetry.rigid_rotation"] == report["rigid_rotation"]
     assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-9 and len(report["rigid_translation"]) == 3
-    # the main grid, the monodromy image grid and the fine target: each is
-    # built at the config's trunc with the splitter's standard tail test
-    assert len(grids) == 3
-    for trunc, fgrid in grids:
-        assert trunc == 48
-        assert fgrid.max_tail <= birkhoff.TAIL_TOL
+    # the main grid, then the monodromy image grid and the fine target, both
+    # frames_at the main grid: each carries the main grid's recipe and passes
+    # the splitter's standard tail test
+    (main_kw, main), *images = grids
+    assert len(images) == 2 and "basepoint" not in main_kw and main.trunc == 48
+    for kwargs, fgrid in images:
+        assert kwargs["basepoint"] == (main.base_x, main.base_y)
+        assert (fgrid.trunc, fgrid.step, fgrid.drift_samples) == \
+            (main.trunc, main.step, main.drift_samples)
+    assert all(fgrid.max_tail <= birkhoff.TAIL_TOL for _, fgrid in grids)
+
+
+def test_build_with_the_symmetry_suite_builds_its_main_grid_once(tmp_path, monkeypatch):
+    grids = record_frame_builds(monkeypatch)
+    cfg = write_config(tmp_path / "a.ini", AMSLER_17.format(out=tmp_path / "o",
+                                                            y_range="-2.6, -0.15"))
+    assert run(["build", cfg]) == cli.EXIT_OK
+    shapes = [(fgrid.x.size, fgrid.y.size) for _, fgrid in grids]
+    assert shapes.count((17, 17)) == 1 and len(shapes) == 3, shapes
 
 
 def test_table_potential_roundtrip(tmp_path):

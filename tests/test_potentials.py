@@ -199,6 +199,24 @@ def test_equivariance_reads_the_descriptor_bit_for_bit():
     assert max(rx, ry) < 1e-12
 
 
+def test_switching_equivariance_exchanges_the_axes():
+    swap = SymmetryDescriptor(IDENT, IDENT, ONE, ONE, switches_axes=True)
+    # eta_x = eta_y is invariant under lambda -> 1/lambda on the rotational example
+    pair, _ = generalized_amsler_example(domain=(-4.0, 4.0))
+    assert check_equivariance(pair, swap, sample_x=(-4.0, 0.28),
+                              sample_y=(-4.0, 0.28)) == (0.0, 0.0)
+    # the non-switching relation holds for any data under the identity
+    asym = normalized_from_boundary(BoundaryAngles(alpha=lambda t: 0.9 * np.sin(2.0 * t),
+                                                   beta=lambda t: 1.3 + 0.4 * np.cos(t)),
+                                    (0, 1), (0, 1))
+    assert check_equivariance(asym, SymmetryDescriptor(IDENT, IDENT, ONE, ONE)) == (0.0, 0.0)
+    rx, ry = check_equivariance(asym, swap)
+    assert rx > 1.0 and ry > 1.0
+    kink = normalized_from_boundary(soliton_bnd(), (-1, 1), (-1, 1))
+    rx, ry = check_equivariance(kink, swap)
+    assert rx > 1.0 and ry > 1.0
+
+
 def test_amsler_gamma_is_conjugated_rotation():
     mu = np.exp(2j * np.pi / 3)
     for t in (-2.0, -0.3, 0.1):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from psurf.birkhoff import split_plus_star_minus
-from psurf.loops import SU2_K, adjoint_rotation, su2_to_r3
-from psurf.potentials import BoundaryAngles, normalized_from_boundary, soliton_beta
+from psurf.loops import SU2_K, LaurentLoop, adjoint_rotation, su2_to_r3
+from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
+                              normalized_from_boundary, soliton_beta)
 from psurf.surface import (SurfaceGrid, associated_family, cone_line_check, darboux_frame,
-                           find_cone_point, geometry_report, reconstruct_frames,
+                           find_cone_point, frames_at, geometry_report, reconstruct_frames,
                            sym_immersion, write_csv, write_obj, _unwrap_grid)
 from tests.conftest import kink_phi
 
@@ -20,6 +21,23 @@ def test_soliton_phi_and_boundary(soliton_frames_small):
     from psurf.potentials import soliton_alpha
     assert np.max(np.abs(f.phi[:, 0] - (soliton_alpha(f.x) + soliton_beta(0.0)))) < 1e-9
     assert np.max(np.abs(f.phi[0, :] - soliton_beta(f.y))) < 1e-9
+
+
+def test_frames_at_replays_the_build_bit_for_bit():
+    pair, _ = generalized_amsler_example(domain=(-3.0, 0.2))
+    init = LaurentLoop.constant(np.diag([np.exp(0.3j), np.exp(-0.3j)]))
+    recipe = dict(trunc=20, step=0.4 / 512, init_x=init, drift_samples=(1.0, 1j))
+    xs, ys = np.linspace(-1.0, -0.6, 5), np.linspace(-0.9, -0.5, 4)
+    f = reconstruct_frames(pair, xs, ys, basepoint=(-1.2, -1.1), **recipe)
+    # the recipe is stored as passed
+    assert (f.trunc, f.step, f.init_x, f.drift_samples) == tuple(recipe.values())
+    assert (f.base_x, f.base_y, f.pair) == (-1.2, -1.1, pair)
+    assert reconstruct_frames(pair, xs, ys).step is None
+    gx, gy = xs[1:] + 0.05, ys[:3] - 0.1
+    got = frames_at(f, gx, gy)
+    want = reconstruct_frames(pair, gx, gy, basepoint=(-1.2, -1.1), **recipe)
+    assert np.array_equal(got.coeffs, want.coeffs) and np.array_equal(got.phi, want.phi)
+    assert got.d_min == want.d_min
 
 
 def test_flat_case_phi_zero_and_degenerate():

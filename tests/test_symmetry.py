@@ -75,7 +75,7 @@ def test_compute_K_identity(soliton_frames_small):
     f = soliton_frames_small
     d = identity_descriptor()
     idx = np.array([3, 8, 13])
-    img = _image_grid(f, d, idx, idx, trunc=24)
+    img = _image_grid(f, d, idx, idx)
     ks, ok = compute_K(f, d, img, idx, idx, epsilon=1.0)
     assert np.all(ok)
     assert np.max(np.abs(ks[ok] - np.eye(3))) < 1e-7
@@ -85,7 +85,7 @@ def test_monodromy_trivial(soliton_frames_small):
     f = soliton_frames_small
     d = identity_descriptor()
     idx = np.array([3, 8, 13])
-    img = _image_grid(f, d, idx, idx, trunc=24)
+    img = _image_grid(f, d, idx, idx)
     chi, spread = measure_monodromy(f, d, img, idx, idx)
     assert spread < 1e-9
     ident = chi.truncated(0, 0)
@@ -110,7 +110,7 @@ def test_axis_switch_amsler_diagonal():
     f = reconstruct_frames(pair, ts, ts, trunc=32, step=step, drift_samples=(1.0,))
     d = identity_descriptor(switches=True)
     idx = [2, 5, 9, 13]
-    img = _image_grid(f, d, idx, idx, 32, step=step, drift_samples=(1.0,))
+    img = _image_grid(f, d, idx, idx)
     res = check_axis_switch(f, d, img, idx, idx)
     assert res < 1e-5
 
@@ -124,9 +124,13 @@ def test_axis_switch_misdeclared_fails():
     f = reconstruct_frames(pair, xs, xs, trunc=24)
     d = identity_descriptor(switches=True)
     idx = [2, 6, 10, 14]
-    img = _image_grid(f, d, idx, idx, 24)
+    img = _image_grid(f, d, idx, idx)
     res = check_axis_switch(f, d, img, idx, idx)
     assert res > 1e-2
+    # the switching relation on the potentials already refuses it
+    rep, chi = certify_from_potentials(f, d)
+    assert rep["skipped_after"] == "equivariance" and chi is None
+    assert min(rep["equivariance_x"], rep["equivariance_y"]) > 1.0
 
 
 def test_axis_switch_requires_flag(soliton_frames_small):
@@ -153,8 +157,8 @@ def test_monodromy_composition_amsler():
     d1 = desc
     d2 = SymmetryDescriptor(gamma1=gamma2, gamma2=gamma2, dgamma1=dgamma2,
                             dgamma2=dgamma2, wx=desc.wx, wy=desc.wy)
-    img1 = _image_grid(f, d1, idx, idx, trunc, step=step, drift_samples=(1.0,))
-    img2 = _image_grid(f, d2, idx, idx, trunc, step=step, drift_samples=(1.0,))
+    img1 = _image_grid(f, d1, idx, idx)
+    img2 = _image_grid(f, d2, idx, idx)
     lams = np.exp(2j * np.pi * np.arange(8) / 8)
     chi1, spread1 = measure_monodromy(f, d1, img1, idx, idx, lambdas=lams)
     chi2, spread2 = measure_monodromy(f, d2, img2, idx, idx, lambdas=lams)
@@ -284,7 +288,7 @@ def test_compute_K_masks_nodes_below_the_degeneracy_threshold():
 
 
 def test_compute_K_equals_the_node_loop_on_the_amsler_window(amsler_window):
-    f, desc, img, idx, _ = amsler_window
+    f, desc, img, idx = amsler_window
     ks, ok = compute_K(f, desc, img, idx, idx, epsilon=1.0)
     ref_ks, ref_ok = reference_compute_K(f, desc, img, idx, idx, epsilon=1.0)
     assert np.array_equal(ok, ref_ok) and not np.all(ok)
@@ -300,14 +304,14 @@ def assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, lambdas):
 
 
 def test_monodromy_equals_the_node_loop_without_switching(amsler_window):
-    f, desc, img, idx, _ = amsler_window
+    f, desc, img, idx = amsler_window
     assert assert_monodromy_matches_reference(f, desc, img, idx, idx, CIRCLE_LAMBDAS) < 1e-4
 
 
 def test_monodromy_default_lambdas_certify_the_amsler_window(amsler_window):
     # the radial probes 0.5 and 2, once the default, read a spread of 1.04 here:
     # the truncated frames of the rotational example do not converge off the circle
-    f, desc, img, idx, _ = amsler_window
+    f, desc, img, idx = amsler_window
     _, spread = measure_monodromy(f, desc, img, idx, idx)
     assert spread < 1e-4
 
@@ -320,7 +324,7 @@ def test_monodromy_equals_the_node_loop_with_switching():
     f = reconstruct_frames(pair, ts, ts, trunc=32, step=step, drift_samples=(1.0,))
     d = identity_descriptor(switches=True)
     idx_x, idx_y = np.array([1, 4, 6]), np.array([0, 2, 5, 8])
-    img = _image_grid(f, d, idx_x, idx_y, 32, step=step, drift_samples=(1.0,))
+    img = _image_grid(f, d, idx_x, idx_y)
     assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, CIRCLE_LAMBDAS)
 
 
@@ -328,7 +332,7 @@ def test_monodromy_equals_the_node_loop_at_the_radial_lambdas(soliton_frames_sma
     f = soliton_frames_small
     d = identity_descriptor()
     idx_x, idx_y = np.array([0, 3, 8, 13]), np.array([2, 9, 16])
-    img = _image_grid(f, d, idx_x, idx_y, trunc=24)
+    img = _image_grid(f, d, idx_x, idx_y)
     assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, SYMMETRY_LAMBDAS)
 
 
@@ -351,11 +355,11 @@ def test_surface_symmetry_equals_the_node_loop(soliton_surface_small, switches):
 def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton_pair):
     xs = np.linspace(0.0, 1.0, 9)
     far = np.linspace(1.5, 2.0, 5)      # a target grid no image reaches
-    rep, _, _ = certify_from_potentials(soliton_pair, identity_descriptor(), xs, xs,
-                                        interp_x=far, interp_y=far)
+    fgrid = reconstruct_frames(soliton_pair, xs, xs)
+    rep, _ = certify_from_potentials(fgrid, identity_descriptor(), interp_x=far, interp_y=far)
     assert rep["surface_coverage"] == 0.0 and rep["surface_residual"] == 0.0
     assert rep["surface_pass"] is False and rep["all_pass"] is False
-    rep, chi, _ = certify_from_potentials(soliton_pair, identity_descriptor(), xs, xs)
+    rep, chi = certify_from_potentials(fgrid, identity_descriptor())
     assert rep["surface_coverage"] == 1.0 and rep["all_pass"] is True
     # the measurements are returned: the fitted motion as report lists, chi as a loop
     assert np.max(np.abs(np.array(rep["rigid_rotation"]) - np.eye(3))) < 1e-9
@@ -366,6 +370,6 @@ def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton
 def test_certification_returns_no_chi_when_equivariance_fails(soliton_pair):
     xs = np.linspace(0.0, 1.0, 9)
     shift = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=IDENT, dgamma1=ONE, dgamma2=ONE)
-    rep, chi, fgrid = certify_from_potentials(soliton_pair, shift, xs, xs)
+    rep, chi = certify_from_potentials(reconstruct_frames(soliton_pair, xs, xs), shift)
     assert rep["equivariance_pass"] is False and rep["skipped_after"] == "equivariance"
-    assert chi is None and "rigid_rotation" not in rep and fgrid.coeffs.shape[:2] == (9, 9)
+    assert chi is None and "rigid_rotation" not in rep
