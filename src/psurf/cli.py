@@ -151,16 +151,7 @@ def _lambda_tag(lam):
     return ("lambda_%g" % lam).replace(".", "p")
 
 
-def _export(cfg, sg):
-    """Write the configured OBJ / CSV files of one surface; returns its tag."""
-    tag = _lambda_tag(sg.lam)
-    if "obj" in cfg.formats:
-        write_obj(sg, os.path.join(cfg.output_dir, f"surface_{tag}.obj"),
-                  drop_degenerate_faces=cfg.drop_degenerate_faces)
-    if "csv" in cfg.formats:
-        write_csv(sg, os.path.join(cfg.output_dir, f"surface_{tag}.csv"))
-    return tag
-
+# each command returns (report, passed), which main writes
 
 def cmd_build(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -173,7 +164,12 @@ def cmd_build(cfg):
     full_geometry = geometry_grid_problem(cfg.x, cfg.y) is None
     geometry = [] if full_geometry else None
     for sg in surfaces:
-        tag = _export(cfg, sg)
+        tag = _lambda_tag(sg.lam)
+        if "obj" in cfg.formats:
+            write_obj(sg, os.path.join(cfg.output_dir, f"surface_{tag}.obj"),
+                      drop_degenerate_faces=cfg.drop_degenerate_faces)
+        if "csv" in cfg.formats:
+            write_csv(sg, os.path.join(cfg.output_dir, f"surface_{tag}.csv"))
         rep = geometry_report(sg, fgrid) if full_geometry else \
             {"all_degenerate": bool(np.all(sg.degenerate)),
              "degenerate_count": int(np.sum(sg.degenerate))}
@@ -182,11 +178,9 @@ def cmd_build(cfg):
         if full_geometry:
             geometry.append(rep)
             ok = ok and _geometry_pass(rep, cfg.tolerances)
-    if cfg.suites:
-        vr, vok = _run_suites(cfg, fgrid, surfaces, geometry)
-        report.update(vr)
-        ok = ok and vok
-    return _write_report(report, ok, cfg.output_dir)
+    vr, vok = _run_suites(cfg, fgrid, surfaces, geometry)
+    report.update(vr)
+    return report, ok and vok
 
 
 # suite runners return (report entries, passed); fgrid and surfaces are the
@@ -349,6 +343,13 @@ def _config_value(cp, base_dir, section, key, flag=None):
         raise ConfigError(f"[{section}] {key} {exc}, got {text!r}{source}") from None
 
 
+def _require_domain(key, dom, axis, nodes):
+    # the axis angles are splined over the domain: a node outside reads an extrapolation
+    if not dom[0] <= nodes[0] <= nodes[-1] <= dom[1]:
+        raise ConfigError(f"[potential] {key} {dom} must contain the {axis} grid nodes, "
+                          f"which span t = [{nodes[0]}, {nodes[-1]}]")
+
+
 class RunConfig:
     """Validated run settings resolved from one config file."""
 
@@ -382,6 +383,12 @@ class RunConfig:
             self.y = _theta_to_t(self.y)
 
         self.lambdas, self.trunc, self.seed = r["lambdas"], r["trunc"], r["seed"]
+        tags = [_lambda_tag(lam) for lam in self.lambdas]
+        for i, tag in enumerate(tags):  # a shared tag would overwrite one surface's outputs
+            if tag in tags[:i]:
+                raise ConfigError(f"[run] lambdas {self.lambdas[tags.index(tag)]!r} and "
+                                  f"{self.lambdas[i]!r} share the output tag {tag}, "
+                                  f"got {cp['run']['lambdas']!r}")
         span = max(self.x[-1] - self.x[0], self.y[-1] - self.y[0], 1e-9)
         self.step = span / r["step_divisor"]
         self.drift_samples, self.symmetry_interp = r["drift_lambdas"], r["symmetry_interp"]
@@ -393,8 +400,9 @@ class RunConfig:
             if cp.has_option("potential", key):
                 raise ConfigError(f"[potential] {key} is not read by kind = {self.kind}")
         if self.kind == "amsler3":
-            dom = p["domain_x"] or (min(self.x[0], self.y[0]) - 1e-9,
-                                    max(self.x[-1], self.y[-1]) + 1e-9)
+            lo, hi = min(self.x[0], self.y[0]), max(self.x[-1], self.y[-1])
+            dom = p["domain_x"] or (lo - 1e-9, hi + 1e-9)
+            _require_domain("domain_x", dom, "x and y", (lo, hi))
             self.pair, self.descriptor = pots.generalized_amsler_example(domain=dom)
         else:
             for key in ("alpha", "beta"):
@@ -410,7 +418,9 @@ class RunConfig:
                 bnd = pots.BoundaryAngles(alpha=p["alpha"], beta=p["beta"])
                 self.pair = pots.normalized_from_boundary(bnd, dx, dy)
             else:
-                for key, nodes in (("speed_a", self.x), ("speed_b", self.y)):
+                for axis, dom, key, nodes in (("x", dx, "speed_a", self.x),
+                                              ("y", dy, "speed_b", self.y)):
+                    _require_domain(f"domain_{axis}", dom, axis, nodes)
                     vals = np.array([float(pots.speed_fn(p[key])(t)) for t in nodes])
                     bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
                     if bad.size:
@@ -436,8 +446,7 @@ class RunConfig:
 
 
 def _run_suites(cfg, fgrid, surfaces, geometry=None):
-    """Run the configured suites; `geometry` holds the per-surface geometry
-    reports when the caller has already computed them."""
+    """Run the configured suites (none is a pass)."""
     rep, ok = {}, True
     for suite in cfg.suites:
         r, o = SUITES[suite](cfg, fgrid, surfaces, geometry)
@@ -453,29 +462,24 @@ def cmd_verify(cfg):
     # every suite but loops and birkhoff reads the build
     need_build = set(cfg.suites) - {"loops", "birkhoff"}
     fgrid, surfaces = _build_surfaces(cfg) if need_build else (None, None)
-    report, ok = _run_suites(cfg, fgrid, surfaces)
-    return _write_report(report, ok, cfg.output_dir)
+    return _run_suites(cfg, fgrid, surfaces)
 
 
 def cmd_sweep(cfg):
+    """build, plus family_summary.csv read from build's report."""
     cfg.require_geometry_grid("sweep")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    fgrid, surfaces = _build_surfaces(cfg)
-    report = {"kind": cfg.kind, "trunc": cfg.trunc}
-    ok = True
-    lines = ["lambda, curvature_max_abs_err, speed_x_max_err, speed_y_max_err"]
-    for sg in surfaces:
-        tag = _export(cfg, sg)
-        rep = geometry_report(sg, fgrid)
-        lines.append("%g, %.6g, %.6g, %.6g" % (
-            sg.lam, rep["curvature_max_abs_err"], rep["speed_x_max_err"],
-            rep["speed_y_max_err"]))
-        report[f"{tag}.curvature_max_abs_err"] = rep["curvature_max_abs_err"]
-        ok = ok and _geometry_pass(rep, cfg.tolerances)
+    report, ok = cmd_build(cfg)
+    keys = ("curvature_max_abs_err", "speed_x_max_err", "speed_y_max_err")
     with open(os.path.join(cfg.output_dir, "family_summary.csv"), "w",
               encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return _write_report(report, ok, cfg.output_dir)
+        fh.write(", ".join(("lambda",) + keys) + "\n")
+        for lam in cfg.lambdas:  # RunConfig keeps the tags distinct
+            fh.write("%g, %.6g, %.6g, %.6g\n" % (
+                lam, *(report[f"{_lambda_tag(lam)}.{k}"] for k in keys)))
+    return report, ok
+
+
+COMMANDS = {"build": cmd_build, "verify": cmd_verify, "sweep": cmd_sweep}
 
 
 def main(argv=None):
@@ -483,7 +487,7 @@ def main(argv=None):
         prog="psurf",
         description="Synthesize and verify pseudospherical surfaces from "
                     "loop-group potential data.")
-    parser.add_argument("command", choices=["build", "verify", "sweep"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config", help="INI-style run configuration")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--trunc", default=None, help="overrides [run] trunc")
@@ -498,11 +502,8 @@ def main(argv=None):
         return EXIT_CONFIG
 
     try:
-        if args.command == "build":
-            return cmd_build(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_sweep(cfg)
+        report, ok = COMMANDS[args.command](cfg)
+        return _write_report(report, ok, cfg.output_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

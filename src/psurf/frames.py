@@ -55,23 +55,24 @@ def _rk4(u, mul, c_0, coef, t, h):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), c_1
 
 
-def _march(eta, t_from, targets, g, step, band, out):
-    """Integrate from t_from through the targets; writes G(targets[n]) to out[n]."""
-    def mul(u, eta_t):            # coefficients of G eta(t) on the band
-        return band_slice(cauchy_product(u, eta_t.coeffs), band[0] + eta_t.d_min, *band)
-
+def _march(coef, mul, u, t_from, targets, substeps, out=None):
+    """RK4 march of du/dt = mul(u, coef(t)) from t_from through the targets,
+    substeps(gap) steps per gap; writes u(targets[n]) to out[n] when given and
+    returns the final state."""
     t = t_from
     for n, t_next in enumerate(targets):
         gap = t_next - t
         if abs(gap) > 0:
-            nsub = max(1, int(np.ceil(abs(gap) / step)))
+            nsub = substeps(gap)
             h = gap / nsub
-            eta_t = eta(t)
+            c = coef(t)
             for _ in range(nsub):
-                g, eta_t = _rk4(g, mul, eta_t, eta, t, h)
+                u, c = _rk4(u, mul, c, coef, t, h)
                 t = t + h
         t = t_next
-        out[n] = g
+        if out is not None:
+            out[n] = u
+    return u
 
 
 def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
@@ -108,10 +109,16 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
                          f"negative degrees; got {drift_samples}")
     init_b = init.truncated(*band).coeffs
 
+    def mul(u, eta_t):            # coefficients of G eta(t) on the band
+        return band_slice(cauchy_product(u, eta_t.coeffs), band[0] + eta_t.d_min, *band)
+
+    def substeps(gap):
+        return max(1, int(np.ceil(abs(gap) / step)))
+
     coeffs = np.empty((t_values.size, band[1] - band[0] + 1, 2, 2), dtype=complex)
     n_below = int(np.sum(t_values < t0 - 1e-15))
-    _march(eta, t0, t_values[n_below:], init_b, step, band, coeffs[n_below:])
-    _march(eta, t0, t_values[:n_below][::-1], init_b, step, band, coeffs[:n_below][::-1])
+    _march(eta, mul, init_b, t0, t_values[n_below:], substeps, coeffs[n_below:])
+    _march(eta, mul, init_b, t0, t_values[:n_below][::-1], substeps, coeffs[:n_below][::-1])
 
     # every frame carries the band, so one contraction evaluates them all
     drift = max(su2_defect(evaluate(coeffs[:, None], band[0], samples)))
@@ -130,17 +137,6 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
 
 def _x_coefficient(phi_x, a_val, lam):
     return 0.5j * np.array([[-phi_x, a_val * lam], [a_val * lam, phi_x]])
-
-
-def _sweep(u0, coef, ts, substeps):
-    u = u0
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        h = (t1 - t0) / substeps
-        t, c = t0, coef(t0)
-        for _ in range(substeps):
-            u, c = _rk4(u, np.matmul, c, coef, t, h)
-            t += h
-    return u
 
 
 def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None):
@@ -176,13 +172,12 @@ def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None)
         m[:, 0, 1], m[:, 1, 0] = e, np.conj(e)
         return (-0.5j * float(b_fn(t)) / lam0) * m
 
+    fixed = lambda gap: substeps
     u = np.empty((x.size, y.size, 2, 2), dtype=complex)
     u[0, 0] = np.eye(2) if init is None else init
     # bottom row along x, then all columns together along y
-    for i in range(x.size - 1):
-        u[i + 1, 0] = _sweep(u[i, 0], coef_x(y[0]), x[i:i + 2], substeps)
-    for j in range(y.size - 1):
-        u[:, j + 1] = _sweep(u[:, j], coef_y, y[j:j + 2], substeps)
+    _march(coef_x(y[0]), np.matmul, u[0, 0], x[0], x[1:], fixed, u[1:, 0])
+    _march(coef_y, np.matmul, u[:, 0], y[0], y[1:], fixed, np.moveaxis(u, 1, 0)[1:])
     # the other path: up the left column, which is u[0, :], then along the top row
-    u_alt = _sweep(u[0, -1], coef_x(y[-1]), x, substeps)
+    u_alt = _march(coef_x(y[-1]), np.matmul, u[0, -1], x[0], x[1:], fixed)
     return u, float(np.max(np.abs(u[-1, -1] - u_alt)))

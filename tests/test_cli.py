@@ -185,6 +185,28 @@ formats = csv
     assert len(lines) == 4
     assert not (tmp_path / "o" / "surface_lambda_1.obj").exists()
 
+    # sweep is build plus family_summary.csv: the same gates, suites and files
+    for command in ("build", "sweep"):
+        text = SOLITON_SMALL.format(out=tmp_path / command).replace(
+            "lambdas = 1.0", "lambdas = 0.5, 1") + """
+[tolerances]
+speed = 1e-4
+
+[verify]
+suites = oracle, loops
+"""
+        assert run([command, write_config(tmp_path / f"{command}.ini", text)]) == cli.EXIT_VERIFY
+    built = sorted(p.name for p in (tmp_path / "build").iterdir())
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == \
+        sorted(built + ["family_summary.csv"])
+    for name in built:
+        assert (tmp_path / "sweep" / name).read_bytes() == \
+            (tmp_path / "build" / name).read_bytes(), name
+    report = json.loads((tmp_path / "sweep" / "report.json").read_text())
+    assert report["pass"] is False and report["lambda_0p5.speed_y_max_err"] > 1e-4
+    assert "lambda_1.asymptotic_max" in report
+    assert "suite.oracle" in report and report["suite.loops"] == "pass"
+
 
 def test_asymptotic_tolerance_gates_the_build(tmp_path):
     # the same build passes at the default tolerance (test_build_soliton_and_determinism)
@@ -469,7 +491,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _readme_example(tmp_path):
-    text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
+    text = pathlib.Path(REPO, "README.md").read_text(encoding="utf-8")
     return write_config(tmp_path / "readme.ini", text.split("```ini\n", 1)[1].split("```", 1)[0])
 
 
@@ -625,6 +647,29 @@ def test_bad_potential_domains_are_config_errors(tmp_path, capsys, kind, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("generalized", "domain_x", "0, 0.5", "(0.0, 0.5) must contain the x grid nodes, "
+     "which span t = [0.0, 1.0]"),
+    ("generalized", "domain_y", "0.25, 2", "(0.25, 2.0) must contain the y grid nodes, "
+     "which span t = [0.0, 1.0]"),
+    # theta_uniform: the nodes are t = tan((theta + pi) / 2), up to 13.3
+    ("amsler3", "domain_x", "-4, 4", "(-4.0, 4.0) must contain the x and y grid nodes, "
+     "which span t = [0.27"),
+])
+def test_grid_outside_the_potential_domain_is_config_error(tmp_path, capsys, kind, key, value,
+                                                           message):
+    # the axis data are splined over the domain: a node outside it would read
+    # an extrapolated angle
+    if kind == "amsler3":
+        text = AMSLER_17.format(y_range="-2.6, -0.15", out=tmp_path / "o")
+    else:
+        text = SOLITON_9.format(run="", suites="loops", out=tmp_path / "o")
+    text = re.sub(r"kind = \w+", f"kind = {kind}\n{key} = {value}", text)
+    assert run(["build", write_config(tmp_path / "d.ini", text)]) == cli.EXIT_CONFIG
+    assert f"[potential] {key} {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("ranges", [
     ("-1, 0", "-2.6, -0.15"), ("-7, -6", "-2.6, -0.15"), ("-2.6, -0.15", "-6.3, -6"),
     ("-0.5, 0.5", "-2.6, -0.15"),
@@ -697,6 +742,7 @@ def config_text(section, key, value, directory="out"):
     ("potential", "alpha", "table:nope.csv", False),
     ("potential", "speed_a", "table:nope.csv", False), ("potential", "alpha", "table:.", False),
     ("tolerances", "boundary", "1e-7", False),
+    ("run", "lambdas", "1, 1.0000001", False), ("run", "lambdas", "1, 1", False),
 ])
 def test_rejected_values_name_the_key_and_write_nothing(tmp_path, capsys, section, key, value,
                                                        flag):
@@ -769,7 +815,7 @@ def test_one_bad_value_ends_in_a_documented_exit_code(entry, value):
 
 
 def test_readme_key_table_lists_the_schema():
-    cli_docs = open(os.path.join(REPO, "README.md"), encoding="utf-8").read() \
+    cli_docs = pathlib.Path(REPO, "README.md").read_text(encoding="utf-8") \
         .split("## CLI", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", cli_docs, re.M)
     assert sorted(rows) == sorted(SCHEMA_KEYS)
