@@ -344,10 +344,20 @@ def _config_value(cp, base_dir, section, key, flag=None):
 
 
 def _require_domain(key, dom, axis, nodes):
-    # the axis angles are splined over the domain: a node outside reads an extrapolation
+    # an axis angle's 2 pi branch is read from samples of the domain only
     if not dom[0] <= nodes[0] <= nodes[-1] <= dom[1]:
         raise ConfigError(f"[potential] {key} {dom} must contain the {axis} grid nodes, "
                           f"which span t = [{nodes[0]}, {nodes[-1]}]")
+
+
+def _require_table_covers(cp, base_dir, key, fn, axis, span):
+    # a table's spline extrapolates outside its rows: the axis reads inside them only
+    if isinstance(fn, pots.CubicSpline) and not fn.x[0] <= span[0] <= span[1] <= fn.x[-1]:
+        text = cp["potential"][key]
+        raise ConfigError(f"[potential] {key} = {text!r}: the table "
+                          f"{os.path.join(base_dir, text.partition(':')[2])} covers t = "
+                          f"[{float(fn.x[0])}, {float(fn.x[-1])}], but the {axis} axis reads "
+                          f"t = [{float(span[0])}, {float(span[1])}]")
 
 
 class RunConfig:
@@ -411,6 +421,13 @@ class RunConfig:
                                       f"for kind = {self.kind}, got {p[key]!r}")
             dx = p["domain_x"] or (float(self.x[0]), float(self.x[-1]))
             dy = p["domain_y"] or (float(self.y[0]), float(self.y[-1]))
+            # a normalized axis reads its nodes and t = 0, a generalized one its domain
+            for axis, dom, nodes, keys in (("x", dx, self.x, ("alpha", "speed_a")),
+                                           ("y", dy, self.y, ("beta", "speed_b"))):
+                span = dom if self.kind == "generalized" else (min(0.0, nodes[0]),
+                                                               max(0.0, nodes[-1]))
+                for key in keys:
+                    _require_table_covers(cp, base_dir, key, p[key], axis, span)
             if self.kind == "normalized":
                 if not (dx[0] <= 0.0 <= dx[1] and dy[0] <= 0.0 <= dy[1]):
                     raise ConfigError("[potential] kind = normalized needs 0 inside both ranges "

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from psurf.birkhoff import DEFAULT_TRUNC
 from psurf.loops import (PROBE_LAMBDAS, LaurentLoop, band_slice, cauchy_product, edge_norm,
                          evaluate, su2_defect)
-from psurf.potentials import speed_fn
+from psurf.potentials import CubicSpline, speed_fn
 
 DRIFT_LIMIT = 1e-6
 
@@ -157,7 +156,7 @@ def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None)
         arr = np.asarray(phi, dtype=float)
         if arr.shape != (x.size, y.size):
             raise ValueError("phi grid must have shape (nx, ny)")
-        columns = CubicSpline(y, arr, axis=1)     # phi(x_i, t) for every i at once
+        columns = CubicSpline(y, arr.T)           # phi(x_i, t) for every i at once
         # phi_x is only needed along the bottom and top rows
         rows = {y[0]: CubicSpline(x, arr[:, 0]), y[-1]: CubicSpline(x, arr[:, -1])}
         model_x = lambda xv, yv: float(rows[yv](xv, 1))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from psurf.loops import (_ENTRY_PARITY, PROBE_LAMBDAS, SYMMETRY_LAMBDAS, LaurentLoop, _dagger,
                          band_slice, cauchy_product, unitarity_defect)
@@ -107,28 +106,27 @@ def stretched_from_boundary(bnd, domain_x=(-1.0, 1.0), domain_y=(-1.0, 1.0)):
 
 # -- axis data extraction ----------------------------------------------------
 
-def _unwrapped_angle(dense_t, dense_w):
-    ang = np.unwrap(np.angle(dense_w))
-    return CubicSpline(dense_t, ang)
-
-
 def _axis_data(eta, domain, degree, axis):
     """(speed, angle) from z, the top off-diagonal entry of the lambda^degree
-    coefficient of eta (degree +-1): speed 2|z|, angle -degree times the
-    unwrapped phase of -2i degree z sampled at 2049 parameters."""
+    coefficient of eta (degree +-1): speed 2|z|, angle -degree times the phase
+    of -2i degree z on the 2 pi branch of its unwrapped 2049 domain samples."""
+    def z(t):
+        return eta(t).coeff(degree)[0, 1] if np.isscalar(t) else \
+            np.array([eta(v).coeff(degree)[0, 1] for v in np.asarray(t)])
+
     ts = np.linspace(domain[0], domain[1], 2049)
-    zs = np.array([eta(t).coeff(degree)[0, 1] for t in ts])
+    zs = z(ts)
     if np.min(np.abs(zs)) < 1e-14:
         raise ValueError(f"lambda^{degree} coefficient of eta_{axis} vanishes on the domain")
-    spl = _unwrapped_angle(ts, -2j * degree * zs)
+    dense = np.unwrap(np.angle(-2j * degree * zs))
 
     def speed(t):
-        z = eta(t).coeff(degree)[0, 1] if np.isscalar(t) else \
-            np.array([eta(v).coeff(degree)[0, 1] for v in np.asarray(t)])
-        return 2.0 * np.abs(z)
+        return 2.0 * np.abs(z(t))
 
     def angle(t):
-        return -degree * spl(t)
+        phase = np.angle(-2j * degree * z(t))
+        return -degree * (phase + 2 * np.pi * np.round((np.interp(t, ts, dense) - phase)
+                                                        / (2 * np.pi)))
 
     return speed, angle
 
@@ -400,6 +398,47 @@ def _loop_comb(loops, weights):
     for q, w in zip(loops[1:], weights[1:]):
         acc = acc + q.scaled(w)
     return acc
+
+
+class CubicSpline:
+    """Not-a-knot cubic spline through the rows of y (real or complex) at the
+    increasing knots x (2 knots give a line, 3 a parabola), extrapolating its
+    end pieces: spline(t) is the value at t and spline(t, 1) the derivative."""
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y) + 0.0
+        h = np.diff(x)
+        dx = h.reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dx
+        if x.size < 4:  # the slopes of the line or parabola through the knots
+            curv = (slope[-1] - slope[0]) / (x[-1] - x[0])
+            s = slope[0] + curv * (2 * x - x[0] - x[1]).reshape((-1,) + dx.shape[1:])
+        else:  # the tridiagonal system for the knot slopes, by a Thomas sweep
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            lower, upper = np.r_[h[1:], d1], np.r_[d0, h[:-1]]
+            diag = np.r_[h[1], 2 * (h[:-1] + h[1:]), h[-2]]
+            s = np.empty_like(y)
+            s[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            s[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            s[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+            for i in range(1, x.size):
+                m = lower[i - 1] / diag[i - 1]
+                diag[i], s[i] = diag[i] - m * upper[i - 1], s[i] - m * s[i - 1]
+            s[-1] /= diag[-1]
+            for i in range(x.size - 2, -1, -1):
+                s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def __call__(self, t, nu=0):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        c3, c2, c1, c0 = self._c[:, i]
+        h = (t - self.x[i]).reshape(t.shape + (1,) * (c0.ndim - t.ndim))
+        # the power form, not Horner's rule: the rounding the oracle keys were recorded with
+        return c0 + c1 * h + c2 * (h * h) + c3 * (h * h * h) if nu == 0 else \
+            c1 + c2 * h * 2 + c3 * (h * h) * 3
 
 
 # -- catalogue / ingestion -----------------------------------------------------

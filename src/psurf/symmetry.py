@@ -11,8 +11,6 @@ the exact image parameters (surface.frames_at), never by interpolating loops.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.spatial.transform import Rotation
 
 from psurf.loops import (CIRCLE_LAMBDAS, PROBE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop,
                          _dagger, _frob, _rows, adjoint_rotation, band_mask, cauchy_product,
@@ -48,9 +46,24 @@ def su2_lift(rot3, nodes=None):
         at = tuple(int(v) for v in (w if nodes is None else nodes[w]))
         raise ValueError(f"monodromy: K is not a rotation at node {at} "
                          f"(orthogonality defect {defect[w]:.3g}, det {det[w]:.3g})")
-    q = Rotation.from_matrix(rot3).as_quat()
-    x, y, z, w = np.moveaxis(q, -1, 0)[..., None, None]
+    # Shepperd: 4 q q^T, q = (x, y, z, w) the unit quaternion, is the symmetric
+    # matrix qq; its row of largest diagonal, normalised, is q up to sign
+    tr = np.trace(rot3, axis1=-2, axis2=-1)[..., None, None]
+    qq = np.empty(rot3.shape[:-2] + (4, 4))
+    qq[..., :3, :3] = rot3 + np.swapaxes(rot3, -1, -2) + (1.0 - tr) * np.eye(3)
+    qq[..., :3, 3] = qq[..., 3, :3] = (rot3 - np.swapaxes(rot3, -1, -2))[..., [2, 0, 1], [1, 2, 0]]
+    qq[..., 3, 3] = 1.0 + tr[..., 0, 0]
+    largest = np.argmax(np.diagonal(qq, axis1=-2, axis2=-1), axis=-1)[..., None, None]
+    q = np.take_along_axis(qq, largest, axis=-2)[..., 0, :]
+    x, y, z, w = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)[..., None, None]
     return w * np.eye(2, dtype=complex) + 2.0 * (x * SU2_I + y * SU2_J + z * SU2_K)
+
+
+def _lerp_weights(nodes, at):
+    """(at.size, nodes.size) weights of linear interpolation on the increasing
+    nodes at the points `at`, with NaN rows for points outside the nodes."""
+    return np.array([np.interp(at, nodes, e, left=np.nan, right=np.nan)
+                     for e in np.eye(nodes.size)]).T
 
 
 def check_surface_symmetry(sgrid, d, r, t, sample_mask=None, target=None):
@@ -58,17 +71,17 @@ def check_surface_symmetry(sgrid, d, r, t, sample_mask=None, target=None):
     for the rigid motion (r, t) fitted by the caller.
 
     f o gamma is bilinearly interpolated on `target` (a finer surface grid
-    of the same immersion when supplied, else sgrid itself), so the
-    residual is interpolation-limited; nodes whose image leaves the
-    interpolation domain are reported through the coverage fraction.
+    of the same immersion when supplied, else sgrid itself), one axis at a
+    time since the images form a tensor grid; so the residual is
+    interpolation-limited.  Nodes whose image leaves the interpolation domain
+    are reported through the coverage fraction.
     """
     tgt = target if target is not None else sgrid
-    interp = RegularGridInterpolator((tgt.x, tgt.y), tgt.points,
-                                     bounds_error=False, fill_value=np.nan)
     if sample_mask is None:
         sample_mask = np.ones((sgrid.x.size, sgrid.y.size), dtype=bool)
-    images = np.stack(np.meshgrid(*_image_axes(d, sgrid.x, sgrid.y), indexing="ij"), axis=-1)
-    vals = interp(_image_nodes(images, d.switches_axes)[sample_mask])
+    wx, wy = (_lerp_weights(n, g) for n, g in zip((tgt.x, tgt.y), _image_axes(d, sgrid.x, sgrid.y)))
+    images = np.einsum("pi,ijc,qj->pqc", wx, tgt.points, wy, optimize=True)
+    vals = _image_nodes(images, d.switches_axes)[sample_mask]
     moved = (r @ sgrid.points[sample_mask][..., None])[..., 0] + t
     covered = ~np.any(np.isnan(vals), axis=-1)
     residual = float(np.max(np.abs(vals[covered] - moved[covered]), initial=0.0))

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import string
+import subprocess
 import sys
 import tempfile
 
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from psurf import birkhoff, cli, surface
+from psurf.potentials import extract_diagonal_potentials
+from psurf.surface import reconstruct_frames
 
 
 def run(args):
@@ -378,6 +381,61 @@ def test_build_with_the_symmetry_suite_builds_its_main_grid_once(tmp_path, monke
     assert shapes.count((17, 17)) == 1 and len(shapes) == 3, shapes
 
 
+# imports psurf and lists the scipy modules that brought in; then, with scipy
+# blocked, runs the psurf commands (argv lists) given as JSON in argv[1] and
+# samples the diagonal extraction of a 5 x 5 soliton grid
+BLOCKED_SCIPY_RUN = """
+import json, sys
+import numpy as np
+import psurf, psurf.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # any later scipy import raises ImportError
+codes = [psurf.cli.main(argv) for argv in json.loads(sys.argv[1])]
+pair = psurf.normalized_from_boundary(psurf.BoundaryAngles(psurf.potentials.soliton_alpha,
+                                                           psurf.potentials.soliton_beta))
+xs = np.linspace(0.0, 1.0, 5)
+eta = psurf.extract_diagonal_potentials(psurf.reconstruct_frames(pair, xs, xs, trunc=12)).eta_x
+print(json.dumps({"loaded": loaded, "codes": codes, "diagonal": repr(eta(0.3).coeffs)}))
+"""
+
+
+def test_the_runtime_runs_without_scipy(tmp_path, soliton_pair):
+    """Importing psurf loads no scipy module.  With scipy blocked, commands
+    that reach every former scipy call site (table splines, the oracle's
+    direct solve, a generalized pair's axis data, the symmetry chain) and the
+    diagonal extraction give what they give with it."""
+    ts = np.linspace(0.0, 1.0, 9)
+    for name, values in (("alpha", 4 * np.arctan(np.exp(ts)) - np.pi),
+                         ("beta", 4 * np.arctan(np.exp(ts)))):
+        (tmp_path / f"{name}.csv").write_text("t,value\n" + "".join(
+            "%.17g,%.17g\n" % row for row in zip(ts, values)))
+    tables = SOLITON_9.format(run="trunc = 12", suites="oracle", out="o")
+    tables = tables.replace("builtin:soliton_alpha", "table:alpha.csv").replace(
+        "builtin:soliton_beta", "table:beta.csv")
+    configs = [("build", write_config(tmp_path / "t.ini", tables)),
+               # the symmetry chain interpolates on the main grid: a fine target
+               # would reach no other call site
+               ("verify", write_config(tmp_path / "a.ini", AMSLER_17.format(
+                   out="o", y_range="-2.6, -0.15").replace("interp = 33", "interp = 0")))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    commands = [[command, cfg, "--output-dir", str(tmp_path / f"blocked{i}")]
+                for i, (command, cfg) in enumerate(configs)]
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY_RUN, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout.splitlines()[-1])
+    assert blocked["loaded"] == []
+    for i, (command, cfg) in enumerate(configs):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run([command, cfg, "--output-dir", tmp_path / f"free{i}"]) == blocked["codes"][i]
+        assert (tmp_path / f"free{i}" / "report.json").read_bytes() == \
+            (tmp_path / f"blocked{i}" / "report.json").read_bytes()
+    xs = np.linspace(0.0, 1.0, 5)
+    eta = extract_diagonal_potentials(reconstruct_frames(soliton_pair, xs, xs, trunc=12)).eta_x
+    assert repr(eta(0.3).coeffs) == blocked["diagonal"]
+
+
 def test_table_potential_roundtrip(tmp_path):
     ts = np.linspace(-0.2, 1.2, 41)
     alpha_csv = tmp_path / "alpha.csv"
@@ -724,6 +782,15 @@ SOLITON_5 = {
 }
 
 
+def write_half_tables(directory):
+    """half_angle.csv (the soliton alpha) and half_speed.csv (1 + t), 17 rows
+    each on t in [0, 0.5]: valid tables that cover half of a [0, 1] grid."""
+    ts = np.linspace(0.0, 0.5, 17)
+    for name, values in (("half_angle", 4 * np.arctan(np.exp(ts)) - np.pi), ("half_speed", 1 + ts)):
+        (directory / f"{name}.csv").write_text("t,value\n" + "".join(
+            "%.17g,%.17g\n" % row for row in zip(ts, values)))
+
+
 def config_text(section, key, value, directory="out"):
     """SOLITON_5 written out with [section] key set to value."""
     entries = {sec: dict(keys) for sec, keys in SOLITON_5.items()}
@@ -741,17 +808,45 @@ def config_text(section, key, value, directory="out"):
     ("run", "symmetry_interp", "-3", False), ("run", "symmetry_interp", "3", False),
     ("potential", "alpha", "table:nope.csv", False),
     ("potential", "speed_a", "table:nope.csv", False), ("potential", "alpha", "table:.", False),
+    # tables that end inside the interval their axis reads, the grid's [0, 1]
+    ("potential", "alpha", "table:half_angle.csv", False),
+    ("potential", "beta", "table:half_angle.csv", False),
+    ("potential", "speed_a", "table:half_speed.csv", False),
+    ("potential", "speed_b", "table:half_speed.csv", False),
     ("tolerances", "boundary", "1e-7", False),
     ("run", "lambdas", "1, 1.0000001", False), ("run", "lambdas", "1, 1", False),
 ])
 def test_rejected_values_name_the_key_and_write_nothing(tmp_path, capsys, section, key, value,
                                                        flag):
+    write_half_tables(tmp_path)
     # a flag overrides the valid config value 0
-    cfg = write_config(tmp_path / "p.ini", config_text(
-        section, key, "0" if flag else value, directory=tmp_path / "o"))
+    text = config_text(section, key, "0" if flag else value, directory=tmp_path / "o")
+    if key.startswith("speed_"):  # only the generalized kind reads speeds
+        text = text.replace("kind = normalized", "kind = generalized")
+    cfg = write_config(tmp_path / "p.ini", text)
     assert run(["build", cfg] + ([f"--{key}", value] if flag else [])) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"[{section}] {key} " in err and repr(value) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, key, grid, reads", [
+    # a normalized axis reads its nodes and t = 0
+    ("normalized", "alpha", "0, 1", "x axis reads t = [0.0, 1.0]"),
+    ("normalized", "alpha", "0.25, 0.75", "x axis reads t = [0.0, 0.75]"),
+    # nodes inside the table, but a generalized axis samples its whole domain
+    ("generalized", "speed_a", "0, 0.5", "x axis reads t = [0.0, 1.0]"),
+])
+def test_a_table_read_outside_its_rows_names_both_intervals(tmp_path, capsys, kind, key, grid,
+                                                            reads):
+    write_half_tables(tmp_path)
+    value = "table:half_speed.csv" if key.startswith("speed_") else "table:half_angle.csv"
+    text = config_text("potential", key, value, directory=tmp_path / "o")
+    text = text.replace("kind = normalized", f"kind = {kind}\ndomain_x = 0, 1")
+    cfg = write_config(tmp_path / "t.ini", text.replace("x_range = 0, 1", f"x_range = {grid}"))
+    assert run(["build", cfg]) == cli.EXIT_CONFIG
+    assert f"[potential] {key} = '{value}': the table {tmp_path / value[6:]} covers " \
+           f"t = [0.0, 0.5], but the {reads}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from psurf.loops import LaurentLoop, exp_loop, unitarity_defect
 from psurf.loops import SYMMETRY_LAMBDAS
 from psurf.potentials import (AMSLER_GAMMA_POLE, EQUIVARIANCE_SAMPLES, BoundaryAngles,
-                              SymmetryDescriptor, amsler_dgamma, amsler_gamma, cayley,
+                              CubicSpline, SymmetryDescriptor, amsler_dgamma, amsler_gamma, cayley,
                               check_equivariance,
                               extract_diagonal_potentials, function_from_table,
                               gauge_transform, generalized_amsler_example,
@@ -71,6 +72,19 @@ def test_axis_data_roundtrip():
     assert np.max(np.abs(a_fn(ts) - 1.0)) < 1e-12
     assert np.max(np.abs(alpha_fn(0.37) - soliton_alpha(0.37))) < 1e-12
     assert np.max(np.abs(beta_fn(0.81) - soliton_beta(0.81))) < 1e-12
+
+
+def test_generalized_axis_angle_is_the_exact_unwrapped_angle():
+    # angles that wrap past 2 pi three times and more over the domain
+    alpha = lambda t: 5.0 * np.asarray(t) + np.sin(3.0 * np.asarray(t))
+    beta = lambda t: -7.0 * np.asarray(t) + np.exp(np.asarray(t) / 2.0)
+    pair = stretched_from_boundary(BoundaryAngles(alpha=alpha, beta=beta, a=1.5, b=0.5),
+                                   (0.0, 4.0), (0.0, 4.0))
+    nodes = np.linspace(0.0, 4.0, 25)
+    for (_, angle), exact in ((x_axis_data(pair), alpha), (y_axis_data(pair), beta)):
+        assert abs(exact(4.0) - exact(0.0)) > 6 * np.pi
+        got = np.array([float(angle(t)) for t in nodes])
+        assert np.max(np.abs(got - exact(nodes))) < 1e-13
 
 
 def test_stretched_pair_carries_speeds():
@@ -312,6 +326,23 @@ def test_table_ingestion(tmp_path):
     bad.write_text("0,0\n1,1\n")
     with pytest.raises(ValueError, match="header"):
         function_from_table(str(bad))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 65])
+def test_cubic_spline_matches_the_scipy_reference(n):
+    rng = np.random.default_rng(n)
+    # non-uniform knots, each gap within a factor of 3 of the others
+    knots = np.cumsum(rng.uniform(0.5, 1.5, n)) / n - 0.4
+    t = np.linspace(knots[0] - 0.3, knots[-1] + 0.3, 397)   # beyond both ends too
+    real = rng.standard_normal(n)
+    multi = rng.standard_normal((n, 3, 4)) + 1j * rng.standard_normal((n, 3, 4))
+    for values in (real, multi):
+        ours, ref = CubicSpline(knots, values), ScipyCubicSpline(knots, values)
+        assert np.array_equal(ours.x, knots)
+        for nu in (0, 1):
+            got, want = ours(t, nu), ref(t, nu)
+            assert got.shape == want.shape and ours(0.1, nu).shape == values.shape[1:]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_speed_fn_constants_callables_and_unit_default():

@@ -5,8 +5,10 @@ import pytest
 
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
-from psurf.loops import CIRCLE_LAMBDAS, SYMMETRY_LAMBDAS, LaurentLoop, adjoint_rotation
+from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, SYMMETRY_LAMBDAS, LaurentLoop,
+                         adjoint_rotation)
 from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
                               normalized_from_boundary)
 from psurf.surface import EPS_DEGENERATE, FrameGrid, reconstruct_frames, sym_immersion
@@ -39,6 +41,26 @@ def test_su2_lift_inverts_adjoint():
         rot = adjoint_rotation(expm(ang * r3_to_su2(axis)))
         lift = su2_lift(rot)
         assert np.max(np.abs(adjoint_rotation(lift) - rot)) < 1e-12
+
+
+def test_su2_lift_matches_the_scipy_quaternion_up_to_sign():
+    rng = np.random.default_rng(3)
+    axes = rng.standard_normal((12, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    # the identity, pi about each axis, angles within 1e-9 of pi, and a random stack
+    rotvecs = np.concatenate([np.zeros((1, 3)), np.pi * np.eye(3),
+                              (np.pi - rng.uniform(0, 1e-9, (12, 1))) * axes])
+    rots = np.concatenate([Rotation.from_rotvec(rotvecs).as_matrix(),
+                           Rotation.random(40, random_state=4).as_matrix()])
+    for stack in (rots, rots.reshape(4, 14, 3, 3)):
+        lifts = su2_lift(stack)
+        assert lifts.shape == stack.shape[:-2] + (2, 2)
+        assert np.max(np.abs(adjoint_rotation(lifts) - stack)) < 1e-12
+    x, y, z, w = np.moveaxis(Rotation.from_matrix(rots).as_quat(), -1, 0)[..., None, None]
+    ref = w * np.eye(2) + 2.0 * (x * SU2_I + y * SU2_J + z * SU2_K)
+    gap = np.minimum(np.abs(lifts.reshape(-1, 2, 2) - ref).max(axis=(1, 2)),
+                     np.abs(lifts.reshape(-1, 2, 2) + ref).max(axis=(1, 2)))
+    assert np.max(gap) < 1e-12
 
 
 def test_su2_lift_refuses_a_matrix_that_is_not_a_rotation():
