@@ -66,6 +66,18 @@ def _lerp_weights(nodes, at):
                      for e in np.eye(nodes.size)]).T
 
 
+def _bracketing_nodes(nodes, at):
+    """Indices of the increasing nodes that bracket the points `at`: both
+    corners of each cell that holds a point, and none for a point outside
+    the nodes.  The corners of a cell stay consecutive among the kept nodes,
+    so _lerp_weights on nodes[kept] weighs each inside point exactly as on
+    all of the nodes."""
+    inside = at[(nodes[0] <= at) & (at <= nodes[-1])]
+    # a point on the last node belongs to the last cell
+    upper = np.minimum(np.searchsorted(nodes, inside, side="right"), nodes.size - 1)
+    return np.unique(np.concatenate([upper - 1, upper]))
+
+
 def check_surface_symmetry(sgrid, d, r, t, sample_mask=None, target=None):
     """Max of ||f(gamma(x,y)) - (r f(x,y) + t)|| over covered sample nodes,
     for the rigid motion (r, t) fitted by the caller.
@@ -73,8 +85,11 @@ def check_surface_symmetry(sgrid, d, r, t, sample_mask=None, target=None):
     f o gamma is bilinearly interpolated on `target` (a finer surface grid
     of the same immersion when supplied, else sgrid itself), one axis at a
     time since the images form a tensor grid; so the residual is
-    interpolation-limited.  Nodes whose image leaves the interpolation domain
-    are reported through the coverage fraction.
+    interpolation-limited.  The target may be a sub-lattice of a finer grid
+    when each cell that a sampled image falls in keeps its two corners, which
+    are then consecutive in both (see _bracketing_nodes): the weights are
+    those of the finer grid.  Nodes whose image leaves the interpolation
+    domain are reported through the coverage fraction.
     """
     tgt = target if target is not None else sgrid
     if sample_mask is None:
@@ -224,6 +239,18 @@ def coverage_window(x, y, d):
     return (in_y, in_x) if d.switches_axes else (in_x, in_y)
 
 
+def _surface_target(fgrid, d, idx_x, idx_y, lattice_x, lattice_y):
+    """The surface at lambda = 1 on the nodes of the lattice lattice_x by
+    lattice_y that bracket the gamma-images of the window idx_x by idx_y,
+    or None when no image lies on the lattice."""
+    lx, ly = np.asarray(lattice_x, dtype=float), np.asarray(lattice_y, dtype=float)
+    gx, gy = _image_axes(d, fgrid.x[idx_x], fgrid.y[idx_y])
+    kx, ky = _bracketing_nodes(lx, gx), _bracketing_nodes(ly, gy)
+    if not (kx.size and ky.size):
+        return None
+    return sym_immersion(frames_at(fgrid, lx[kx], ly[ky]), 1.0)
+
+
 def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
                             equivariance_tol=CERT_EQUIVARIANCE_TOL,
                             monodromy_tol=CERT_MONODROMY_TOL,
@@ -238,9 +265,13 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
     loop (None when the chain stops at equivariance).  Later stages are
     skipped when an earlier one fails.  The monodromy samples at most
     MONODROMY_NODES of the covered window per axis.  The surface stage
-    interpolates f o gamma on frames_at(fgrid, interp_x, interp_y) when
-    given, else on fgrid, and passes only when every covered-window node's
-    image is inside the interpolation domain.
+    interpolates f o gamma on the lattice interp_x by interp_y when given,
+    else on fgrid, and passes only when every covered-window node's image is
+    inside the interpolation domain.  Of the lattice, frames_at builds only
+    the nodes that bracket the window's images (the cells the interpolation
+    reads, with consecutive corners); their count is surface_target_nodes,
+    0 without a lattice, and with no image on the lattice nothing is built
+    and the coverage is 0.
     """
     report = {}
     idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
@@ -287,9 +318,15 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
 
     mask = np.zeros((fgrid.x.size, fgrid.y.size), dtype=bool)
     mask[np.ix_(idx_x, idx_y)] = True
-    target = None if interp_x is None else sym_immersion(frames_at(fgrid, interp_x, interp_y), 1.0)
-    resid, coverage = check_surface_symmetry(sgrid, d, r_lin, t_vec, sample_mask=mask,
-                                             target=target)
+    target = None if interp_x is None else _surface_target(fgrid, d, idx_x, idx_y,
+                                                           interp_x, interp_y)
+    report["surface_target_nodes"] = 0 if target is None else target.x.size * target.y.size
+    if interp_x is not None and target is None:
+        # no image on the lattice: nothing is covered, and sgrid is not the target
+        resid, coverage = 0.0, 0.0
+    else:
+        resid, coverage = check_surface_symmetry(sgrid, d, r_lin, t_vec, sample_mask=mask,
+                                                 target=target)
     report["surface_residual"] = resid
     report["surface_coverage"] = coverage
     report["surface_pass"] = bool(resid < surface_tol and coverage == 1.0)

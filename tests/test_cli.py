@@ -15,8 +15,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from psurf import birkhoff, cli, surface
-from psurf.potentials import extract_diagonal_potentials
+from psurf.potentials import extract_diagonal_potentials, generalized_amsler_example
 from psurf.surface import reconstruct_frames
+from psurf.symmetry import coverage_window
 
 
 def run(args):
@@ -360,9 +361,9 @@ def test_symmetry_suite_amsler_passes(tmp_path, monkeypatch, y_range):
     rot = np.array(report["rigid_rotation"])
     assert report["symmetry.rigid_rotation"] == report["rigid_rotation"]
     assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-9 and len(report["rigid_translation"]) == 3
-    # the main grid, then the monodromy image grid and the fine target, both
-    # frames_at the main grid: each carries the main grid's recipe and passes
-    # the splitter's standard tail test
+    # the main grid, then the monodromy image grid and the fine target's
+    # bracketing nodes, both frames_at the main grid: each carries the main
+    # grid's recipe and passes the splitter's standard tail test
     (main_kw, main), *images = grids
     assert len(images) == 2 and "basepoint" not in main_kw and main.trunc == 48
     for kwargs, fgrid in images:
@@ -379,6 +380,13 @@ def test_build_with_the_symmetry_suite_builds_its_main_grid_once(tmp_path, monke
     assert run(["build", cfg]) == cli.EXIT_OK
     shapes = [(fgrid.x.size, fgrid.y.size) for _, fgrid in grids]
     assert shapes.count((17, 17)) == 1 and len(shapes) == 3, shapes
+    # of the 33 x 33 lattice, the target holds only the corners of the cells
+    # that the covered window's images fall in: at most 2 w per axis
+    (_, main), _, (_, target) = grids
+    window = coverage_window(main.x, main.y, generalized_amsler_example()[1])
+    assert all(n <= 2 * w.size for n, w in zip(shapes[2], window)), (shapes, window)
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["symmetry.surface_target_nodes"] == target.x.size * target.y.size
 
 
 # imports psurf and lists the scipy modules that brought in; then, with scipy

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
@@ -11,10 +12,11 @@ from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, SYMMETRY_LAMBDAS, 
                          adjoint_rotation)
 from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
                               normalized_from_boundary)
-from psurf.surface import EPS_DEGENERATE, FrameGrid, reconstruct_frames, sym_immersion
+from psurf.surface import EPS_DEGENERATE, FrameGrid, frames_at, reconstruct_frames, sym_immersion
 from psurf.symmetry import (SymmetryDescriptor, check_axis_switch,
                             check_surface_symmetry, certify_from_potentials, compute_K,
-                            coverage_window, measure_monodromy, su2_lift, _image_grid,
+                            coverage_window, measure_monodromy, su2_lift, _bracketing_nodes,
+                            _image_axes, _image_grid, _lerp_weights, _surface_target,
                             _z_matrix)
 from tests.conftest import theta_to_t
 
@@ -374,6 +376,17 @@ def test_surface_symmetry_equals_the_node_loop(soliton_surface_small, switches):
         assert 0.0 < got[1] < 1.0
 
 
+def full_lattice_surface_symmetry(fgrid, d, rep, lattice_x, lattice_y):
+    """check_surface_symmetry of certify_from_potentials' window and fitted
+    motion, interpolated on the whole lattice."""
+    idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
+    mask = np.zeros((fgrid.x.size, fgrid.y.size), dtype=bool)
+    mask[np.ix_(idx_x, idx_y)] = True
+    full = sym_immersion(frames_at(fgrid, lattice_x, lattice_y), 1.0)
+    return check_surface_symmetry(sym_immersion(fgrid, 1.0), d, np.array(rep["rigid_rotation"]),
+                                  np.array(rep["rigid_translation"]), mask, full)
+
+
 def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton_pair):
     xs = np.linspace(0.0, 1.0, 9)
     far = np.linspace(1.5, 2.0, 5)      # a target grid no image reaches
@@ -381,8 +394,18 @@ def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton
     rep, _ = certify_from_potentials(fgrid, identity_descriptor(), interp_x=far, interp_y=far)
     assert rep["surface_coverage"] == 0.0 and rep["surface_residual"] == 0.0
     assert rep["surface_pass"] is False and rep["all_pass"] is False
+    assert rep["surface_target_nodes"] == 0
+    # a lattice that holds the images of x, y >= 0.5 only: the bracketing nodes
+    # cover the same fraction of the window as the whole lattice
+    half = np.linspace(0.5, 1.5, 9)
+    rep, _ = certify_from_potentials(fgrid, identity_descriptor(), interp_x=half, interp_y=half)
+    _, ref_coverage = full_lattice_surface_symmetry(fgrid, identity_descriptor(), rep, half, half)
+    assert rep["surface_coverage"] == ref_coverage == 25 / 81
+    # the images sit on the nodes 0.5 .. 1.0, each the lower corner of a kept cell
+    assert rep["surface_pass"] is False and rep["surface_target_nodes"] == 6 * 6
     rep, chi = certify_from_potentials(fgrid, identity_descriptor())
     assert rep["surface_coverage"] == 1.0 and rep["all_pass"] is True
+    assert rep["surface_target_nodes"] == 0
     # the measurements are returned: the fitted motion as report lists, chi as a loop
     assert np.max(np.abs(np.array(rep["rigid_rotation"]) - np.eye(3))) < 1e-9
     assert np.max(np.abs(rep["rigid_translation"])) < 1e-9
@@ -395,3 +418,62 @@ def test_certification_returns_no_chi_when_equivariance_fails(soliton_pair):
     rep, chi = certify_from_potentials(reconstruct_frames(soliton_pair, xs, xs), shift)
     assert rep["equivariance_pass"] is False and rep["skipped_after"] == "equivariance"
     assert chi is None and "rigid_rotation" not in rep
+
+
+# -- the interpolation target: only the nodes the residual reads ----------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-5.0, 5.0), st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=11),
+       st.lists(st.floats(0.0, 1.0), max_size=8), st.lists(st.floats(-1.0, 2.0), max_size=8))
+def test_lerp_weights_on_the_bracketing_nodes_equal_those_on_all_nodes(start, gaps, on, off):
+    nodes = start + np.cumsum([0.0] + gaps)
+    # points on nodes, both ends, and anywhere from below to above the nodes
+    span = nodes[-1] - nodes[0]
+    at = np.concatenate([nodes[np.round(np.array(on, dtype=float) * (nodes.size - 1)).astype(int)],
+                         nodes[[0, -1]], nodes[0] + span * np.array(off, dtype=float)])
+    keep = _bracketing_nodes(nodes, at)
+    inside = (nodes[0] <= at) & (at <= nodes[-1])
+    full, sub = _lerp_weights(nodes, at), _lerp_weights(nodes[keep], at)
+    assert np.array_equal(sub[inside], full[inside][:, keep])
+    assert not np.any(np.delete(full[inside], keep, axis=1))
+    assert np.all(np.isnan(sub[~inside])) and np.all(np.isnan(full[~inside]))
+    assert keep.size <= 2 * np.count_nonzero(inside)
+    assert _bracketing_nodes(nodes, at[~inside]).size == 0
+
+
+def test_certification_builds_only_the_bracketing_nodes_of_the_amsler_lattice():
+    ts = theta_to_t(np.linspace(-2.6, -0.15, 17))
+    pair, desc = generalized_amsler_example(domain=(ts[0] - 1e-9, ts[-1] + 1e-9))
+    step = (ts[-1] - ts[0]) / 4096
+    f = reconstruct_frames(pair, ts, ts, trunc=48, step=step, drift_samples=(1.0,))
+    idx_x, idx_y = coverage_window(f.x, f.y, desc)
+    # the images of a 9-node refinement of the covered window, as the CLI builds them
+    lattice = _image_axes(desc, np.linspace(f.x[idx_x[0]], f.x[idx_x[-1]], 9),
+                          np.linspace(f.y[idx_y[0]], f.y[idx_y[-1]], 9))
+    rep, _ = certify_from_potentials(f, desc, *lattice)
+    assert rep["monodromy_pass"] is True     # the surface stage ran
+    assert rep["surface_target_nodes"] <= 4 * idx_x.size * idx_y.size < 9 * 9
+    resid, coverage = full_lattice_surface_symmetry(f, desc, rep, *lattice)
+    assert rep["surface_coverage"] == coverage == 1.0
+    # the weights are the lattice's; the frames move only with the march's step placement
+    assert abs(rep["surface_residual"] - resid) < 1e-12
+
+
+def test_the_bracketing_nodes_follow_a_switching_descriptor(soliton_pair):
+    xs = np.linspace(0.0, 1.0, 17)
+    f = reconstruct_frames(soliton_pair, xs, xs, trunc=24, step=1.0 / 1024)
+    s = sym_immersion(f, 1.0)
+    d = SymmetryDescriptor(gamma1=lambda t: t + 0.25, gamma2=lambda t: 0.9 * t, dgamma1=ONE,
+                           dgamma2=lambda t: 0.9, switches_axes=True)
+    idx_x, idx_y = coverage_window(f.x, f.y, d)
+    mask = np.zeros((xs.size, xs.size), dtype=bool)
+    mask[np.ix_(idx_x, idx_y)] = True
+    # unequal lattices that hold part of the images on each axis
+    lattice_x, lattice_y = np.linspace(0.4, 1.3, 13), np.linspace(-0.2, 0.6, 11)
+    sub = _surface_target(f, d, idx_x, idx_y, lattice_x, lattice_y)
+    full = sym_immersion(frames_at(f, lattice_x, lattice_y), 1.0)
+    assert sub.x.size < lattice_x.size and sub.y.size < lattice_y.size
+    got = check_surface_symmetry(s, d, np.eye(3), np.zeros(3), mask, sub)
+    ref = check_surface_symmetry(s, d, np.eye(3), np.zeros(3), mask, full)
+    assert got[1] == ref[1] and 0.0 < got[1] < 1.0
+    assert abs(got[0] - ref[0]) < 1e-12
