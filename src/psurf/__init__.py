@@ -15,15 +15,15 @@ from psurf.potentials import (BoundaryAngles, PotentialPair, SymmetryDescriptor,
 from psurf.surface import (FrameGrid, SurfaceGrid, associated_family,
                            darboux_frame, find_cone_point, geometry_report,
                            reconstruct_frames, sym_immersion, write_csv, write_obj)
-from psurf.symmetry import (certify_from_potentials, check_axis_switch,
-                            check_surface_symmetry, compute_K, measure_monodromy)
+from psurf.symmetry import (certify_from_potentials, check_surface_symmetry, compute_K,
+                            measure_monodromy)
 
 __all__ = [
     "BoundaryAngles", "FactorizationFailure", "FrameGrid", "GoursatProblem",
     "IntegrationDrift", "LaurentLoop", "PotentialPair", "RegistrationError",
     "SplitResult", "StiffnessError", "SurfaceGrid", "SymmetryDescriptor",
     "adjoint_rotation", "associated_family", "certify_from_potentials",
-    "check_axis_switch", "check_equivariance", "check_surface_symmetry",
+    "check_equivariance", "check_surface_symmetry",
     "compute_K", "darboux_frame", "direct_frame_solve",
     "extract_diagonal_potentials", "find_cone_point", "gauge_transform",
     "generalized_amsler_example", "geometry_report", "goursat_solve",

@@ -36,7 +36,8 @@ class FrameGrid:
     coeffs[i, j, k - d_min] is the lambda^k coefficient of U(x_i, y_j); the
     degree axis covers the union of the per-node bands, zero-padded.  pair,
     the anchor (base_x, base_y) and trunc, step, init_x, drift_samples (as
-    passed to reconstruct_frames) are the recipe frames_at replays.
+    passed to reconstruct_frames, with step=None resolved to the step used)
+    are the recipe frames_at replays.
     """
 
     x: np.ndarray
@@ -104,7 +105,9 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     boundary angles are used exactly; for generalized pairs the speeds and
     phases are extracted from the top lambda coefficients and the anchor
     defaults to the lower-left node (frames_at evaluates the same global
-    frame on another sample window).  Every node is split from trunc
+    frame on another sample window).  step=None resolves to the largest axis
+    span, the distance to the anchor included, over 256, and the grid records
+    that number.  Every node is split from trunc
     with split_plus_minusfree's own residual and tail tests, so all grids of
     one pipeline share one accuracy rule.
     """
@@ -124,6 +127,10 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
         bx, by = basepoint
     else:
         bx, by = float(x[0]), float(y[0])
+
+    if step is None:             # one step for both axes, recorded for frames_at
+        step = max(max(v[-1] - v[0], abs(v[0] - b), abs(v[-1] - b), 1e-12)
+                   for v, b in ((x, bx), (y, by))) / 256.0
 
     probe_x = pair.eta_x(bx)
     probe_y = pair.eta_y(by)

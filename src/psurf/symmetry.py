@@ -1,20 +1,18 @@
 """Surface symmetries: the domain map / rigid motion relation, the frame
 correction K(x,y), the monodromy loop, and end-to-end certification.
 
-The guiding relation is U(gamma(x,y)) = chi(lambda) U(x,y) K_lift(x,y):
-K is computed pointwise from tangent data, its SU(2) lift is chosen
-branch-continuously, and chi is measured as the node-averaged conjugation
-defect.  U o gamma is always produced by re-running the frame pipeline at
-the exact image parameters (surface.frames_at), never by interpolating loops.
+The guiding relation is U(gamma) = chi(lambda) U K_lift, with U read at 1/lambda
+when gamma exchanges the asymptotic families; K comes pointwise from tangent
+data and chi is the node-averaged conjugation defect.  U o gamma is always the
+frame pipeline re-run at the exact images (surface.frames_at), never interpolated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from psurf.loops import (CIRCLE_LAMBDAS, PROBE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop,
-                         _dagger, _frob, _rows, adjoint_rotation, band_mask, cauchy_product,
-                         evaluate)
+from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop, _dagger, _frob,
+                         _rows, adjoint_rotation, band_mask, cauchy_product, evaluate)
 from psurf.oracle import register_rigid
 from psurf.potentials import SymmetryDescriptor, check_equivariance  # noqa: F401 (re-export)
 from psurf.surface import EPS_DEGENERATE, frames_at, sym_immersion
@@ -22,8 +20,6 @@ from psurf.surface import EPS_DEGENERATE, frames_at, sym_immersion
 CERT_EQUIVARIANCE_TOL = 1e-6
 CERT_MONODROMY_TOL = 1e-4
 CERT_SURFACE_TOL = 1e-3
-# SU(2) tolerance of the axis-switch frame relation
-AXIS_SWITCH_FRAME_TOL = 1e-4
 # covered-window nodes per axis at which the monodromy re-runs the pipeline
 MONODROMY_NODES = 10
 
@@ -112,15 +108,16 @@ def _z_matrix(a, b, phi):
     return z
 
 
-def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
-    """K(x,y) = blockdiag(Z J^-1 (Z o gamma)^-1, epsilon) on the sample nodes.
+def compute_K(fgrid, d, image_fgrid, idx_x, idx_y):
+    """K(x,y) = blockdiag(B, epsilon), B = Z J^-1 (Z o gamma)^-1, on the sample nodes.
 
-    Z holds the tangent coordinates [f_x, f_y] = F [Z; 0] and J is the
-    Jacobian of gamma.  image_fgrid supplies the exact angle at the
-    gamma-images; idx_x/idx_y select the sampled original nodes (image node
-    (p, q) is the image of (idx_x[p], idx_y[q]), with the roles of p, q
-    swapped when gamma switches the axes).  Nodes where sin(phi) or its
-    image is below EPS_DEGENERATE are masked out.
+    Z holds the tangent coordinates [f_x, f_y] = F [Z; 0], J is the Jacobian
+    of gamma, and epsilon = sign(det B) (-1)^switches_axes, since a motion is
+    improper iff it exchanges the asymptotic families (Beltrami-Enneper).
+    image_fgrid supplies the exact angle at the gamma-images; idx_x/idx_y
+    select the sampled original nodes (image node (p, q) is the image of
+    (idx_x[p], idx_y[q]), with p, q swapped when gamma switches the axes).
+    Nodes where sin(phi) or its image is below EPS_DEGENERATE are masked out.
     """
     sw = int(d.switches_axes)
     xs, ys = fgrid.x[idx_x], fgrid.y[idx_y]
@@ -138,7 +135,7 @@ def compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
     ks = np.full(phi.shape + (3, 3), np.nan)
     ks[ok] = 0.0
     ks[ok, :2, :2] = z[ok] @ np.linalg.inv(jac[ok]) @ np.linalg.inv(z_im[ok])
-    ks[ok, 2, 2] = epsilon
+    ks[ok, 2, 2] = np.sign(np.linalg.det(ks[ok, :2, :2])) * (-1.0) ** sw
     return ks, ok
 
 
@@ -157,12 +154,6 @@ def _image_axes(d, xs, ys, derivative=False):
     return np.array([f1(t) for t in src1]), np.array([f2(t) for t in src2])
 
 
-def _fit_epsilon(sgrid, image_sgrid, idx_x, idx_y, r_linear, switches):
-    rotated = sgrid.normals[np.ix_(idx_x, idx_y)] @ r_linear.T
-    votes = np.sum(rotated * _image_nodes(image_sgrid.normals, switches), axis=-1)
-    return 1.0 if np.mean(votes) >= 0 else -1.0
-
-
 def _image_grid(fgrid, d, idx_x, idx_y):
     """The frames of fgrid at the exact gamma-images of the selected
     parameters: the same global extended frame, evaluated elsewhere."""
@@ -172,62 +163,34 @@ def _image_grid(fgrid, d, idx_x, idx_y):
     return frames_at(fgrid, gx, gy)
 
 
-def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
-                      lambdas=CIRCLE_LAMBDAS):
-    """Monodromy loop chi with its node spread.
+def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, lambdas=CIRCLE_LAMBDAS):
+    """Monodromy loop and its node spread at `lambdas`, as (chi_mean, spread).
 
-    chi(node) = (U o gamma) K_lift^-1 U^-1; a symmetry is certified when the
-    nodes agree at the given lambdas.  Returns (chi_mean, spread).
+    chi(node) = (U o gamma) K_lift^-1 U^-1, K_lift a lift of the proper
+    (-1)^switches_axes K; a switching gamma reads U at 1/lambda (degrees
+    reversed): chi(lambda) = U^lambda(gamma) K_lift^-1 U^(1/lambda)^-1.  Each
+    chi takes the sign of the first node's at lambda = 1.
     """
-    ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon)
+    ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y)
     if not np.any(ok):
         raise ValueError("no usable (non-degenerate) nodes for the monodromy")
-    lifts = su2_lift(ks[ok], nodes=np.stack(np.meshgrid(idx_x, idx_y, indexing="ij"), -1)[ok])
-    # branch continuity: each lift takes the sign nearer its predecessor, in row-major node order
-    flip = _frob(lifts[1:] - lifts[:-1]) > _frob(lifts[1:] + lifts[:-1])
-    lifts *= np.cumprod(np.where(np.r_[False, flip], -1.0, 1.0))[:, None, None]
+    lifts = su2_lift(-ks[ok] if d.switches_axes else ks[ok],
+                     nodes=np.stack(np.meshgrid(idx_x, idx_y, indexing="ij"), -1)[ok])
     u_im = _image_nodes(image_fgrid.coeffs, d.switches_axes)[ok]
-    u = fgrid.coeffs[np.ix_(idx_x, idx_y)][ok]
+    u, u_min = fgrid.coeffs[np.ix_(idx_x, idx_y)][ok], fgrid.d_min
+    if d.switches_axes:          # U^(1/lambda): degree k becomes -k
+        u, u_min = u[:, ::-1], -(u_min + u.shape[1] - 1)
     # chi = (U o gamma) K_lift^-1 U^-1 at every node, with U^-1 the coefficientwise dagger
     chis = cauchy_product((_rows(u_im) @ _dagger(lifts)).reshape(u_im.shape), _dagger(u))
-    d_min = image_fgrid.d_min + fgrid.d_min
+    d_min = image_fgrid.d_min + u_min
+    at_one = evaluate(chis, d_min, 1.0)
+    chis[_frob(at_one - at_one[0]) > _frob(at_one + at_one[0])] *= -1.0
     # trim each node's chi like LaurentLoop.trim(rel=1e-13): |lambda| != 1 amplifies its end noise
     chis[~band_mask(chis, 1e-13)] = 0.0
     chi_mean = LaurentLoop(np.mean(chis, axis=0), d_min).trim(rel=1e-12)
     node_vals = evaluate(chis[:, None], d_min, lambdas)
     spread = float(np.max(np.abs(node_vals - chi_mean.evaluate(lambdas))))
     return chi_mean, spread
-
-
-def check_axis_switch(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=None):
-    """Residual of the coordinate-switching frame relation.
-
-    Checks F^lambda(gamma(x,y)) = chi(lambda) F^(1/lambda)(x,y) K(x,y) at
-    PROBE_LAMBDAS, with chi fitted at the first usable node.  In the
-    switching case the surface motion is orientation-reversing, so chi and
-    K land in O(3) and the normal sign epsilon is fitted by residual when
-    not supplied.
-    """
-    if not d.switches_axes:
-        raise ValueError("descriptor does not switch the axes")
-
-    def run(eps):
-        ks, ok = compute_K(fgrid, d, image_fgrid, idx_x, idx_y, eps)
-        residual = 0.0
-        for lam in PROBE_LAMBDAS:
-            f_im = adjoint_rotation(_image_nodes(image_fgrid.evaluate(lam), d.switches_axes)[ok],
-                                    tol=AXIS_SWITCH_FRAME_TOL)
-            f_rev = adjoint_rotation(fgrid.evaluate(1.0 / lam)[np.ix_(idx_x, idx_y)][ok],
-                                     tol=AXIS_SWITCH_FRAME_TOL)
-            rhs = f_rev @ ks[ok]
-            if rhs.shape[0]:
-                chi_fit = f_im[0] @ rhs[0].T
-                residual = max(residual, float(np.max(np.abs(f_im - chi_fit @ rhs))))
-        return residual
-
-    if epsilon is not None:
-        return run(epsilon)
-    return min(run(1.0), run(-1.0))
 
 
 def coverage_window(x, y, d):
@@ -264,14 +227,16 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
     rigid_translation as lists, stage pass flags) and the measured monodromy
     loop (None when the chain stops at equivariance).  Later stages are
     skipped when an earlier one fails.  The monodromy samples at most
-    MONODROMY_NODES of the covered window per axis.  The surface stage
-    interpolates f o gamma on the lattice interp_x by interp_y when given,
-    else on fgrid, and passes only when every covered-window node's image is
-    inside the interpolation domain.  Of the lattice, frames_at builds only
-    the nodes that bracket the window's images (the cells the interpolation
-    reads, with consecutive corners); their count is surface_target_nodes,
-    0 without a lattice, and with no image on the lattice nothing is built
-    and the coverage is 0.
+    MONODROMY_NODES of the covered window per axis.  The motion is fitted
+    proper (register_rigid), so a swap of the asymptotic families (improper
+    motion) stops at the surface stage.  The surface stage interpolates f o
+    gamma on the lattice interp_x by interp_y when given, else on fgrid, and
+    passes only when every covered-window node's image is inside the
+    interpolation domain.  Of the lattice, frames_at builds only the nodes
+    that bracket the window's images (the cells the interpolation reads, with
+    consecutive corners); their count is surface_target_nodes, 0 without a
+    lattice, and with no image on the lattice nothing is built and the
+    coverage is 0.
     """
     report = {}
     idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
@@ -305,9 +270,7 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
     angle = float(np.arccos(np.clip((np.trace(r_lin) - 1.0) / 2.0, -1.0, 1.0)))
     report["rotation_angle_measured_rad"] = angle
 
-    eps = _fit_epsilon(sgrid, image_s, sel_x, sel_y, r_lin, d.switches_axes)
-    report["epsilon"] = eps
-    chi, spread = measure_monodromy(fgrid, d, image_f, sel_x, sel_y, epsilon=eps)
+    chi, spread = measure_monodromy(fgrid, d, image_f, sel_x, sel_y)
     report["monodromy_spread"] = spread
     report["monodromy_pass"] = bool(spread < monodromy_tol)
     chi_rot = adjoint_rotation(chi.evaluate(1.0), tol=1e-4)

@@ -32,12 +32,21 @@ def test_frames_at_replays_the_build_bit_for_bit():
     # the recipe is stored as passed
     assert (f.trunc, f.step, f.init_x, f.drift_samples) == tuple(recipe.values())
     assert (f.base_x, f.base_y, f.pair) == (-1.2, -1.1, pair)
-    assert reconstruct_frames(pair, xs, ys).step is None
     gx, gy = xs[1:] + 0.05, ys[:3] - 0.1
     got = frames_at(f, gx, gy)
     want = reconstruct_frames(pair, gx, gy, basepoint=(-1.2, -1.1), **recipe)
     assert np.array_equal(got.coeffs, want.coeffs) and np.array_equal(got.phi, want.phi)
     assert got.d_min == want.d_min
+    # step=None resolves once, to the largest axis span from the anchor (x: 0.6,
+    # y: 0.5) over 256, and is replayed as that number although gx reaches
+    # farther from the anchor (0.65)
+    auto = reconstruct_frames(pair, xs, ys, basepoint=(-1.2, -1.0),
+                              **dict(recipe, step=None))
+    assert auto.step == (xs[-1] + 1.2) / 256.0
+    got = frames_at(auto, gx, gy)
+    want = reconstruct_frames(pair, gx, gy, basepoint=(-1.2, -1.0),
+                              **dict(recipe, step=auto.step))
+    assert np.array_equal(got.coeffs, want.coeffs) and np.array_equal(got.phi, want.phi)
 
 
 def test_flat_case_phi_zero_and_degenerate():

@@ -11,9 +11,9 @@ from scipy.spatial.transform import Rotation
 from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, SYMMETRY_LAMBDAS, LaurentLoop,
                          adjoint_rotation)
 from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
-                              normalized_from_boundary)
+                              normalized_from_boundary, soliton_alpha, soliton_beta)
 from psurf.surface import EPS_DEGENERATE, FrameGrid, frames_at, reconstruct_frames, sym_immersion
-from psurf.symmetry import (SymmetryDescriptor, check_axis_switch,
+from psurf.symmetry import (CERT_MONODROMY_TOL, CERT_SURFACE_TOL, SymmetryDescriptor,
                             check_surface_symmetry, certify_from_potentials, compute_K,
                             coverage_window, measure_monodromy, su2_lift, _bracketing_nodes,
                             _image_axes, _image_grid, _lerp_weights, _surface_target,
@@ -100,7 +100,7 @@ def test_compute_K_identity(soliton_frames_small):
     d = identity_descriptor()
     idx = np.array([3, 8, 13])
     img = _image_grid(f, d, idx, idx)
-    ks, ok = compute_K(f, d, img, idx, idx, epsilon=1.0)
+    ks, ok = compute_K(f, d, img, idx, idx)
     assert np.all(ok)
     assert np.max(np.abs(ks[ok] - np.eye(3))) < 1e-7
 
@@ -126,17 +126,71 @@ def test_coverage_window_amsler():
         assert ts[0] <= desc.gamma1(ts[i]) <= ts[-1]
 
 
-def test_axis_switch_amsler_diagonal():
-    th = np.linspace(-1.8, -1.25, 17)
-    ts = theta_to_t(th)
+@pytest.fixture(scope="module")
+def amsler_swap():
+    """The identity swap gamma(x, y) = (y, x) on a theta window of the
+    rotational example, which is symmetric in x and y: (frames, descriptor,
+    image frames, sampled indices)."""
+    ts = theta_to_t(np.linspace(-1.8, -1.25, 17))
     pair, _ = generalized_amsler_example(domain=(ts[0] - 1e-6, ts[-1] + 1e-6))
     step = (ts[-1] - ts[0]) / 2048
     f = reconstruct_frames(pair, ts, ts, trunc=32, step=step, drift_samples=(1.0,))
     d = identity_descriptor(switches=True)
-    idx = [2, 5, 9, 13]
-    img = _image_grid(f, d, idx, idx)
-    res = check_axis_switch(f, d, img, idx, idx)
-    assert res < 1e-5
+    idx = np.array([2, 5, 9, 13])
+    return f, d, _image_grid(f, d, idx, idx), idx
+
+
+@pytest.fixture(scope="module")
+def soliton_swap():
+    """The swap of the kink 4 atan(exp(x + y)) on [-1, 1]^2, 17^2 nodes."""
+    pair = normalized_from_boundary(BoundaryAngles(alpha=soliton_alpha, beta=soliton_beta),
+                                    (-1.0, 1.0), (-1.0, 1.0))
+    xs = np.linspace(-1.0, 1.0, 17)
+    f = reconstruct_frames(pair, xs, xs, trunc=24, step=1.0 / 512)
+    d = identity_descriptor(switches=True)
+    idx = np.arange(xs.size)
+    return f, d, _image_grid(f, d, idx, idx), idx
+
+
+def test_axis_switch_amsler_diagonal(amsler_swap):
+    f, d, img, idx = amsler_swap
+    chi, spread = measure_monodromy(f, d, img, idx, idx)
+    assert spread < 1e-9
+    # chi(lambda) is unitary on the circle
+    vals = chi.evaluate(CIRCLE_LAMBDAS)
+    assert np.max(np.abs(vals @ np.conj(np.swapaxes(vals, -1, -2)) - np.eye(2))) < 1e-9
+
+
+def test_axis_switch_soliton(soliton_swap):
+    f, d, img, idx = soliton_swap
+    _, spread = measure_monodromy(f, d, img, idx, idx)
+    assert spread < 1e-9
+
+
+@pytest.mark.parametrize("case", ["amsler_window", "amsler_swap", "soliton_swap"])
+def test_compute_K_reads_the_normal_sign(request, case):
+    # det K = (-1)^switches: a motion exchanges the asymptotic families exactly
+    # when it is improper; the tangent block's determinant fixes epsilon
+    f, d, img, idx = request.getfixturevalue(case)
+    ks, ok = compute_K(f, d, img, idx, idx)
+    assert ok.sum() >= 4
+    sign = -1.0 if d.switches_axes else 1.0
+    # within the det tolerance that su2_lift applies
+    assert np.max(np.abs(np.linalg.det(ks[ok]) - sign)) < CERT_MONODROMY_TOL
+    # the amsler swap keeps the tangent orientation (det B > 0), the soliton swap reverses it
+    want = {"amsler_window": 1.0, "amsler_swap": -1.0, "soliton_swap": 1.0}[case]
+    assert np.all(ks[ok][:, 2, 2] == want)
+
+
+def test_certification_of_a_swap_stops_at_the_surface_stage(amsler_swap):
+    # equivariance and the monodromy hold; the fitted motion is proper-only,
+    # so the improper motion of a swap fails the surface residual
+    f, d, _, _ = amsler_swap
+    rep, chi = certify_from_potentials(f, d)
+    assert rep["equivariance_pass"] is True and rep["monodromy_pass"] is True
+    assert rep["monodromy_spread"] < 1e-9 and chi is not None
+    assert rep["surface_pass"] is False and rep["surface_residual"] > CERT_SURFACE_TOL
+    assert "epsilon" not in rep
 
 
 def test_axis_switch_misdeclared_fails():
@@ -149,17 +203,12 @@ def test_axis_switch_misdeclared_fails():
     d = identity_descriptor(switches=True)
     idx = [2, 6, 10, 14]
     img = _image_grid(f, d, idx, idx)
-    res = check_axis_switch(f, d, img, idx, idx)
-    assert res > 1e-2
+    with pytest.raises(ValueError, match=r"monodromy: K is not a rotation at node \(\d+, \d+\)"):
+        measure_monodromy(f, d, img, idx, idx)
     # the switching relation on the potentials already refuses it
     rep, chi = certify_from_potentials(f, d)
     assert rep["skipped_after"] == "equivariance" and chi is None
     assert min(rep["equivariance_x"], rep["equivariance_y"]) > 1.0
-
-
-def test_axis_switch_requires_flag(soliton_frames_small):
-    with pytest.raises(ValueError, match="switch"):
-        check_axis_switch(soliton_frames_small, identity_descriptor(), None, [], [])
 
 
 def test_monodromy_composition_amsler():
@@ -193,7 +242,7 @@ def test_monodromy_composition_amsler():
     assert err < 1e-4
     # non-switching case: K carries no y-dependence (diagonal nodes sit on
     # the degenerate curve and are skipped)
-    ks, ok = compute_K(f, d1, img1, idx, idx, epsilon=1.0)
+    ks, ok = compute_K(f, d1, img1, idx, idx)
     for p in range(len(idx)):
         qs = np.where(ok[p])[0]
         assert qs.size >= 2
@@ -202,8 +251,9 @@ def test_monodromy_composition_amsler():
 
 # -- the stack code against the per-node loops it replaced -------------------------
 
-def reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
-    """compute_K as a per-node loop (the degeneracy threshold is EPS_DEGENERATE)."""
+def reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y):
+    """compute_K as a per-node loop (the degeneracy threshold is EPS_DEGENERATE,
+    and epsilon makes det K = (-1)^switches where |det| of the block is 1)."""
     npx, npy = len(idx_x), len(idx_y)
     ks = np.full((npx, npy, 3, 3), np.nan)
     ok = np.zeros((npx, npy), dtype=bool)
@@ -225,27 +275,32 @@ def reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon):
             block = z @ np.linalg.inv(jac) @ np.linalg.inv(_z_matrix(a_im, b_im, phi_im))
             ks[p, q] = np.zeros((3, 3))
             ks[p, q, :2, :2] = block
-            ks[p, q, 2, 2] = epsilon
+            ks[p, q, 2, 2] = np.sign(np.linalg.det(block)) * (-1.0 if d.switches_axes else 1.0)
             ok[p, q] = True
     return ks, ok
 
 
-def reference_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, epsilon=1.0,
-                        lambdas=CIRCLE_LAMBDAS):
-    """measure_monodromy as a per-node loop of LaurentLoop products."""
-    ks, ok = reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y, epsilon)
-    chis, prev_lift = [], None
+def reference_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, lambdas=CIRCLE_LAMBDAS):
+    """measure_monodromy as a per-node loop of LaurentLoop products: with a
+    switching descriptor the original frame is read at 1/lambda and the lift
+    is that of -K; each chi takes the sign of the first chi at lambda = 1."""
+    ks, ok = reference_compute_K(fgrid, d, image_fgrid, idx_x, idx_y)
+    chis = []
     for p, i in enumerate(idx_x):
         for q, j in enumerate(idx_y):
             if not ok[p, q]:
                 continue
-            lift = su2_lift(ks[p, q])
-            if prev_lift is not None and \
-                    np.linalg.norm(lift - prev_lift) > np.linalg.norm(lift + prev_lift):
-                lift = -lift
-            prev_lift = lift
-            u_im = image_fgrid.loop(q, p) if d.switches_axes else image_fgrid.loop(p, q)
-            chis.append(((u_im * np.conj(lift.T)) * fgrid.loop(i, j).dagger()).trim(rel=1e-13))
+            u = fgrid.loop(i, j)
+            if d.switches_axes:
+                lift, u = su2_lift(-ks[p, q]), u.reflect()
+                u_im = image_fgrid.loop(q, p)
+            else:
+                lift, u_im = su2_lift(ks[p, q]), image_fgrid.loop(p, q)
+            chi = ((u_im * np.conj(lift.T)) * u.dagger()).trim(rel=1e-13)
+            if chis and np.linalg.norm(chi.evaluate(1.0) - chis[0].evaluate(1.0)) > \
+                    np.linalg.norm(chi.evaluate(1.0) + chis[0].evaluate(1.0)):
+                chi = LaurentLoop(-chi.coeffs, chi.d_min)
+            chis.append(chi)
     total = sum(chis[1:], chis[0])
     chi_mean = LaurentLoop(total.coeffs / len(chis), total.d_min).trim(rel=1e-12)
     vals = chi_mean.evaluate(lambdas)
@@ -295,8 +350,8 @@ def test_compute_K_equals_the_node_loop_on_random_grids(switches):
     shape = (idx_y.size, idx_x.size) if switches else (idx_x.size, idx_y.size)
     img = random_frame_grid(rng, *shape)
     for d in (warped_descriptor(switches), identity_descriptor(switches)):
-        ks, ok = compute_K(f, d, img, idx_x, idx_y, epsilon=-1.0)
-        ref_ks, ref_ok = reference_compute_K(f, d, img, idx_x, idx_y, epsilon=-1.0)
+        ks, ok = compute_K(f, d, img, idx_x, idx_y)
+        ref_ks, ref_ok = reference_compute_K(f, d, img, idx_x, idx_y)
         assert np.array_equal(ok, ref_ok) and 0 < ok.sum() < ok.size
         assert np.array_equal(ks, ref_ks, equal_nan=True)
 
@@ -307,14 +362,14 @@ def test_compute_K_masks_nodes_below_the_degeneracy_threshold():
     f.phi[:] = 1.0
     f.phi[1, 2] = 5e-7                   # above the old 1e-9 cut, below EPS_DEGENERATE
     idx = np.arange(4)
-    _, ok = compute_K(f, identity_descriptor(), f, idx, idx, epsilon=1.0)
+    _, ok = compute_K(f, identity_descriptor(), f, idx, idx)
     assert np.array_equal(np.argwhere(~ok), [[1, 2]])
 
 
 def test_compute_K_equals_the_node_loop_on_the_amsler_window(amsler_window):
     f, desc, img, idx = amsler_window
-    ks, ok = compute_K(f, desc, img, idx, idx, epsilon=1.0)
-    ref_ks, ref_ok = reference_compute_K(f, desc, img, idx, idx, epsilon=1.0)
+    ks, ok = compute_K(f, desc, img, idx, idx)
+    ref_ks, ref_ok = reference_compute_K(f, desc, img, idx, idx)
     assert np.array_equal(ok, ref_ok) and not np.all(ok)
     assert np.array_equal(ks, ref_ks, equal_nan=True)
 
@@ -349,7 +404,7 @@ def test_monodromy_equals_the_node_loop_with_switching():
     d = identity_descriptor(switches=True)
     idx_x, idx_y = np.array([1, 4, 6]), np.array([0, 2, 5, 8])
     img = _image_grid(f, d, idx_x, idx_y)
-    assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, CIRCLE_LAMBDAS)
+    assert assert_monodromy_matches_reference(f, d, img, idx_x, idx_y, CIRCLE_LAMBDAS) < 1e-9
 
 
 def test_monodromy_equals_the_node_loop_at_the_radial_lambdas(soliton_frames_small):
