@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop, _dagger, _frob,
-                         _rows, adjoint_rotation, band_mask, cauchy_product, evaluate)
-from psurf.oracle import register_rigid
+from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, LaurentLoop, _dagger, _frob, _rows,
+                         adjoint_rotation, band_mask, cauchy_product, evaluate, su2_to_r3)
 from psurf.potentials import SymmetryDescriptor, check_equivariance  # noqa: F401 (re-export)
 from psurf.surface import EPS_DEGENERATE, frames_at, sym_immersion
 
@@ -76,7 +75,7 @@ def _bracketing_nodes(nodes, at):
 
 def check_surface_symmetry(sgrid, d, r, t, sample_mask=None, target=None):
     """Max of ||f(gamma(x,y)) - (r f(x,y) + t)|| over covered sample nodes,
-    for the rigid motion (r, t) fitted by the caller.
+    for the rigid motion x -> r x + t.
 
     f o gamma is bilinearly interpolated on `target` (a finer surface grid
     of the same immersion when supplied, else sgrid itself), one axis at a
@@ -193,6 +192,16 @@ def measure_monodromy(fgrid, d, image_fgrid, idx_x, idx_y, lambdas=CIRCLE_LAMBDA
     return chi_mean, spread
 
 
+def _chi_motion(chi, switches_axes):
+    """The motion x -> r x + t of the surface at lambda = 1 that chi gives,
+    f o gamma = (-1)^switches_axes Ad chi(1) f + Sym(chi)(1): a switch reads
+    the original at 1/lambda, which reverses the sign of its Sym derivative."""
+    u, _, vh = np.linalg.svd(chi.evaluate(1.0))
+    at_one = u @ vh         # the unitary polar factor of chi(1), so that r is orthogonal
+    r = (-1.0) ** switches_axes * adjoint_rotation(at_one, tol=1e-4)
+    return r, su2_to_r3(chi.log_lambda_derivative().evaluate(1.0) @ _dagger(at_one), tol=1e-4)
+
+
 def coverage_window(x, y, d):
     """Indices (into x, into y) of the parameters of the grid x by y whose
     gamma-images stay inside it, each axis tested against its own range."""
@@ -222,21 +231,20 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
     fgrid of fgrid.pair, with thresholds.
 
     Returns (report, chi): a flat report dict (stable keys: equivariance_x,
-    equivariance_y, monodromy_spread, surface_residual,
-    rotation_angle_measured_rad, the fitted motion rigid_rotation and
-    rigid_translation as lists, stage pass flags) and the measured monodromy
-    loop (None when the chain stops at equivariance).  Later stages are
-    skipped when an earlier one fails.  The monodromy samples at most
-    MONODROMY_NODES of the covered window per axis.  The motion is fitted
-    proper (register_rigid), so a swap of the asymptotic families (improper
-    motion) stops at the surface stage.  The surface stage interpolates f o
-    gamma on the lattice interp_x by interp_y when given, else on fgrid, and
-    passes only when every covered-window node's image is inside the
-    interpolation domain.  Of the lattice, frames_at builds only the nodes
-    that bracket the window's images (the cells the interpolation reads, with
-    consecutive corners); their count is surface_target_nodes, 0 without a
-    lattice, and with no image on the lattice nothing is built and the
-    coverage is 0.
+    equivariance_y, monodromy_spread, surface_residual, stage pass flags, and
+    the motion chi gives: rigid_rotation and rigid_translation as lists,
+    improper for a swap of the asymptotic families, the angle of its rotation
+    part rotation_angle_measured_rad, and chi_vs_R, its largest miss on the
+    monodromy's exact node pairs) and the measured monodromy loop (None when
+    the chain stops at equivariance).  Later stages are skipped when an
+    earlier one fails.  The monodromy samples at most MONODROMY_NODES of the
+    covered window per axis.  The surface stage interpolates f o gamma on the
+    lattice interp_x by interp_y when given, else on fgrid, and passes only
+    when every covered-window node's image is inside the interpolation
+    domain.  Of the lattice, frames_at builds only the nodes that bracket the
+    window's images (the cells the interpolation reads, with consecutive
+    corners); their count is surface_target_nodes, 0 without a lattice, and
+    with no image on the lattice nothing is built and the coverage is 0.
     """
     report = {}
     idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
@@ -246,8 +254,7 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
     win_y = (fgrid.y[idx_y[0]], fgrid.y[idx_y[-1]])
 
     rx, ry = check_equivariance(fgrid.pair, d, sample_x=win_x, sample_y=win_y)
-    report["equivariance_x"] = rx
-    report["equivariance_y"] = ry
+    report["equivariance_x"], report["equivariance_y"] = rx, ry
     report["equivariance_pass"] = bool(max(rx, ry) < equivariance_tol)
     if not report["equivariance_pass"]:
         report["skipped_after"] = "equivariance"
@@ -260,21 +267,15 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
     sgrid = sym_immersion(fgrid, 1.0)
     image_s = sym_immersion(image_f, 1.0)
 
-    # rigid motion from exact node pairs
-    r_lin, t_vec, fit_rms = register_rigid(
-        sgrid.points[np.ix_(sel_x, sel_y)].reshape(-1, 3),
-        _image_nodes(image_s.points, d.switches_axes).reshape(-1, 3))
-    report["rigid_rotation"] = r_lin.tolist()
-    report["rigid_translation"] = t_vec.tolist()
-    report["rigid_fit_rms"] = fit_rms
-    angle = float(np.arccos(np.clip((np.trace(r_lin) - 1.0) / 2.0, -1.0, 1.0)))
-    report["rotation_angle_measured_rad"] = angle
-
     chi, spread = measure_monodromy(fgrid, d, image_f, sel_x, sel_y)
-    report["monodromy_spread"] = spread
-    report["monodromy_pass"] = bool(spread < monodromy_tol)
-    chi_rot = adjoint_rotation(chi.evaluate(1.0), tol=1e-4)
-    report["chi_vs_R"] = float(np.max(np.abs(chi_rot - r_lin)))
+    report["monodromy_spread"], report["monodromy_pass"] = spread, bool(spread < monodromy_tol)
+    r, t = _chi_motion(chi, d.switches_axes)
+    report["rigid_rotation"], report["rigid_translation"] = r.tolist(), t.tolist()
+    cos = (np.linalg.det(r) * np.trace(r) - 1.0) / 2.0     # of the rotation part det(r) r
+    report["rotation_angle_measured_rad"] = float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    # chi's motion on the exact node pairs chi was measured on
+    moved = sgrid.points[np.ix_(sel_x, sel_y)] @ r.T + t
+    report["chi_vs_R"] = float(np.max(np.abs(_image_nodes(image_s.points, d.switches_axes) - moved)))
     if not report["monodromy_pass"]:
         report["skipped_after"] = "monodromy"
         return report, chi
@@ -288,7 +289,7 @@ def certify_from_potentials(fgrid, d, interp_x=None, interp_y=None,
         # no image on the lattice: nothing is covered, and sgrid is not the target
         resid, coverage = 0.0, 0.0
     else:
-        resid, coverage = check_surface_symmetry(sgrid, d, r_lin, t_vec, sample_mask=mask,
+        resid, coverage = check_surface_symmetry(sgrid, d, r, t, sample_mask=mask,
                                                  target=target)
     report["surface_residual"] = resid
     report["surface_coverage"] = coverage

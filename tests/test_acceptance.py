@@ -220,7 +220,7 @@ def test_criterion_7_rotational_example(amsler_certification):
            f"equivariance ({rep['equivariance_x']:.3g}, {rep['equivariance_y']:.3g}) < 1e-8, "
            f"monodromy spread {rep['monodromy_spread']:.3g} < 1e-4, "
            f"surface residual {rep['surface_residual']:.3g} < 1e-3, "
-           f"Ad(chi(1)) vs R {rep['chi_vs_R']:.3g} < 1e-3, "
+           f"chi's motion on the exact node pairs {rep['chi_vs_R']:.3g} < 1e-3, "
            f"measured rotation angle {angle:.4f} rad ({np.degrees(angle):.2f} deg, reported), "
            f"cone point spread {cone['spread']:.3g}, line distance {worst:.3g} < {tol:.3g}")
 

@@ -42,3 +42,36 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def imports_oracle(source):
+    """Whether a module imports psurf.oracle, by absolute or relative import."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("psurf" + (f".{node.module}" if node.module else "")) if node.level \
+                else node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "psurf.oracle" or n.startswith("psurf.oracle.") for n in names):
+            return True
+    return False
+
+
+def test_the_check_finds_an_oracle_import():
+    for source in ("import psurf.oracle\n", "from psurf.oracle import register_rigid\n",
+                   "from psurf import loops, oracle\n", "from . import oracle\n",
+                   "from .oracle import goursat_solve\n", "def f():\n    import psurf.oracle\n"):
+        assert imports_oracle(source), source
+    for source in ("import psurf.loops\n", "from psurf.loops import evaluate\n",
+                   "from . import surface\n", "from oracle import x\n"):
+        assert not imports_oracle(source), source
+
+
+# the oracle is the loop-group-free reference the pipeline is checked against:
+# only the CLI (its oracle suite) and the package's re-exports import it
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
+def test_the_pipeline_does_not_import_the_oracle(module):
+    assert not imports_oracle((SRC / module).read_text())

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,15 +9,15 @@ from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
 from psurf.loops import (CIRCLE_LAMBDAS, SU2_I, SU2_J, SU2_K, SYMMETRY_LAMBDAS, LaurentLoop,
-                         adjoint_rotation)
+                         adjoint_rotation, cauchy_product, random_twisted_unitary_loop)
 from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
                               normalized_from_boundary, soliton_alpha, soliton_beta)
 from psurf.surface import EPS_DEGENERATE, FrameGrid, frames_at, reconstruct_frames, sym_immersion
-from psurf.symmetry import (CERT_MONODROMY_TOL, CERT_SURFACE_TOL, SymmetryDescriptor,
+from psurf.symmetry import (CERT_MONODROMY_TOL, SymmetryDescriptor, check_equivariance,
                             check_surface_symmetry, certify_from_potentials, compute_K,
                             coverage_window, measure_monodromy, su2_lift, _bracketing_nodes,
-                            _image_axes, _image_grid, _lerp_weights, _surface_target,
-                            _z_matrix)
+                            _chi_motion, _image_axes, _image_grid, _lerp_weights,
+                            _surface_target, _z_matrix)
 from tests.conftest import theta_to_t
 
 IDENT = lambda t: t
@@ -182,15 +182,21 @@ def test_compute_K_reads_the_normal_sign(request, case):
     assert np.all(ks[ok][:, 2, 2] == want)
 
 
-def test_certification_of_a_swap_stops_at_the_surface_stage(amsler_swap):
-    # equivariance and the monodromy hold; the fitted motion is proper-only,
-    # so the improper motion of a swap fails the surface residual
-    f, d, _, _ = amsler_swap
+# the constant gauge [[0, 1], [1, 0]] on both axes makes the kink's swap a symmetry
+SWAP_GAUGE = LaurentLoop(np.array([[[0.0, 1.0], [1.0, 0.0]]]), 0)
+
+
+@pytest.mark.parametrize("case", ["amsler_swap", "soliton_swap"])
+def test_certification_of_a_swap_certifies_its_improper_motion(request, case):
+    # the motion comes from chi, so a swap's improper motion passes the surface stage
+    f, d, _, _ = request.getfixturevalue(case)
+    if case == "soliton_swap":
+        d = replace(d, wx=SWAP_GAUGE, wy=SWAP_GAUGE)
     rep, chi = certify_from_potentials(f, d)
-    assert rep["equivariance_pass"] is True and rep["monodromy_pass"] is True
-    assert rep["monodromy_spread"] < 1e-9 and chi is not None
-    assert rep["surface_pass"] is False and rep["surface_residual"] > CERT_SURFACE_TOL
-    assert "epsilon" not in rep
+    assert rep["all_pass"] is True and chi is not None
+    assert rep["surface_residual"] < 1e-9 and rep["chi_vs_R"] < 1e-9
+    assert abs(np.linalg.det(rep["rigid_rotation"]) + 1.0) < 1e-9
+    assert "epsilon" not in rep and "rigid_fit_rms" not in rep
 
 
 def test_axis_switch_misdeclared_fails():
@@ -247,6 +253,52 @@ def test_monodromy_composition_amsler():
         qs = np.where(ok[p])[0]
         assert qs.size >= 2
         assert float(np.max(np.abs(ks[p, qs] - ks[p, qs[0]]))) < 1e-6
+
+
+def left_multiplied(fgrid, chi0, switches):
+    """fgrid's frames U replaced by chi0 U, or by chi0 U^(1/lambda) when
+    switches: the frames of a symmetry whose monodromy is chi0."""
+    u, u_min = fgrid.coeffs, fgrid.d_min
+    if switches:
+        u, u_min = u[:, :, ::-1], -(u_min + u.shape[2] - 1)
+    return replace(fgrid, coeffs=cauchy_product(chi0.coeffs, u), d_min=chi0.d_min + u_min)
+
+
+@pytest.mark.parametrize("switches", [False, True])
+def test_chi_motion_is_the_motion_of_the_left_multiplied_surface(soliton_pair, switches):
+    # Sym(chi0 U) = Ad chi0(1) f + Sym(chi0)(1), and the sign of f flips when U is
+    # read at 1/lambda; chi0 has a translation far from zero
+    xs = np.linspace(0.0, 1.0, 9)
+    f = reconstruct_frames(soliton_pair, xs, xs, trunc=24)
+    chi0 = random_twisted_unitary_loop(np.random.default_rng(5), degree=12, scale=0.6, pad=8)
+    r, t = _chi_motion(chi0, switches)
+    assert np.linalg.norm(t) > 0.1
+    assert abs(np.linalg.det(r) - (-1.0 if switches else 1.0)) < 1e-12
+    moved = sym_immersion(left_multiplied(f, chi0, switches), 1.0).points
+    assert np.max(np.abs(moved - (sym_immersion(f, 1.0).points @ r.T + t))) < 1e-12
+
+
+def test_rotation_and_swap_compose_on_the_amsler_window(amsler_window):
+    # rho sigma, rho's maps with the axes switched, is rho after the identity swap
+    # sigma: its chi is chi_rho chi_sigma up to sign, and its motion their composition
+    f, rho, img_rho, idx = amsler_window
+    motions, chis = [], []
+    for d, img in ((rho, img_rho), (identity_descriptor(switches=True), None),
+                   (replace(rho, switches_axes=True), None)):
+        img = _image_grid(f, d, idx, idx) if img is None else img
+        chi, spread = measure_monodromy(f, d, img, idx, idx)
+        assert spread < CERT_MONODROMY_TOL
+        chis.append(chi)
+        motions.append(_chi_motion(chi, d.switches_axes))
+    window = (f.x[0], f.x[-1])
+    rx, ry = check_equivariance(f.pair, replace(rho, switches_axes=True), window, window)
+    assert max(rx, ry) < 1e-10
+    prod, direct = (chis[0] * chis[1]).evaluate(CIRCLE_LAMBDAS), chis[2].evaluate(CIRCLE_LAMBDAS)
+    assert min(np.max(np.abs(prod - direct)), np.max(np.abs(prod + direct))) < 1e-5
+    (r_rho, t_rho), (r_sig, t_sig), (r_rs, t_rs) = motions
+    assert np.max(np.abs(r_rs - r_rho @ r_sig)) < 1e-5
+    assert np.max(np.abs(t_rs - (r_rho @ t_sig + t_rho))) < 1e-5
+    assert abs(np.linalg.det(r_rs) + 1.0) < 1e-5
 
 
 # -- the stack code against the per-node loops it replaced -------------------------
@@ -432,8 +484,8 @@ def test_surface_symmetry_equals_the_node_loop(soliton_surface_small, switches):
 
 
 def full_lattice_surface_symmetry(fgrid, d, rep, lattice_x, lattice_y):
-    """check_surface_symmetry of certify_from_potentials' window and fitted
-    motion, interpolated on the whole lattice."""
+    """check_surface_symmetry of certify_from_potentials' window and of the
+    motion its chi gives, interpolated on the whole lattice."""
     idx_x, idx_y = coverage_window(fgrid.x, fgrid.y, d)
     mask = np.zeros((fgrid.x.size, fgrid.y.size), dtype=bool)
     mask[np.ix_(idx_x, idx_y)] = True
@@ -461,7 +513,7 @@ def test_certification_withholds_the_surface_verdict_on_partial_coverage(soliton
     rep, chi = certify_from_potentials(fgrid, identity_descriptor())
     assert rep["surface_coverage"] == 1.0 and rep["all_pass"] is True
     assert rep["surface_target_nodes"] == 0
-    # the measurements are returned: the fitted motion as report lists, chi as a loop
+    # the measurements are returned: chi's motion as report lists, chi as a loop
     assert np.max(np.abs(np.array(rep["rigid_rotation"]) - np.eye(3))) < 1e-9
     assert np.max(np.abs(rep["rigid_translation"])) < 1e-9
     assert np.max(np.abs(chi.evaluate(CIRCLE_LAMBDAS) - np.eye(2))) < 1e-9
