@@ -11,7 +11,7 @@ from psurf.oracle import (GoursatProblem, RegistrationError, StiffnessError,
 from psurf.potentials import (BoundaryAngles, PotentialPair, SymmetryDescriptor,
                               check_equivariance, extract_diagonal_potentials,
                               gauge_transform, generalized_amsler_example,
-                              normalized_from_boundary, stretched_from_boundary)
+                              normalized_from_boundary, pointwise, stretched_from_boundary)
 from psurf.surface import (FrameGrid, SurfaceGrid, associated_family,
                            darboux_frame, find_cone_point, geometry_report,
                            reconstruct_frames, sym_immersion, write_csv, write_obj)
@@ -27,7 +27,7 @@ __all__ = [
     "compute_K", "darboux_frame", "direct_frame_solve",
     "extract_diagonal_potentials", "find_cone_point", "gauge_transform",
     "generalized_amsler_example", "geometry_report", "goursat_solve",
-    "integrate_axis", "measure_monodromy", "normalized_from_boundary",
+    "integrate_axis", "measure_monodromy", "normalized_from_boundary", "pointwise",
     "r3_to_su2", "reconstruct_frames", "register_rigid", "split_minus_star_plus",
     "split_plus_minusfree", "split_plus_star_minus", "stretched_from_boundary",
     "su2_to_r3", "sym_immersion", "unitarity_defect", "write_csv", "write_obj",

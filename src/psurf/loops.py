@@ -344,21 +344,31 @@ def unitarity_defect(g, samples=UNITARITY_SAMPLES):
     return su2_defect(g.evaluate(np.asarray(samples, dtype=float)))
 
 
+def su2_defects(vals):
+    """(||v^+ v - I||, |det v - 1|) of each value in a (..., 2, 2) stack, the
+    first as the largest entry modulus: two (...) arrays."""
+    gram = _dagger(vals) @ vals
+    return np.abs(gram - _EYE2).max(axis=(-2, -1)), np.abs(_det(vals) - 1.0)
+
+
 def su2_defect(vals):
     """(max ||v^+ v - I||, max |det v - 1|) over a (..., 2, 2) stack of values."""
-    gram = _dagger(vals) @ vals
-    u_def = float(np.max(np.abs(gram - _EYE2)))
-    return u_def, float(np.max(np.abs(_det(vals) - 1.0)))
+    return tuple(float(np.max(d)) for d in su2_defects(vals))
+
+
+def edge_rows(d_min, d_max):
+    """Rows of the band d_min..d_max that edge_norm reads: the two outermost
+    degrees at each end of the band that lies off degree 0."""
+    tips = [d_max, d_max - 1] if d_max > 0 else []
+    tips += [d_min, d_min + 1] if d_min < 0 else []
+    # a tip outside the stored band is a zero coefficient
+    return [k - d_min for k in tips if d_min <= k <= d_max]
 
 
 def edge_norm(g):
     """Largest norm of the two outermost coefficients at each end of g's band
     that lies off degree 0: the retained tail of a truncated loop."""
-    tips = [g.d_max, g.d_max - 1] if g.d_max > 0 else []
-    tips += [g.d_min, g.d_min + 1] if g.d_min < 0 else []
-    # a tip outside the stored band is a zero coefficient
-    rows = [k - g.d_min for k in tips if g.d_min <= k <= g.d_max]
-    return float(_frob(g.coeffs[rows]).max(initial=0.0))
+    return float(_frob(g.coeffs[edge_rows(g.d_min, g.d_max)]).max(initial=0.0))
 
 
 def inverse_one_sided(g, trunc):

@@ -1,6 +1,7 @@
 """Potential pairs along the two asymptotic axes.
 
-A pair holds the loop-valued 1-form coefficients eta_x(x), eta_y(y).  The
+A pair holds the loop-valued 1-form coefficients eta_x(x), eta_y(y) as
+coefficient functions, evaluated on whole parameter arrays.  The
 normalized kind is pinned to pure degree +1 / -1 with unit speeds and is
 determined by boundary angles; the generalized kind allows wider
 lambda-expansions with nonvanishing top terms, from which speeds and phases
@@ -35,13 +36,12 @@ def is_uniform(t):
     return not np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0])
 
 
-def _offdiag(z):
-    return np.array([[0.0, z], [-np.conj(z), 0.0]])
-
-
-def _phase_matrix(alpha):
-    e = np.exp(1j * alpha)
-    return 0.5j * np.array([[0.0, np.conj(e)], [e, 0.0]])
+def _phase_coeffs(alpha):
+    """(n, 1, 2, 2) stack of i/2 [[0, e^-i alpha], [e^i alpha, 0]] at the angles alpha."""
+    e = np.exp(1j * np.asarray(alpha, dtype=float))
+    m = np.zeros(e.shape + (1, 2, 2), dtype=complex)
+    m[:, 0, 0, 1], m[:, 0, 1, 0] = np.conj(e), e
+    return 0.5j * m
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,44 @@ class BoundaryAngles:
         return speed_fn(self.b)
 
 
+def _loop_at(coeffs, t):
+    c, d = coeffs(np.array([t], dtype=float))
+    return LaurentLoop(c[0], d)
+
+
+def pointwise(eta):
+    """Coefficient function of a per-parameter potential eta: t -> LaurentLoop.
+    eta is called once per parameter, and its loops are zero-padded to their
+    common degree band."""
+    def coeffs(ts):
+        loops = [eta(float(t)) for t in ts]
+        lo, hi = min(q.d_min for q in loops), max(q.d_max for q in loops)
+        return np.stack([band_slice(q.coeffs, q.d_min, lo, hi) for q in loops]), lo
+    return coeffs
+
+
 @dataclass(frozen=True)
 class PotentialPair:
-    """eta_x, eta_y: parameter -> LaurentLoop (coefficients of dx, dy)."""
+    """coeffs_x, coeffs_y: the coefficients of dx, dy as coefficient functions.
 
-    eta_x: object
-    eta_y: object
+    coeffs_x(ts) maps a 1-d parameter array to (c, d_min), c of shape
+    (n, K, 2, 2) the coefficients of eta_x(ts[i]) from degree d_min; the
+    same for coeffs_y.  eta_x(t) and eta_y(t) read one parameter as a
+    LaurentLoop.
+    """
+
+    coeffs_x: object
+    coeffs_y: object
     kind: str
     domain_x: tuple = (-1.0, 1.0)
     domain_y: tuple = (-1.0, 1.0)
     boundary: BoundaryAngles = None
+
+    def eta_x(self, t):
+        return _loop_at(self.coeffs_x, t)
+
+    def eta_y(self, t):
+        return _loop_at(self.coeffs_y, t)
 
 
 def normalized_from_boundary(bnd, domain_x=(-1.0, 1.0), domain_y=(-1.0, 1.0)):
@@ -93,26 +121,28 @@ def stretched_from_boundary(bnd, domain_x=(-1.0, 1.0), domain_y=(-1.0, 1.0)):
         raise ValueError(f"alpha(0) must vanish, got {a0}")
     a_fn, b_fn = bnd.speed_a(), bnd.speed_b()
 
-    def eta_x(x):
-        return LaurentLoop.from_terms({1: float(a_fn(x)) * _phase_matrix(bnd.alpha(x))})
+    def coeffs_x(xs):
+        return a_fn(xs)[:, None, None, None] * _phase_coeffs(bnd.alpha(xs)), 1
 
-    def eta_y(y):
-        return LaurentLoop.from_terms({-1: -float(b_fn(y)) * _phase_matrix(-bnd.beta(y))})
+    def coeffs_y(ys):
+        return -b_fn(ys)[:, None, None, None] * _phase_coeffs(-bnd.beta(ys)), -1
 
-    return PotentialPair(eta_x=eta_x, eta_y=eta_y, kind="generalized",
+    return PotentialPair(coeffs_x=coeffs_x, coeffs_y=coeffs_y, kind="generalized",
                          domain_x=tuple(domain_x), domain_y=tuple(domain_y),
                          boundary=bnd)
 
 
 # -- axis data extraction ----------------------------------------------------
 
-def _axis_data(eta, domain, degree, axis):
+def _axis_data(coeffs, domain, degree, axis):
     """(speed, angle) from z, the top off-diagonal entry of the lambda^degree
-    coefficient of eta (degree +-1): speed 2|z|, angle -degree times the phase
-    of -2i degree z on the 2 pi branch of its unwrapped 2049 domain samples."""
+    coefficient of eta (degree +-1, coefficient function coeffs): speed 2|z|,
+    angle -degree times the phase of -2i degree z on the 2 pi branch of its
+    unwrapped 2049 domain samples."""
     def z(t):
-        return eta(t).coeff(degree)[0, 1] if np.isscalar(t) else \
-            np.array([eta(v).coeff(degree)[0, 1] for v in np.asarray(t)])
+        c, d = coeffs(np.atleast_1d(np.asarray(t, dtype=float)))
+        zs = c[:, degree - d, 0, 1] if 0 <= degree - d < c.shape[1] else np.zeros(c.shape[0])
+        return zs.reshape(np.shape(t))
 
     ts = np.linspace(domain[0], domain[1], 2049)
     zs = z(ts)
@@ -136,14 +166,14 @@ def x_axis_data(pair):
     the lambda^1 coefficient of eta_x."""
     if pair.kind == "normalized" and pair.boundary is not None:
         return speed_fn(None), pair.boundary.alpha
-    return _axis_data(pair.eta_x, pair.domain_x, 1, "x")
+    return _axis_data(pair.coeffs_x, pair.domain_x, 1, "x")
 
 
 def y_axis_data(pair):
     """(b(y), beta(y)) with rho = -b e^{i beta} = -2i * (lambda^-1 coeff)[0,1]."""
     if pair.kind == "normalized" and pair.boundary is not None:
         return speed_fn(None), pair.boundary.beta
-    return _axis_data(pair.eta_y, pair.domain_y, -1, "y")
+    return _axis_data(pair.coeffs_y, pair.domain_y, -1, "y")
 
 
 # -- gauges ------------------------------------------------------------------
@@ -209,8 +239,8 @@ def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None):
     def eta_y(y):
         return _gauge_action(pair.eta_y(y), qy_fn, qy_const, dqy, y, 1e-5).trim(rel=1e-13)
 
-    return PotentialPair(eta_x=eta_x, eta_y=eta_y, kind="generalized",
-                         domain_x=pair.domain_x, domain_y=pair.domain_y)
+    return PotentialPair(coeffs_x=pointwise(eta_x), coeffs_y=pointwise(eta_y),
+                         kind="generalized", domain_x=pair.domain_x, domain_y=pair.domain_y)
 
 
 # -- equivariance ------------------------------------------------------------
@@ -311,11 +341,14 @@ def generalized_amsler_example(domain=(-4.0, 4.0)):
     Cayley transform.
     """
 
-    def eta(t):
-        m = _offdiag(complex(_amsler_p(t)))
-        return LaurentLoop.from_terms({1: m, -1: m})
+    def coeffs(ts):                 # degrees -1..1, [[0, p], [-conj p, 0]] at -1 and 1
+        p = _amsler_p(ts)
+        c = np.zeros((p.size, 3, 2, 2), dtype=complex)
+        c[:, 0, 0, 1], c[:, 0, 1, 0] = p, -np.conj(p)
+        c[:, 2] = c[:, 0]
+        return c, -1
 
-    pair = PotentialPair(eta_x=eta, eta_y=eta, kind="generalized",
+    pair = PotentialPair(coeffs_x=coeffs, coeffs_y=coeffs, kind="generalized",
                          domain_x=tuple(domain), domain_y=tuple(domain))
     gauge = LaurentLoop.constant(np.diag([np.exp(1j * np.pi / 3.0),
                                           np.exp(-1j * np.pi / 3.0)]))
@@ -385,11 +418,11 @@ def extract_diagonal_potentials(frame_grid):
     data = _project_twisted_su(eta_c, band[0])
     splines = CubicSpline(x, data.reshape(n, -1))
 
-    def eta(t):
-        return LaurentLoop(splines(t).reshape(-1, 2, 2), band[0])
+    def coeffs(ts):
+        return splines(ts).reshape(ts.size, -1, 2, 2), band[0]
 
     dom = (float(x[0]), float(x[-1]))
-    return PotentialPair(eta_x=eta, eta_y=eta, kind="generalized",
+    return PotentialPair(coeffs_x=coeffs, coeffs_y=coeffs, kind="generalized",
                          domain_x=dom, domain_y=dom)
 
 

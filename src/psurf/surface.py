@@ -14,7 +14,7 @@ import numpy as np
 
 from psurf import potentials as pots
 from psurf.birkhoff import DEFAULT_TRUNC, MAX_TRUNC, FactorizationFailure, split_plus_minusfree
-from psurf.frames import integrate_axis
+from psurf.frames import IntegrationDrift, integrate_axis
 from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst,
                          _rows, adjoint_rotation, band_mask, cauchy_product, degree_sum, evaluate,
                          su2_to_r3)
@@ -83,8 +83,12 @@ class SurfaceGrid:
     b_vals: np.ndarray
 
 
-def _tx_matrix(alpha):
-    return np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+def _tx_matrices(alpha):
+    """(n, 2, 2) stack of diag(e^{-i alpha/2}, e^{i alpha/2}) at the angles alpha."""
+    alpha = np.asarray(alpha, dtype=float)
+    tx = np.zeros(alpha.shape + (2, 2), dtype=complex)
+    tx[:, 0, 0], tx[:, 1, 1] = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
+    return tx
 
 
 def _unwrap_grid(raw, ic, jc):
@@ -137,12 +141,18 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     band_x = (min(0, trunc * probe_x.d_min), max(0, trunc * probe_x.d_max))
     band_y = (min(0, trunc * probe_y.d_min), max(0, trunc * probe_y.d_max))
 
-    path_x = integrate_axis(pair.eta_x, x, init=init_x, step=step, band=band_x,
-                            t0=bx, drift_samples=drift_samples)
-    path_y = integrate_axis(pair.eta_y, y, step=step, band=band_y,
-                            t0=by, drift_samples=drift_samples)
+    paths = []
+    for axis, coeffs, ts, init, band, t0 in (("x", pair.coeffs_x, x, init_x, band_x, bx),
+                                            ("y", pair.coeffs_y, y, None, band_y, by)):
+        try:
+            paths.append(integrate_axis(coeffs, ts, init=init, step=step, band=band, t0=t0,
+                                        drift_samples=drift_samples))
+        except IntegrationDrift as exc:
+            raise IntegrationDrift(f"{exc} on the {axis} axis", drift=exc.drift,
+                                   t=exc.t) from exc
+    path_x, path_y = paths
 
-    tx = np.array([_tx_matrix(float(alpha_fn(v))) for v in x])
+    tx = _tx_matrices(alpha_fn(x))
     w = (_rows(path_x.coeffs) @ tx).reshape(path_x.coeffs.shape)
     d = _dagger(path_y.coeffs)
 
@@ -183,8 +193,7 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     ic = int(np.argmin(np.abs(x - bx)))
     jc = int(np.argmin(np.abs(y - by)))
     psi = _unwrap_grid(raw_psi, ic, jc)
-    beta_vals = np.array([float(beta_fn(v)) for v in y])
-    phi = beta_vals[None, :] - 2.0 * psi
+    phi = np.asarray(beta_fn(y), dtype=float)[None, :] - 2.0 * psi
     a_vals = np.asarray(a_fn(x), dtype=float)
     b_vals = np.asarray(b_fn(y), dtype=float)
     return FrameGrid(x=x, y=y, coeffs=coeffs, d_min=lo + used_lo, phi=phi,

@@ -16,7 +16,7 @@ from psurf.loops import LaurentLoop, exp_loop, random_twisted_unitary_loop
 from psurf.oracle import GoursatProblem, goursat_solve, register_rigid
 from psurf.potentials import (BoundaryAngles, extract_diagonal_potentials,
                               gauge_transform, generalized_amsler_example,
-                              normalized_from_boundary, soliton_alpha,
+                              normalized_from_boundary, pointwise, soliton_alpha,
                               soliton_beta)
 from psurf.surface import (associated_family, cone_line_check, find_cone_point,
                            geometry_report, reconstruct_frames, sym_immersion)
@@ -272,6 +272,7 @@ def test_criterion_10_convergence_orders(soliton_pair):
         e = np.exp(1j * soliton_alpha(t))
         return LaurentLoop.from_terms({1: 0.5j * np.array([[0, np.conj(e)], [e, 0]])})
 
+    eta = pointwise(eta)
     ref = integrate_axis(eta, np.array([0.0, 1.0]), step=1 / 1024).frame_at(1.0)
     errs = [(integrate_axis(eta, np.array([0.0, 1.0]), step=1 / n).frame_at(1.0)
              - ref).max_coeff_norm() for n in (8, 16)]

@@ -282,7 +282,7 @@ directory = {out}
                         r"input loop has a non-finite coefficient at degree -?\d+\n", err), err
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, capfd):
     # a hopelessly coarse integration step drifts off the unitary group
     cfg = write_config(tmp_path / "n.ini", """
 [potential]
@@ -303,6 +303,10 @@ step_divisor = 3
 directory = {out}
 """.format(out=tmp_path / "o"))
     assert run(["build", cfg]) == cli.EXIT_NUMERIC
+    # the drift names its frame and axis: the x axis is integrated first
+    err = capfd.readouterr().err
+    assert re.fullmatch(r"numerical failure: unitarity drift \S+ over span 40 at t = [\d.]+, "
+                        r"lambda = [\d.]+; reduce the step on the x axis\n", err), err
 
 
 AMSLER_17 = """

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from psurf import frames
 from psurf.frames import AxisFramePath, IntegrationDrift, direct_frame_solve, integrate_axis
-from psurf.loops import LaurentLoop
-from psurf.potentials import generalized_amsler_example, soliton_alpha
+from psurf.loops import LaurentLoop, edge_norm
+from psurf.potentials import generalized_amsler_example, pointwise, soliton_alpha
 from tests.conftest import kink_phi
 
 OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# traced peak of one 4096-step gap on the band +-48: 1.3 MB in chunks of 256
+# steps, 15.8 MB with the gap's maps built at once
+MARCH_PEAK_BYTES = 4 * 2 ** 20
 
 
 def eta_soliton(t):
@@ -14,8 +18,11 @@ def eta_soliton(t):
     return LaurentLoop.from_terms({1: 0.5j * np.array([[0, np.conj(e)], [e, 0]])})
 
 
+soliton = pointwise(eta_soliton)
+
+
 def test_zero_potential_is_constant():
-    eta = lambda t: LaurentLoop.zero()
+    eta = pointwise(lambda t: LaurentLoop.zero())
     ts = np.linspace(0, 1, 5)
     path = integrate_axis(eta, ts, band=(0, 4))
     ident = LaurentLoop.identity().truncated(0, 4).coeffs
@@ -23,7 +30,7 @@ def test_zero_potential_is_constant():
 
 
 def test_constant_potential_closed_form():
-    eta = lambda t: LaurentLoop.from_terms({1: 0.5j * OFF})
+    eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * OFF}))
     ts = np.linspace(0, 1, 5)
     path = integrate_axis(eta, ts, step=1 / 256)
     for lam in (0.5, 1.0, 2.0):
@@ -34,7 +41,7 @@ def test_constant_potential_closed_form():
 
 
 def test_backward_integration_from_interior_anchor():
-    eta = lambda t: LaurentLoop.from_terms({1: 0.5j * OFF})
+    eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * OFF}))
     ts = np.linspace(-1.0, 1.0, 9)
     path = integrate_axis(eta, ts, step=1 / 256)   # anchored at 0
     lam = 1.0
@@ -45,8 +52,8 @@ def test_backward_integration_from_interior_anchor():
 
 
 def test_order_four_convergence():
-    ref = integrate_axis(eta_soliton, np.array([0.0, 1.0]), step=1 / 1024).frame_at(1.0)
-    errs = [(integrate_axis(eta_soliton, np.array([0.0, 1.0]), step=1 / n).frame_at(1.0)
+    ref = integrate_axis(soliton, np.array([0.0, 1.0]), step=1 / 1024).frame_at(1.0)
+    errs = [(integrate_axis(soliton, np.array([0.0, 1.0]), step=1 / n).frame_at(1.0)
              - ref).max_coeff_norm() for n in (8, 16, 32)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
@@ -55,7 +62,7 @@ def test_order_four_convergence():
 
 def test_local_ode_residual():
     ts = np.linspace(0, 1, 65)
-    path = integrate_axis(eta_soliton, ts, step=1 / 64)
+    path = integrate_axis(soliton, ts, step=1 / 64)
     h = ts[1] - ts[0]
     worst = 0.0
     for k in range(len(ts) - 1):
@@ -69,28 +76,32 @@ def test_local_ode_residual():
 
 def test_determinant_along_path():
     ts = np.linspace(0, 1, 9)
-    path = integrate_axis(eta_soliton, ts, step=1 / 256)
+    path = integrate_axis(soliton, ts, step=1 / 256)
     for lam in (0.5, 1.0, 2.0):
         for t in ts:
             v = path.frame_at(t).evaluate(lam)
             assert abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0] - 1.0) < 1e-10
 
 
-def reference_march(eta, t_from, targets, init, step, band):
-    """The LaurentLoop-arithmetic RK4 march that the array march replaced."""
+def reference_march(eta, t_from, targets, init, step, band, stagewise=False):
+    """LaurentLoop-arithmetic RK4 at the march's stage times t + (h/2) k.  The
+    stage products are untruncated and each step truncates once to the band,
+    the arithmetic of the step maps; stagewise=True truncates every stage
+    product instead."""
+    cut = (lambda g: g.truncated(*band)) if stagewise else (lambda g: g)
     out, g, t = [], init.truncated(*band), t_from
     for t_next in targets:
         gap = t_next - t
         if abs(gap) > 0:
             nsub = max(1, int(np.ceil(abs(gap) / step)))
             h = gap / nsub
-            for _ in range(nsub):
-                k1 = (g * eta(t)).truncated(*band)
-                k2 = ((g + (0.5 * h) * k1) * eta(t + 0.5 * h)).truncated(*band)
-                k3 = ((g + (0.5 * h) * k2) * eta(t + 0.5 * h)).truncated(*band)
-                k4 = ((g + h * k3) * eta(t + h)).truncated(*band)
-                g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t + h
+            for i in range(nsub):
+                t_0, t_half, t_1 = (t + (0.5 * h) * k for k in (2 * i, 2 * i + 1, 2 * i + 2))
+                k1 = cut(g * eta(t_0))
+                k2 = cut((g + (0.5 * h) * k1) * eta(t_half))
+                k3 = cut((g + (0.5 * h) * k2) * eta(t_half))
+                k4 = cut((g + h * k3) * eta(t_1))
+                g = (g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).truncated(*band)
         t = t_next
         out.append(g.coeffs)
     return out
@@ -106,6 +117,8 @@ def counted(eta):
 
 @pytest.mark.parametrize("case", ["degree +1", "two-sided", "backward from interior anchor"])
 def test_array_march_matches_loop_arithmetic_bit_for_bit(case):
+    # the step maps compose the four stages in another order than the loop
+    # arithmetic, so the two agree to rounding, not to the bit
     amsler_eta = generalized_amsler_example()[0].eta_x
     eta, ts, t0, band = {
         "degree +1": (eta_soliton, np.linspace(0.0, 1.0, 9), 0.0, (0, 24)),
@@ -114,28 +127,69 @@ def test_array_march_matches_loop_arithmetic_bit_for_bit(case):
     }[case]
     init = LaurentLoop.constant(np.diag([np.exp(0.2j), np.exp(-0.2j)]))
     new_eta, ref_eta = counted(eta), counted(eta)
-    path = integrate_axis(new_eta, ts, init=init, step=1 / 64, band=band, t0=t0,
+    path = integrate_axis(pointwise(new_eta), ts, init=init, step=1 / 64, band=band, t0=t0,
                           drift_limit=np.inf)  # the arithmetic is compared, not the accuracy
     above, below = ts[ts >= t0], ts[ts < t0][::-1]
     ref = reference_march(ref_eta, t0, below, init, 1 / 64, band)[::-1] \
         + reference_march(ref_eta, t0, above, init, 1 / 64, band)
     assert path.d_min == band[0]
-    assert np.array_equal(path.coeffs, np.stack(ref))
+    assert np.max(np.abs(path.coeffs - np.stack(ref))) <= 1e-13
     # eta once per distinct stage time: t + h/2 and t + h per step, plus the
     # start of each nonzero gap, where the loop form evaluated eta four times a step
     steps, gaps = ref_eta.calls // 4, np.count_nonzero(ts != t0)
     assert new_eta.calls == 2 * steps + gaps and steps > 0
 
 
+@pytest.mark.parametrize("half_width", [16, 24, 32])
+def test_step_maps_are_at_least_as_accurate_as_stagewise_truncation(half_width):
+    # on the two-sided case, against a march on the band +-64
+    pair = generalized_amsler_example()[0]
+    ts, band = np.linspace(-2.6, -0.15, 7), (-half_width, half_width)
+    wide = integrate_axis(pair.coeffs_x, ts, step=1 / 64, band=(-64, 64), drift_limit=np.inf)
+    ref = wide.coeffs[:, 64 - half_width: 64 + half_width + 1]
+    path = integrate_axis(pair.coeffs_x, ts, step=1 / 64, band=band, drift_limit=np.inf)
+    stagewise = np.stack(reference_march(pair.eta_x, ts[0], ts, LaurentLoop.identity(), 1 / 64,
+                                         band, stagewise=True))
+    assert np.max(np.abs(path.coeffs - ref)) <= np.max(np.abs(stagewise - ref))
+
+
+def test_step_maps_do_not_depend_on_the_chunk_size(monkeypatch):
+    pair = generalized_amsler_example()[0]
+    ts = np.array([-2.6, -0.15])           # one gap of 628 steps, three chunks at the default
+
+    def march():
+        return integrate_axis(pair.coeffs_x, ts, step=1 / 256, band=(-24, 24),
+                              drift_limit=np.inf).coeffs
+
+    default = march()
+    monkeypatch.setattr(frames, "MAP_CHUNK", 7)
+    assert np.array_equal(march(), default)
+
+
+def test_one_long_gap_marches_in_bounded_memory():
+    # the step maps of a 4096-step gap, built at once, would hold several MB
+    import tracemalloc
+    pair = generalized_amsler_example()[0]
+    ts = np.array([-2.6, -0.15])
+    tracemalloc.start()
+    try:
+        integrate_axis(pair.coeffs_x, ts, step=(ts[1] - ts[0]) / 4096, band=(-48, 48),
+                       drift_limit=np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MARCH_PEAK_BYTES, peak
+
+
 def test_drift_error_on_coarse_step():
     amp = 60.0
-    eta = lambda t: LaurentLoop.from_terms({1: 0.5j * amp * OFF})
+    eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * amp * OFF}))
     with pytest.raises(IntegrationDrift, match="drift"):
         integrate_axis(eta, np.linspace(0, 1, 3), step=0.5)
 
 
 def test_frame_at_unknown_parameter():
-    path = integrate_axis(eta_soliton, np.linspace(0, 1, 5), step=1 / 64)
+    path = integrate_axis(soliton, np.linspace(0, 1, 5), step=1 / 64)
     with pytest.raises(KeyError):
         path.frame_at(0.33)
 
@@ -166,27 +220,42 @@ def test_drift_is_read_at_every_recorded_frame():
         return LaurentLoop.from_terms({0: s * herm})
 
     ts = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(IntegrationDrift, match="drift"):
-        integrate_axis(eta, ts, step=1 / 256, drift_samples=(1.0,))
+    with pytest.raises(IntegrationDrift, match="drift") as exc:
+        integrate_axis(pointwise(eta), ts, step=1 / 256, drift_samples=(1.0,))
+    assert exc.value.t == ts[3] and f"at t = {ts[3]:.6g}, lambda = 1;" in str(exc.value)
+    assert str(exc.value).startswith(f"unitarity drift {exc.value.drift:.3g} ")
+
+
+def test_tail_is_read_at_every_recorded_frame():
+    # eta = s(t) X with s = 24 (1 - 2t): G = exp(S(t) X), S = 24 (t - t^2), runs
+    # out to S = 6 at t = 0.5 and back to the identity, so the band edge peaks
+    # mid-march and the first and last frames alone show no tail
+    def coeffs(ts):
+        return (24.0 * (1.0 - 2.0 * ts))[:, None, None, None] * (0.5j * OFF), 1
+
+    ts = np.linspace(0.0, 1.0, 9)
+    path = integrate_axis(coeffs, ts, step=1 / 256, band=(0, 8), drift_limit=np.inf)
+    edges = [edge_norm(LaurentLoop(c, 0)) for c in path.coeffs]
+    assert path.tail_norm == max(edges) == edges[4] > 1e6 * max(edges[0], edges[-1])
 
 
 @pytest.mark.parametrize("samples, band", [
     ((1.0, np.nan), (-4, 4)), ((np.inf,), (0, 4)), ((0.0, 1.0), (-4, 4)), ((0.0,), (-1, 0)),
 ])
 def test_bad_drift_samples_are_rejected(samples, band):
-    eta = lambda t: LaurentLoop.zero()
+    eta = pointwise(lambda t: LaurentLoop.zero())
     with pytest.raises(ValueError, match="drift samples must be finite"):
         integrate_axis(eta, np.linspace(0, 1, 3), band=band, drift_samples=samples)
 
 
 def test_zero_drift_sample_on_nonnegative_band():
-    eta = lambda t: LaurentLoop.from_terms({1: 0.5j * OFF})
+    eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * OFF}))
     path = integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64, drift_samples=(0.0, 1.0))
     assert path.drift < 1e-10
 
 
 def test_non_finite_drift_is_integration_drift():
-    eta = lambda t: LaurentLoop.from_terms({1: np.full((2, 2), np.nan)})
+    eta = pointwise(lambda t: LaurentLoop.from_terms({1: np.full((2, 2), np.nan)}))
     with pytest.raises(IntegrationDrift, match="unitarity drift nan"):
         integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64)
 
@@ -227,16 +296,16 @@ def reference_direct_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=N
             return (-0.5j * float(b_fn(t)) / lam0) * np.array([[0.0, e], [np.conj(e), 0.0]])
         return coef
 
-    def sweep(u, coef, ts):
+    def sweep(u, coef, ts):     # at the march's stage times t + (h/2) k
         for t0, t1 in zip(ts[:-1], ts[1:]):
-            h, t = (t1 - t0) / substeps, t0
-            for _ in range(substeps):
+            h = (t1 - t0) / substeps
+            for i in range(substeps):
+                t, t_half, t_1 = (t0 + (0.5 * h) * k for k in (2 * i, 2 * i + 1, 2 * i + 2))
                 k1 = u @ coef(t)
-                k2 = (u + 0.5 * h * k1) @ coef(t + 0.5 * h)
-                k3 = (u + 0.5 * h * k2) @ coef(t + 0.5 * h)
-                k4 = (u + h * k3) @ coef(t + h)
+                k2 = (u + 0.5 * h * k1) @ coef(t_half)
+                k3 = (u + 0.5 * h * k2) @ coef(t_half)
+                k4 = (u + h * k3) @ coef(t_1)
                 u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
         return u
 
     u = np.empty((x.size, y.size, 2, 2), dtype=complex)
@@ -282,7 +351,8 @@ def test_stack_solve_matches_per_column_solve_bit_for_bit(case):
     args = {"phi": kink_phi, "a": 1.0, "b": 1.0, "lam0": 0.7, "x": xs, "y": ys, **kwargs}
     u, res = direct_frame_solve(**args)
     u_ref, res_ref = reference_direct_solve(**args)
-    assert np.array_equal(u, u_ref) and res == res_ref
+    # the step maps compose the four stages in another order: equal to rounding
+    assert np.max(np.abs(u - u_ref)) <= 1e-13 and abs(res - res_ref) <= 1e-13
 
 
 @pytest.mark.parametrize("case", ["soliton 33", "theta-uniform amsler 25"])

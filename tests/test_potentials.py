@@ -243,14 +243,15 @@ def test_amsler_gamma_is_conjugated_rotation():
 
 def test_perturbed_amsler_breaks_equivariance():
     pair, desc = generalized_amsler_example(domain=(-4.0, 4.0))
-    from psurf.potentials import _amsler_p, _offdiag
+    from psurf.potentials import _amsler_p, pointwise
 
     def eta_bad(t):
-        m = _offdiag(complex(_amsler_p(t)) + 0.1)
+        z = complex(_amsler_p(t)) + 0.1
+        m = np.array([[0.0, z], [-np.conj(z), 0.0]])
         return LaurentLoop.from_terms({1: m, -1: m})
 
     from dataclasses import replace
-    bad = replace(pair, eta_x=eta_bad, eta_y=eta_bad)
+    bad = replace(pair, coeffs_x=pointwise(eta_bad), coeffs_y=pointwise(eta_bad))
     rx, ry = check_equivariance(bad, desc, sample_x=(-4.0, 0.28), sample_y=(-4.0, 0.28))
     assert rx > 1e-3 and ry > 1e-3
 
@@ -272,7 +273,7 @@ def test_diagonal_extraction_structure(soliton_frames_small):
     assert loop.check_twist() < 1e-14
     v = loop.evaluate(1.3)
     assert np.max(np.abs(v + np.conj(v.T))) < 1e-12
-    assert p.eta_x is p.eta_y
+    assert p.coeffs_x is p.coeffs_y
 
 
 def reference_diagonal_samples(frame_grid):
