@@ -162,7 +162,7 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
                    abs(t_values[-1] - t0))
         step = max(span, 1e-12) / 256.0
     if band is None:
-        probe, d = eta(np.array([t0]))
+        probe, d = eta(np.r_[t0, t_values])
         band = (min(0, DEFAULT_TRUNC * d), max(0, DEFAULT_TRUNC * (d + probe.shape[1] - 1)))
     samples = np.asarray(drift_samples, dtype=complex)
     if not np.all(np.isfinite(samples)) or (band[0] < 0 and np.any(samples == 0)):

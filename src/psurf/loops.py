@@ -116,6 +116,15 @@ def band_slice(coeffs, d_min, lo, hi):
     return out
 
 
+def band_add(a, a_min, b, b_min):
+    """(coeffs, d_min) of the sum of two (..., n, 2, 2) coefficient stacks from
+    degrees a_min and b_min, on the union of their bands."""
+    lo = min(a_min, b_min)
+    out = band_slice(a, a_min, lo, max(a_min + a.shape[-3], b_min + b.shape[-3]) - 1)
+    out[..., b_min - lo: b_min - lo + b.shape[-3], :, :] += b
+    return out, lo
+
+
 def degree_sum(coeffs, weights):
     """sum_k weights[..., k] c_k over the degree axis of a (..., K, 2, 2)
     coefficient stack; the leading axes of weights and coeffs broadcast."""
@@ -258,10 +267,8 @@ class LaurentLoop:
     def __add__(self, other):
         if not isinstance(other, LaurentLoop):
             return NotImplemented
-        lo = min(self.d_min, other.d_min)
-        out = band_slice(self.coeffs, self.d_min, lo, max(self.d_max, other.d_max))
-        out[other.d_min - lo: other.d_max - lo + 1] += other.coeffs
-        return LaurentLoop(out, lo, copy=False)
+        return LaurentLoop(*band_add(self.coeffs, self.d_min, other.coeffs, other.d_min),
+                           copy=False)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -319,14 +326,17 @@ class LaurentLoop:
     # -- diagnostics ---------------------------------------------------------
 
     def check_twist(self):
-        """Max over k of the part of c_k violating the twist pattern.
+        """twist_defect of the loop: 0 exactly on twisted loops."""
+        return twist_defect(self.coeffs, self.d_min)
 
-        Even degrees must be diagonal, odd degrees off-diagonal; the residual
-        is 0 exactly on twisted loops.
-        """
-        off = self.coeffs[_twist_mask(self.d_min % 2, self.coeffs.shape[0])]
-        # hypot rounds like abs() on one complex scalar; np.abs may differ by an ulp
-        return float(np.max(np.hypot(off.real, off.imag)))
+
+def twist_defect(coeffs, d_min):
+    """Largest modulus of the entries of a (..., K, 2, 2) coefficient stack from
+    degree d_min off the twist pattern: even degrees must be diagonal, odd
+    degrees off-diagonal, so the residual is 0 exactly on twisted loops."""
+    off = coeffs[..., _twist_mask(d_min % 2, coeffs.shape[-3])]
+    # hypot rounds like abs() on one complex scalar; np.abs may differ by an ulp
+    return float(np.max(np.hypot(off.real, off.imag)))
 
 
 @functools.lru_cache(maxsize=256)

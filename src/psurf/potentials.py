@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from psurf.loops import (_ENTRY_PARITY, PROBE_LAMBDAS, SYMMETRY_LAMBDAS, LaurentLoop, _dagger,
-                         band_slice, cauchy_product, unitarity_defect)
+                         band_add, band_mask, band_slice, cauchy_product, evaluate, su2_defect,
+                         twist_defect)
 
 # parameter samples per axis of the equivariance check
 EQUIVARIANCE_SAMPLES = 33
@@ -178,68 +179,67 @@ def y_axis_data(pair):
 
 # -- gauges ------------------------------------------------------------------
 
-def _as_loop_fn(q):
-    if q is None:
-        ident = LaurentLoop.identity()
-        return (lambda t: ident), True
-    if isinstance(q, LaurentLoop):
-        return (lambda t: q), True
-    return q, False
+def _gauge_coeffs(q, ts):
+    """(coeffs, d_min) of the gauge q at ts; a constant loop's are (K, 2, 2)."""
+    q = LaurentLoop.identity() if q is None else q
+    return (q.coeffs, q.d_min) if isinstance(q, LaurentLoop) else q(ts)
 
 
-def _validate_gauge(q_fn, side, domain):
-    for t in np.linspace(domain[0], domain[1], 7):
-        q = q_fn(t)
-        if side == "-" and q.d_max > 0:
-            raise ValueError("x-gauge must lie in the minus loop group")
-        if side == "+" and q.d_min < 0:
-            raise ValueError("y-gauge must lie in the plus loop group")
-        u_def, det_def = unitarity_defect(q, samples=PROBE_LAMBDAS)
-        if max(u_def, det_def) > 1e-6:
-            raise ValueError(f"gauge loop is not unitary-valued (defect {max(u_def, det_def):.3g})")
-        if q.check_twist() > 1e-8:
-            raise ValueError("gauge loop violates the twist condition")
+def _validate_gauge(q, side, domain):
+    c, d = _gauge_coeffs(q, np.linspace(domain[0], domain[1], 7))
+    degrees = d + np.nonzero(band_mask(c, 0.0))[-1]      # the nonzero band of each sample
+    if side == "-" and np.any(degrees > 0):
+        raise ValueError("x-gauge must lie in the minus loop group")
+    if side == "+" and np.any(degrees < 0):
+        raise ValueError("y-gauge must lie in the plus loop group")
+    defect = max(su2_defect(evaluate(c[..., None, :, :, :], d, PROBE_LAMBDAS)))
+    if defect > 1e-6:
+        raise ValueError(f"gauge loop is not unitary-valued (defect {defect:.3g})")
+    if twist_defect(c, d) > 1e-8:
+        raise ValueError("gauge loop violates the twist condition")
 
 
-def _loop_derivative(q_fn, t, h):
-    # 5-point central difference, coefficientwise
-    return _loop_comb([q_fn(t + k * h) for k in (-2, -1, 1, 2)],
-                      [1.0 / (12 * h), -8.0 / (12 * h), 8.0 / (12 * h), -1.0 / (12 * h)])
+def _gauge_action(eta, q, dq, ts, h):
+    """(coeffs, d_min) of q^-1 eta q + q^-1 q' at the parameters ts, eta = (coeffs,
+    d_min) there.  q' is dq(ts), or the 5-point central difference with step h
+    from one q call on the 4n shifted parameters; a constant q has q' = 0."""
+    c, d = eta
+    qc, q_min = _gauge_coeffs(q, ts)
+    q_inv = _dagger(qc)
+    out, out_min = cauchy_product(cauchy_product(q_inv, c), qc), 2 * q_min + d
+    if qc.ndim == 3:            # a constant gauge
+        return out, out_min
+    if dq is not None:
+        dc, dq_min = dq(ts)
+    else:
+        shifted, dq_min = q((ts + np.array([-2, -1, 1, 2])[:, None] * h).ravel())
+        dc = sum(w / (12 * h) * s for w, s in zip((1.0, -8.0, 8.0, -1.0), np.split(shifted, 4)))
+    return band_add(out, out_min, cauchy_product(q_inv, dc), q_min + dq_min)
 
 
-def _gauge_action(eta_t, q_fn, is_const, dq, t, h):
-    """q^-1 eta q + q^-1 q' at t, given eta_t = eta(t).  q' is dq(t), or a
-    central difference with step h when dq is None; a constant q has q' = 0."""
-    q = q_fn(t)
-    q_inv = q.dagger()
-    out = (q_inv * eta_t) * q
-    if not is_const:
-        qd = dq(t) if dq is not None else _loop_derivative(q_fn, t, h)
-        out = out + q_inv * qd
-    return out
+def _gauged_coeffs(coeffs, q, dq, ts):
+    c, d = _gauge_action(coeffs(ts), q, dq, ts, 1e-5)
+    keep = np.flatnonzero(band_mask(c, 1e-13).any(axis=0))
+    # an empty band means a non-finite stack, which the axis march names
+    first, last = (keep[0], keep[-1]) if keep.size else (0, c.shape[1] - 1)
+    return c[:, first:last + 1], d + int(first)
 
 
 def gauge_transform(pair, qx=None, qy=None, dqx=None, dqy=None):
     """Gauged pair eta~ = q^-1 eta q + q^-1 q' along each axis.
 
-    qx (x-parametrized, minus loops) and qy (y-parametrized, plus loops) may
-    be callables, constant loops, or None.  Derivatives default to central
-    differences with step 1e-5; the result is a generalized pair for
-    the same surface when the frame integration is started from the gauge
-    values at the basepoint.
+    qx (x-parametrized, minus loops) and qy (y-parametrized, plus loops) are
+    coefficient functions as PotentialPair.coeffs_x (pointwise adapts t ->
+    LaurentLoop), constant loops, or None; the derivatives dqx, dqy are
+    coefficient functions and default to central differences with step 1e-5.
+    The gauged stack keeps the union of its nodes' bands at rel 1e-13.  The
+    result is a generalized pair for the same surface when the frame
+    integration is started from the gauge values at the basepoint.
     """
-    qx_fn, qx_const = _as_loop_fn(qx)
-    qy_fn, qy_const = _as_loop_fn(qy)
-    _validate_gauge(qx_fn, "-", pair.domain_x)
-    _validate_gauge(qy_fn, "+", pair.domain_y)
-
-    def eta_x(x):
-        return _gauge_action(pair.eta_x(x), qx_fn, qx_const, dqx, x, 1e-5).trim(rel=1e-13)
-
-    def eta_y(y):
-        return _gauge_action(pair.eta_y(y), qy_fn, qy_const, dqy, y, 1e-5).trim(rel=1e-13)
-
-    return PotentialPair(coeffs_x=pointwise(eta_x), coeffs_y=pointwise(eta_y),
+    _validate_gauge(qx, "-", pair.domain_x)
+    _validate_gauge(qy, "+", pair.domain_y)
+    return PotentialPair(coeffs_x=lambda ts: _gauged_coeffs(pair.coeffs_x, qx, dqx, ts),
+                         coeffs_y=lambda ts: _gauged_coeffs(pair.coeffs_y, qy, dqy, ts),
                          kind="generalized", domain_x=pair.domain_x, domain_y=pair.domain_y)
 
 
@@ -276,27 +276,24 @@ def check_equivariance(pair, d, sample_x=None, sample_y=None):
     the same with x and y exchanged.  w' of a non-constant gauge is a central
     difference with step 1e-4 of the domain.
     """
-    def axis_residual(eta, w, window, domain, image_eta, gamma, dgamma):
-        w_fn, w_const = _as_loop_fn(w)
-        lo, hi = window if window is not None else domain
-        h = 1e-4 * (domain[1] - domain[0])
-        res = 0.0
-        for t in np.linspace(lo, hi, EQUIVARIANCE_SAMPLES):
-            gp = dgamma(t)
-            if abs(gp) < 1e-12:
-                raise ValueError(f"gamma derivative vanishes near t = {t}")
-            rhs = _gauge_action(eta(t), w_fn, w_const, None, t, h)
-            lhs = image_eta(gamma(t)).scaled(gp)
-            diff = (lhs - (rhs.reflect() if d.switches_axes else rhs)).evaluate(SYMMETRY_LAMBDAS)
-            res = max(res, float(np.max(np.abs(diff))))
-        return res
+    def axis_residual(coeffs, w, window, domain, image_coeffs, gamma, dgamma):
+        ts = np.linspace(*(window if window is not None else domain), EQUIVARIANCE_SAMPLES)
+        gp = np.array([dgamma(t) for t in ts])
+        if np.any(np.abs(gp) < 1e-12):
+            raise ValueError(f"gamma derivative vanishes near t = {ts[np.argmin(np.abs(gp))]}")
+        rhs, r_min = _gauge_action(coeffs(ts), w, None, ts, 1e-4 * (domain[1] - domain[0]))
+        if d.switches_axes:
+            rhs, r_min = rhs[:, ::-1], -(r_min + rhs.shape[1] - 1)
+        lhs, l_min = image_coeffs(np.array([gamma(t) for t in ts]))
+        diff, d_min = band_add(gp[:, None, None, None] * lhs, l_min, -rhs, r_min)
+        return float(np.max(np.abs(evaluate(diff[:, None], d_min, SYMMETRY_LAMBDAS))))
 
     # the image potential and axis map of each axis; a switching gamma exchanges them
-    image = [(pair.eta_x, d.gamma1, d.dgamma1), (pair.eta_y, d.gamma2, d.dgamma2)]
+    image = [(pair.coeffs_x, d.gamma1, d.dgamma1), (pair.coeffs_y, d.gamma2, d.dgamma2)]
     if d.switches_axes:
         image.reverse()
-    rx = axis_residual(pair.eta_x, d.wx, sample_x, pair.domain_x, *image[0])
-    ry = axis_residual(pair.eta_y, d.wy, sample_y, pair.domain_y, *image[1])
+    rx = axis_residual(pair.coeffs_x, d.wx, sample_x, pair.domain_x, *image[0])
+    ry = axis_residual(pair.coeffs_y, d.wy, sample_y, pair.domain_y, *image[1])
     return rx, ry
 
 
@@ -424,13 +421,6 @@ def extract_diagonal_potentials(frame_grid):
     dom = (float(x[0]), float(x[-1]))
     return PotentialPair(coeffs_x=coeffs, coeffs_y=coeffs, kind="generalized",
                          domain_x=dom, domain_y=dom)
-
-
-def _loop_comb(loops, weights):
-    acc = loops[0].scaled(weights[0])
-    for q, w in zip(loops[1:], weights[1:]):
-        acc = acc + q.scaled(w)
-    return acc
 
 
 class CubicSpline:

@@ -136,14 +136,11 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
         step = max(max(v[-1] - v[0], abs(v[0] - b), abs(v[-1] - b), 1e-12)
                    for v, b in ((x, bx), (y, by))) / 256.0
 
-    probe_x = pair.eta_x(bx)
-    probe_y = pair.eta_y(by)
-    band_x = (min(0, trunc * probe_x.d_min), max(0, trunc * probe_x.d_max))
-    band_y = (min(0, trunc * probe_y.d_min), max(0, trunc * probe_y.d_max))
-
     paths = []
-    for axis, coeffs, ts, init, band, t0 in (("x", pair.coeffs_x, x, init_x, band_x, bx),
-                                            ("y", pair.coeffs_y, y, None, band_y, by)):
+    for axis, coeffs, ts, init, t0 in (("x", pair.coeffs_x, x, init_x, bx),
+                                       ("y", pair.coeffs_y, y, None, by)):
+        probe, d_eta = coeffs(np.r_[t0, ts])    # eta's band over the anchor and the samples
+        band = (min(0, trunc * d_eta), max(0, trunc * (d_eta + probe.shape[1] - 1)))
         try:
             paths.append(integrate_axis(coeffs, ts, init=init, step=step, band=band, t0=t0,
                                         drift_samples=drift_samples))
@@ -156,11 +153,11 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     w = (_rows(path_x.coeffs) @ tx).reshape(path_x.coeffs.shape)
     d = _dagger(path_y.coeffs)
 
-    # U = w_i * minus has degrees >= band_x[0] - MAX_TRUNC, but the nodes reach far
+    # U = w_i * minus has degrees >= path_x.d_min - MAX_TRUNC, but the nodes reach far
     # fewer.  A degree-major buffer on an anonymous mapping never backs the degrees
     # no node writes with memory; the grid keeps a view on the ones written.
-    lo = band_x[0] - MAX_TRUNC
-    shape = (band_x[1] - lo + 1, x.size, y.size, 2, 2)
+    lo = path_x.d_min - MAX_TRUNC
+    shape = (path_x.coeffs.shape[1] + MAX_TRUNC, x.size, y.size, 2, 2)
     buf = np.frombuffer(mmap.mmap(-1, 16 * int(np.prod(shape))), dtype=complex).reshape(shape)
     used_lo, used_hi = shape[0] - 1, 0
     raw_psi = np.empty((x.size, y.size))

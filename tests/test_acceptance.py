@@ -4,6 +4,7 @@ Grids of n cells per axis use n + 1 nodes so the stated mesh width is exact
 (65 nodes <-> h = 1/64).
 """
 
+import math
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.interpolate import CubicSpline
 
 from psurf.birkhoff import split_plus_star_minus
 from psurf.frames import direct_frame_solve, integrate_axis
-from psurf.loops import LaurentLoop, exp_loop, random_twisted_unitary_loop
+from psurf.loops import LaurentLoop, random_twisted_unitary_loop
 from psurf.oracle import GoursatProblem, goursat_solve, register_rigid
 from psurf.potentials import (BoundaryAngles, extract_diagonal_potentials,
                               gauge_transform, generalized_amsler_example,
@@ -103,33 +104,48 @@ def test_criterion_3_boundary_contract():
 
 # -- 4: gauge invariance ---------------------------------------------------------
 
+def exp_gauge(s, ds, sign, top=20):
+    """Coefficient functions of the gauge exp(s(t) ZETA lambda^sign) and of
+    its derivative s'(t) ZETA exp(s(t) ZETA lambda^sign): the coefficients of
+    lambda^(sign n) are s^n ZETA^n / n! and s' s^(n-1) ZETA^n / (n-1)!, for
+    n <= top (the derivative is exact on that band)."""
+    n = np.arange(top + 1)
+    powers = np.stack([np.linalg.matrix_power(ZETA, k) for k in n])
+    fact = np.array([math.factorial(k) for k in n], dtype=float)
+    d_min = min(0, sign * top)
+
+    def loop(weights):      # weights (len(ts), top + 1) of ZETA^n; rows from the lowest degree
+        return (weights[:, :, None, None] * powers)[:, ::sign], d_min
+
+    def q(ts):
+        return loop(s(ts)[:, None] ** n / fact)
+
+    def dq(ts):
+        w = np.zeros((ts.size, top + 1))
+        w[:, 1:] = ds(ts)[:, None] * s(ts)[:, None] ** n[:-1] / fact[:-1]
+        return loop(w)
+
+    return q, dq
+
+
 def test_criterion_4_gauge_invariance(soliton_pair):
     xs = np.linspace(0.0, 1.0, 21)
     base = sym_immersion(reconstruct_frames(soliton_pair, xs, xs, trunc=24), 1.0)
     ref = base.points.reshape(-1, 3)
 
     const_diag = LaurentLoop.constant(np.diag([np.exp(0.4j), np.exp(-0.4j)]))
-
-    x_gen = LaurentLoop.from_terms({-1: ZETA})
-    y_gen = LaurentLoop.from_terms({1: ZETA})
-
-    def qx_var(x):
-        return exp_loop(x_gen.scaled(np.sin(0.8 * x)), (-20, 0))
-
-    def qy_var(y):
-        return exp_loop(y_gen.scaled(np.sin(0.5 * y)), (0, 20))
-
-    # d/dt exp(s(t) X) = s'(t) X exp(s(t) X), exact on the gauge band
-    def dqx(x):
-        return (x_gen * qx_var(x)).truncated(-20, 0).scaled(0.8 * np.cos(0.8 * x))
-
-    def dqy(y):
-        return (y_gen * qy_var(y)).truncated(0, 20).scaled(0.5 * np.cos(0.5 * y))
+    sx, dsx = (lambda x: np.sin(0.8 * x)), (lambda x: 0.8 * np.cos(0.8 * x))
+    sy, dsy = (lambda y: np.sin(0.5 * y)), (lambda y: 0.5 * np.cos(0.5 * y))
+    qx_var, dqx = exp_gauge(sx, dsx, -1)
+    qy_var, dqy = exp_gauge(sy, dsy, 1)
+    # I with derivative 0 at the anchor x = 0: the band must be read over the axis
+    qx_square, _ = exp_gauge(lambda x: x * x, None, -1)
 
     cases = [
         ("constant diagonal x-gauge", dict(qx=const_diag), dict(init_x=const_diag)),
         ("varying minus x-gauge", dict(qx=qx_var, dqx=dqx), {}),
         ("varying gauges both axes", dict(qx=qx_var, qy=qy_var, dqx=dqx, dqy=dqy), {}),
+        ("x^2 minus x-gauge, central differences", dict(qx=qx_square), {}),
     ]
     worst = 0.0
     details = []

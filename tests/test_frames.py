@@ -188,6 +188,20 @@ def test_drift_error_on_coarse_step():
         integrate_axis(eta, np.linspace(0, 1, 3), step=0.5)
 
 
+def test_default_band_is_read_over_the_axis():
+    # eta = t^2 (i/2) OFF lambda^-1 + (i/2) OFF lambda, kept as a gauged pair keeps
+    # its coefficients: on the degrees that are nonzero somewhere on the request,
+    # which at the anchor 0 alone is degree 1
+    def eta(ts):
+        c = np.zeros((ts.size, 3, 2, 2), dtype=complex)
+        c[:, 0] = (ts * ts)[:, None, None] * 0.5j * OFF
+        c[:, 2] = 0.5j * OFF
+        return (c, -1) if np.any(ts != 0.0) else (c[:, 2:], 1)
+
+    path = integrate_axis(eta, np.linspace(0, 1, 5), step=1 / 256)
+    assert path.d_min == -24
+
+
 def test_frame_at_unknown_parameter():
     path = integrate_axis(soliton, np.linspace(0, 1, 5), step=1 / 64)
     with pytest.raises(KeyError):

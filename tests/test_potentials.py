@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-from psurf.loops import LaurentLoop, exp_loop, unitarity_defect
+from psurf.loops import LaurentLoop, _frob, band_slice, exp_loop, unitarity_defect
 from psurf.loops import SYMMETRY_LAMBDAS
 from psurf.potentials import (AMSLER_GAMMA_POLE, EQUIVARIANCE_SAMPLES, BoundaryAngles,
                               CubicSpline, SymmetryDescriptor, amsler_dgamma, amsler_gamma, cayley,
                               check_equivariance,
                               extract_diagonal_potentials, function_from_table,
                               gauge_transform, generalized_amsler_example,
-                              normalized_from_boundary, soliton_alpha,
+                              normalized_from_boundary, pointwise, soliton_alpha,
                               soliton_beta, speed_fn, stretched_from_boundary,
                               x_axis_data, y_axis_data)
+from psurf.potentials import _gauge_action
 from psurf.surface import reconstruct_frames
 
 ZETA = np.array([[0.0, 0.3j], [0.3j, 0.0]])
@@ -123,6 +124,10 @@ def test_gauge_rejects_wrong_side():
         gauge_transform(pair, qx=plus_loop)
     with pytest.raises(ValueError, match="plus"):
         gauge_transform(pair, qy=plus_loop.reflect())
+    # the side is read on the nonzero band: zero rows padded past degree 0 are no fault
+    zero = np.zeros((2, 2))
+    gauge_transform(pair, qx=LaurentLoop([np.eye(2), zero], 0),
+                    qy=LaurentLoop([zero, np.eye(2)], -1))
 
 
 def test_gauge_rejects_nonunitary():
@@ -141,11 +146,68 @@ def test_gauge_cocycle():
     def q2(x):
         return exp_loop(LaurentLoop.from_terms({-2: (0.2 * x * x) * 1j * np.diag([1.0, -1.0])}), (-16, 0))
 
-    both = gauge_transform(gauge_transform(pair, qx=q1), qx=q2)
-    combined = gauge_transform(pair, qx=lambda x: q1(x) * q2(x))
+    both = gauge_transform(gauge_transform(pair, qx=pointwise(q1)), qx=pointwise(q2))
+    combined = gauge_transform(pair, qx=pointwise(lambda x: q1(x) * q2(x)))
     for t in (0.2, 0.8):
         diff = (both.eta_x(t) - combined.eta_x(t)).truncated(-8, 1)
         assert diff.max_coeff_norm() < 1e-8
+
+
+def reference_gauge_action(eta_t, q, dq, t, h):
+    """q^-1 eta q + q^-1 q' at one parameter as LaurentLoop products: q a
+    constant loop or a callable t -> LaurentLoop, q' dq(t) or the 5-point
+    central difference with step h."""
+    if isinstance(q, LaurentLoop):
+        return (q.dagger() * eta_t) * q
+    q_t = q(t)
+    if dq is not None:
+        qd = dq(t)
+    else:
+        qd = LaurentLoop.zero()
+        for k, w in zip((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0)):
+            qd = qd + q(t + k * h).scaled(w / (12 * h))
+    return (q_t.dagger() * eta_t) * q_t + q_t.dagger() * qd
+
+
+def test_the_array_gauge_action_equals_the_loop_formula():
+    pair = normalized_from_boundary(soliton_bnd(), (0, 1), (0, 1))
+    ts = np.linspace(0.0, 1.0, 9)
+
+    def q_loop(x):
+        return exp_loop(LaurentLoop.from_terms({-1: np.sin(x) * ZETA}), (-16, 0))
+
+    def dq_loop(x):
+        return (LaurentLoop.from_terms({-1: ZETA}) * q_loop(x)).truncated(-16, 0) \
+            .scaled(np.cos(x))
+
+    const = LaurentLoop.constant(np.diag([np.exp(0.3j), np.exp(-0.3j)]))
+    for q, dq in ((const, None), (q_loop, dq_loop), (q_loop, None)):
+        q_arr = q if isinstance(q, LaurentLoop) else pointwise(q)
+        dq_arr = None if dq is None else pointwise(dq)
+        c, d = _gauge_action(pair.coeffs_x(ts), q_arr, dq_arr, ts, 1e-5)
+        refs = [reference_gauge_action(pair.eta_x(t), q, dq, t, 1e-5) for t in ts]
+        lo, hi = min(d, *(r.d_min for r in refs)), max(d + c.shape[1] - 1, *(r.d_max for r in refs))
+        ref = np.stack([r.truncated(lo, hi).coeffs for r in refs])
+        assert np.max(np.abs(band_slice(c, d, lo, hi) - ref)) <= 1e-13 * np.max(_frob(ref))
+
+
+def test_the_gauged_pair_reads_its_gauge_once_per_request():
+    pair = normalized_from_boundary(soliton_bnd(), (0, 1), (0, 1))
+    q = pointwise(lambda x: exp_loop(LaurentLoop.from_terms({-1: np.sin(x) * ZETA}), (-16, 0)))
+    calls = []
+
+    def counted(ts):
+        calls.append(ts.size)
+        return q(ts)
+
+    ts = np.linspace(0.0, 1.0, 9)
+    # q is read once on the n parameters, and the central difference reads it
+    # once more on the 4n shifted ones
+    for dq, sizes in ((q, [ts.size]), (None, [ts.size, 4 * ts.size])):
+        gauged = gauge_transform(pair, qx=counted, dqx=dq)
+        calls.clear()
+        gauged.coeffs_x(ts)
+        assert calls == sizes
 
 
 IDENT = lambda t: t
@@ -243,7 +305,7 @@ def test_amsler_gamma_is_conjugated_rotation():
 
 def test_perturbed_amsler_breaks_equivariance():
     pair, desc = generalized_amsler_example(domain=(-4.0, 4.0))
-    from psurf.potentials import _amsler_p, pointwise
+    from psurf.potentials import _amsler_p
 
     def eta_bad(t):
         z = complex(_amsler_p(t)) + 0.1

@@ -75,3 +75,30 @@ def test_the_check_finds_an_oracle_import():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
 def test_the_pipeline_does_not_import_the_oracle(module):
     assert not imports_oracle((SRC / module).read_text())
+
+
+def adapter_calls(source):
+    """Lines of the calls of pointwise, .eta_x and .eta_y in a module: the
+    per-parameter adapters the pipeline does not use."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "pointwise" or (isinstance(f, ast.Attribute) and name in ("eta_x", "eta_y")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_the_adapter_calls():
+    source = ("def pointwise(eta):\n    return eta\n"
+              "def eta_x(t):\n    return t\n"
+              "a = pointwise(f)\nb = pair.eta_x(0.0)\nc = potentials.pointwise(g)\n"
+              "d = p.eta_y(t)\ne = eta_x(1.0)\nf = pair.coeffs_x(ts)\n")
+    assert adapter_calls(source) == [5, 6, 7, 8]
+
+
+# coefficient functions are the one representation of a potential in the pipeline
+@pytest.mark.parametrize("module", [*MODULES, "__init__.py"])
+def test_the_pipeline_does_not_read_potentials_per_parameter(module):
+    assert adapter_calls((SRC / module).read_text()) == []
