@@ -132,7 +132,7 @@ def _solve_plus_star(g, n):
     return LaurentLoop(coeffs, 0, copy=False)
 
 
-def _require_real_form(g, residual_tol):
+def _require_real_form(g):
     """Preconditions of the parity solve on the input loop.
 
     A non-finite coefficient raises FactorizationFailure naming its degree
@@ -141,6 +141,7 @@ def _require_real_form(g, residual_tol):
     form [[a, b], [-conj b, conj a]]; no factor pair the solve returns can
     reproduce either, so input with more of them than the residual tolerance
     is rejected instead of running the truncation schedule to a failure.
+    RESIDUAL_TOL is read at call time.
     """
     c = g.coeffs
     # row 1 reversed is conj(row 0) times (1, -1); every entry enters the
@@ -153,12 +154,12 @@ def _require_real_form(g, residual_tol):
             raise FactorizationFailure(
                 f"input loop has a non-finite coefficient at degree {degree}")
     twist = g.check_twist()
-    if twist > residual_tol:
+    if twist > RESIDUAL_TOL:
         raise ValueError(f"input loop is not twisted: off-twist part {twist:.3g} "
-                         f"exceeds residual_tol {residual_tol:.3g}")
-    if not defect <= residual_tol:
+                         f"exceeds RESIDUAL_TOL {RESIDUAL_TOL:.3g}")
+    if not defect <= RESIDUAL_TOL:
         raise ValueError(f"input loop is not in the SU(2) real form: quaternion defect "
-                         f"{defect:.3g} exceeds residual_tol {residual_tol:.3g}")
+                         f"{defect:.3g} exceeds RESIDUAL_TOL {RESIDUAL_TOL:.3g}")
 
 
 def _trunc_schedule(trunc):
@@ -173,7 +174,7 @@ def _trunc_schedule(trunc):
         n = min(2 * n, MAX_TRUNC)
 
 
-def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors):
+def _split(g, trunc, shape, solve_on, factors):
     """The truncation schedule and acceptance policy shared by the splitters.
 
     Each attempt solves for the star factor h of solve_on at truncation n;
@@ -181,9 +182,10 @@ def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors):
     solved factor before trimming, whose two outermost coefficients are the
     retained tail, and remainder the exact Laurent remainder of the shape's
     identity.  An attempt is accepted when the remainder, evaluated on the
-    residual samples, is within residual_tol and the tail within tail_tol.
+    residual samples, is within RESIDUAL_TOL and the tail within TAIL_TOL,
+    both read at call time.
     """
-    _require_real_form(g, residual_tol)
+    _require_real_form(g)
     samples = _residual_samples(g)
     last = (np.inf, np.inf)
     for n in _trunc_schedule(trunc):
@@ -193,7 +195,7 @@ def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors):
         star, plus, minus, remainder = factors(h, n)
         tail = edge_norm(star)
         residual = float(np.max(np.abs(remainder.evaluate(samples))))
-        if residual <= residual_tol and tail <= tail_tol:
+        if residual <= RESIDUAL_TOL and tail <= TAIL_TOL:
             return SplitResult(plus, minus, residual, tail)
         last = (residual, tail)
     raise FactorizationFailure(
@@ -201,8 +203,7 @@ def _split(g, trunc, residual_tol, tail_tol, shape, solve_on, factors):
         residual=last[0], tail_norm=last[1])
 
 
-def split_plus_star_minus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
-                          tail_tol=TAIL_TOL):
+def split_plus_star_minus(g, trunc=DEFAULT_TRUNC):
     """g = plus * minus with plus in Lambda^+_* (lambda^0 = I), minus in Lambda^-."""
     def factors(h, n):
         star = inverse_one_sided(h, n)
@@ -211,24 +212,22 @@ def split_plus_star_minus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
         # the solved factor must not be carried around
         plus, minus = star.trim(), (h * g).truncated(min(g.d_min, 0), 0).trim()
         return star, plus, minus, g - plus * minus
-    return _split(g, trunc, residual_tol, tail_tol, "plus*minus", g, factors)
+    return _split(g, trunc, "plus*minus", g, factors)
 
 
-def split_minus_star_plus(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
-                          tail_tol=TAIL_TOL):
+def split_minus_star_plus(g, trunc=DEFAULT_TRUNC):
     """g = minus * plus with minus in Lambda^-_* (lambda^0 = I), plus in Lambda^+.
 
     Reduced to the plus-star case by the lambda -> 1/lambda reflection; the
     preconditions are checked first on g, so that errors name g's degrees.
     """
-    _require_real_form(g, residual_tol)
-    r = split_plus_star_minus(g.reflect(), trunc, residual_tol, tail_tol)
+    _require_real_form(g)
+    r = split_plus_star_minus(g.reflect(), trunc)
     return SplitResult(plus=r.minus.reflect(), minus=r.plus.reflect(),
                        residual=r.residual, tail_norm=r.tail_norm)
 
 
-def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
-                         tail_tol=TAIL_TOL):
+def split_plus_minusfree(g, trunc=DEFAULT_TRUNC):
     """g = plus * minus_star^{-1} with minus_star in Lambda^-_*, plus in Lambda^+.
 
     This is the splitting shape used by the frame reconstruction: the
@@ -247,5 +246,5 @@ def split_plus_minusfree(g, trunc=DEFAULT_TRUNC, residual_tol=RESIDUAL_TOL,
         prod = g * minus
         plus = prod.truncated(0, max(prod.d_max, 0)).trim()
         return star, plus, minus, prod - plus
-    return _split(g, trunc, residual_tol, tail_tol, "plus*minus_star^-1",
+    return _split(g, trunc, "plus*minus_star^-1",
                   LaurentLoop(transpose_reflect(g.coeffs), -g.d_max, copy=False), factors)

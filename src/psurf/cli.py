@@ -20,9 +20,9 @@ from psurf.birkhoff import FactorizationFailure
 from psurf.frames import IntegrationDrift, direct_frame_solve
 from psurf.loops import PROBE_LAMBDAS, random_twisted_unitary_loop
 from psurf.oracle import GoursatProblem, StiffnessError, goursat_solve
-from psurf.surface import (associated_family, cone_line_check, find_cone_point,
-                           geometry_grid_problem, geometry_report, reconstruct_frames,
-                           write_csv, write_obj)
+from psurf.surface import (cone_line_check, find_cone_point, geometry_grid_problem,
+                           geometry_report, reconstruct_frames, sym_immersion, write_csv,
+                           write_obj)
 from psurf.symmetry import (CERT_EQUIVARIANCE_TOL, CERT_MONODROMY_TOL, CERT_SURFACE_TOL,
                             _image_axes, certify_from_potentials, coverage_window)
 
@@ -131,7 +131,7 @@ def _build_surfaces(cfg):
     fgrid = reconstruct_frames(cfg.pair, cfg.x, cfg.y, trunc=cfg.trunc, step=cfg.step,
                                drift_samples=cfg.drift_samples)
     try:
-        surfaces = associated_family(fgrid, cfg.lambdas)
+        surfaces = [sym_immersion(fgrid, lam) for lam in cfg.lambdas]
     except ValueError as exc:  # a lambda at which the immersion is not finite
         raise ConfigError(str(exc)) from None
     return fgrid, surfaces
@@ -286,7 +286,7 @@ def _suite_cone(cfg, fgrid, surfaces, geometry):
         return {"cone.found": False}, False
     worst, ctol, passed = cone_line_check(sg, cone["point"])
     rep = {"cone.found": True,
-           "cone.point": list(np.round(cone["point"], 12)),
+           "cone.point": np.round(cone["point"], 12).tolist(),
            "cone.spread": cone["spread"],
            "cone.line_coverage": cone["line_coverage"],
            "cone.max_line_distance": worst,

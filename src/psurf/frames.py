@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from psurf.birkhoff import DEFAULT_TRUNC
 from psurf.loops import (_EYE2, PROBE_LAMBDAS, LaurentLoop, _frob, cauchy_product, edge_rows,
                          evaluate, su2_defects)
 from psurf.potentials import CubicSpline, speed_fn
@@ -23,6 +22,8 @@ DRIFT_LIMIT = 1e-6
 # steps whose maps one batched pass builds: bounds the march's working memory
 # (a whole 2770-step gap of the rotational example at once costs 12% of its peak RSS)
 MAP_CHUNK = 256
+# RK4 steps per grid interval of direct_frame_solve
+DIRECT_SUBSTEPS = 2
 
 
 class IntegrationDrift(RuntimeError):
@@ -132,21 +133,22 @@ def _matrix_advance(u, r, r_min):
     return u
 
 
-def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
-                   drift_limit=DRIFT_LIMIT, drift_samples=PROBE_LAMBDAS):
+def integrate_axis(eta, t_values, step, band, t0, init=None, drift_limit=DRIFT_LIMIT,
+                   drift_samples=PROBE_LAMBDAS):
     """Classical 4th-order integration of dG/dt = G eta(t) on a degree band.
 
     eta is a coefficient function: eta(ts) gives (c, d_min), c of shape
     (n, K, 2, 2) the coefficients of eta at the parameters ts from degree
     d_min (potentials.pointwise adapts a per-parameter LaurentLoop callable).
-    t_values are the parameters at which frames are recorded; t0 is the
-    anchor where G equals init (defaults to the first t_value, or 0.0 if it
-    lies inside the range).  Integration runs in both directions from the
-    anchor when needed.  Each step applies the exact RK4 step map and then
-    truncates to the band.  Unitarity is monitored at every recorded frame,
-    not enforced; for loops whose band converges only on the unit circle,
-    restrict drift_samples accordingly (evaluation away from |lambda| = 1
-    amplifies the truncated tail exponentially).
+    t_values are the parameters at which frames are recorded, band = (lo, hi)
+    the degrees kept, and t0 the anchor where G equals init (the identity
+    when None); each gap is marched in steps of at most step.  Integration
+    runs in both directions from the anchor when needed.  Each step applies
+    the exact RK4 step map and then truncates to the band.  Unitarity is
+    monitored at every recorded frame, not enforced; for loops whose band
+    converges only on the unit circle, restrict drift_samples accordingly
+    (evaluation away from |lambda| = 1 amplifies the truncated tail
+    exponentially).
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size == 0:
@@ -155,15 +157,6 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
         raise ValueError("parameters must be strictly increasing")
     if init is None:
         init = LaurentLoop.identity()
-    if t0 is None:
-        t0 = 0.0 if t_values[0] <= 0.0 <= t_values[-1] else float(t_values[0])
-    if step is None:
-        span = max(t_values[-1] - t_values[0], abs(t_values[0] - t0),
-                   abs(t_values[-1] - t0))
-        step = max(span, 1e-12) / 256.0
-    if band is None:
-        probe, d = eta(np.r_[t0, t_values])
-        band = (min(0, DEFAULT_TRUNC * d), max(0, DEFAULT_TRUNC * (d + probe.shape[1] - 1)))
     samples = np.asarray(drift_samples, dtype=complex)
     if not np.all(np.isfinite(samples)) or (band[0] < 0 and np.any(samples == 0)):
         raise ValueError(f"drift samples must be finite, and nonzero on a band with "
@@ -199,35 +192,26 @@ def integrate_axis(eta, t_values, init=None, step=None, band=None, t0=None,
 # -- fixed-lambda direct solve ----------------------------------------------
 
 
-def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None):
+def direct_frame_solve(phi, a, b, lam0, x, y):
     """Integrate the fixed-lambda frame system over the grid, given the angle.
 
-    phi is an (nx, ny) array or a callable phi(x, y) that takes the x grid as
-    an array; phi_x(x, y) optionally gives the exact x-derivative and takes
-    an array of x.  Returns (U grid, path-independence residual at the far
-    corner); a large residual signals that phi is not a sine-Gordon solution
-    at this resolution.
+    phi is the (nx, ny) angle grid; cubic splines through its columns give
+    phi between the nodes, and through its bottom and top rows phi_x.
+    Returns (U grid from U = I at the lower-left node, path-independence
+    residual at the far corner); a large residual signals that phi is not a
+    sine-Gordon solution at this resolution.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (x.size, y.size):
+        raise ValueError("phi grid must have shape (nx, ny)")
     a_fn, b_fn = speed_fn(a), speed_fn(b)
-    if callable(phi):
-        columns = lambda ts: np.stack([phi(x, t) for t in ts])
-        h = 1e-6 * max(x[-1] - x[0], 1.0)
-        model_x = lambda xv, yv: (phi(xv + h, yv) - phi(xv - h, yv)) / (2.0 * h)
-    else:
-        arr = np.asarray(phi, dtype=float)
-        if arr.shape != (x.size, y.size):
-            raise ValueError("phi grid must have shape (nx, ny)")
-        columns = CubicSpline(y, arr.T)           # phi(x_i, t) for every i at once
-        # phi_x is only needed along the bottom and top rows
-        rows = {y[0]: CubicSpline(x, arr[:, 0]), y[-1]: CubicSpline(x, arr[:, -1])}
-        model_x = lambda xv, yv: rows[yv](xv, 1)
-    phi_x = phi_x or model_x
+    columns = CubicSpline(y, phi.T)               # phi(x_i, t) for every i at once
 
     # the coefficients at the parameters ts, one degree-0 coefficient per matrix
-    def coef_x(yv):
+    def coef_x(row):                              # phi_x along a row: its spline's derivative
         def coef(ts):
-            px = np.asarray(phi_x(ts, yv), dtype=float)
+            px = row(ts, 1)
             m = np.empty((ts.size, 1, 2, 2), dtype=complex)
             m[:, 0, 0, 0], m[:, 0, 1, 1] = -px, px
             m[:, 0, 0, 1] = m[:, 0, 1, 0] = a_fn(ts) * lam0
@@ -240,12 +224,14 @@ def direct_frame_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None)
         m[..., 0, 0, 1], m[..., 0, 1, 0] = e, np.conj(e)
         return ((-0.5j * b_fn(ts)) / lam0)[:, None, None, None, None] * m, 0
 
-    fixed = lambda gap: substeps
+    fixed = lambda gap: DIRECT_SUBSTEPS
     u = np.empty((x.size, y.size, 2, 2), dtype=complex)
-    u[0, 0] = np.eye(2) if init is None else init
+    u[0, 0] = np.eye(2)
     # bottom row along x, then all columns together along y
-    _march(coef_x(y[0]), _matrix_advance, u[0, 0], x[0], x[1:], fixed, u[1:, 0])
+    _march(coef_x(CubicSpline(x, phi[:, 0])), _matrix_advance, u[0, 0], x[0], x[1:], fixed,
+           u[1:, 0])
     _march(coef_y, _matrix_advance, u[:, 0], y[0], y[1:], fixed, np.moveaxis(u, 1, 0)[1:])
     # the other path: up the left column, which is u[0, :], then along the top row
-    u_alt = _march(coef_x(y[-1]), _matrix_advance, u[0, -1], x[0], x[1:], fixed)
+    u_alt = _march(coef_x(CubicSpline(x, phi[:, -1])), _matrix_advance, u[0, -1], x[0], x[1:],
+                   fixed)
     return u, float(np.max(np.abs(u[-1, -1] - u_alt)))

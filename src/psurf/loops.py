@@ -27,8 +27,6 @@ CIRCLE64_LAMBDAS = np.exp(2j * np.pi * np.arange(64) / 64.0)
 CIRCLE_LAMBDAS = np.exp(2j * np.pi * np.arange(16) / 16.0)
 RESIDUAL_LAMBDAS = np.concatenate([CIRCLE64_LAMBDAS, RADIAL_LAMBDAS])
 SYMMETRY_LAMBDAS = np.concatenate([CIRCLE_LAMBDAS, RADIAL_LAMBDAS])
-# unitarity / determinant spot checks on the real axis
-UNITARITY_SAMPLES = (0.25, *PROBE_LAMBDAS, 4.0)
 
 # su(2) images of the R^3 basis; the commutator matches the cross product.
 SU2_I = np.array([[0.0, 0.5j], [0.5j, 0.0]])
@@ -349,11 +347,6 @@ def _twist_mask(parity, length):
     return mask
 
 
-def unitarity_defect(g, samples=UNITARITY_SAMPLES):
-    """(max ||g(l)^+ g(l) - I||, max |det g(l) - 1|) over real sample points."""
-    return su2_defect(g.evaluate(np.asarray(samples, dtype=float)))
-
-
 def su2_defects(vals):
     """(||v^+ v - I||, |det v - 1|) of each value in a (..., 2, 2) stack, the
     first as the largest entry modulus: two (...) arrays."""
@@ -475,11 +468,6 @@ def su2_to_r3(m, tol=1e-6):
     return np.stack([2.0 * m[..., 0, 1].imag,
                      -2.0 * m[..., 0, 1].real,
                      2.0 * m[..., 0, 0].imag], axis=-1)
-
-
-def r3_to_su2(v):
-    v = np.asarray(v, dtype=float)
-    return v[0] * SU2_I + v[1] * SU2_J + v[2] * SU2_K
 
 
 def adjoint_rotation(g, tol=1e-6):

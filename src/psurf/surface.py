@@ -16,14 +16,13 @@ from psurf import potentials as pots
 from psurf.birkhoff import DEFAULT_TRUNC, MAX_TRUNC, FactorizationFailure, split_plus_minusfree
 from psurf.frames import IntegrationDrift, integrate_axis
 from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst,
-                         _rows, adjoint_rotation, band_mask, cauchy_product, degree_sum, evaluate,
-                         su2_to_r3)
+                         _rows, band_mask, cauchy_product, degree_sum, evaluate, su2_to_r3)
 
 EPS_DEGENERATE = 1e-6
 # relative trim of the per-node loops of reconstruct_frames; FrameGrid.loop
 # recovers a node's band from the zero-padded tensor only with the same trim
 FRAME_TRIM_REL = 1e-15
-# SU(2) tolerance of frame values read off a FrameGrid (normals, tangents, Darboux frames)
+# SU(2) tolerance of frame values read off a FrameGrid (normals and tangents)
 FRAME_SU2_TOL = 1e-5
 # central differences of the geometry report need this many nodes per axis
 GEOMETRY_MIN_NODES = 16
@@ -79,8 +78,6 @@ class SurfaceGrid:
     phi: np.ndarray
     degenerate: np.ndarray        # bool mask, |sin phi| < EPS_DEGENERATE
     lam: float
-    a_vals: np.ndarray
-    b_vals: np.ndarray
 
 
 def _tx_matrices(alpha):
@@ -231,16 +228,7 @@ def sym_immersion(fgrid, lam0):
                                    f"{int(bad.sum())} of {bad.size} nodes, the first")
     degenerate = np.abs(np.sin(fgrid.phi)) < EPS_DEGENERATE
     return SurfaceGrid(x=fgrid.x, y=fgrid.y, points=pts, normals=nrm,
-                       phi=fgrid.phi.copy(), degenerate=degenerate, lam=float(lam0),
-                       a_vals=fgrid.a_vals, b_vals=fgrid.b_vals)
-
-
-def associated_family(fgrid, lambdas):
-    """One SurfaceGrid per positive lambda."""
-    lams = list(lambdas)
-    if not lams:
-        raise ValueError("need at least one lambda")
-    return [sym_immersion(fgrid, l) for l in lams]
+                       phi=fgrid.phi.copy(), degenerate=degenerate, lam=float(lam0))
 
 
 def geometry_grid_problem(x, y):
@@ -253,8 +241,9 @@ def geometry_grid_problem(x, y):
     return None
 
 
-def geometry_report(sgrid, fgrid=None):
-    """Discrete-geometry residuals on interior non-degenerate nodes.
+def geometry_report(sgrid, fgrid):
+    """Discrete-geometry residuals of sgrid, the immersion of fgrid at one
+    lambda, on interior non-degenerate nodes.
 
     Keys: curvature_max_abs_err (|K+1|), speed_x/y_max_err (Chebyshev
     speeds against lambda a(x), b(y)/lambda), asymptotic_max (second-form
@@ -268,6 +257,7 @@ def geometry_report(sgrid, fgrid=None):
     hy = float(sgrid.y[1] - sgrid.y[0])
     lam = sgrid.lam
     f = sgrid.points
+    a_i, b_j = fgrid.a_vals[1:-1][:, None], fgrid.b_vals[None, 1:-1]
 
     fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * hx)
     fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * hy)
@@ -291,8 +281,6 @@ def geometry_report(sgrid, fgrid=None):
     if np.any(interior_ok):
         k = np.where(interior_ok, (ll * nn - mm ** 2) / np.where(interior_ok, denom, 1.0), np.nan)
         report["curvature_max_abs_err"] = float(np.nanmax(np.abs(k + 1.0)))
-        a_i = sgrid.a_vals[1:-1][:, None]
-        b_j = sgrid.b_vals[None, 1:-1]
         report["speed_x_max_err"] = float(np.nanmax(np.where(
             interior_ok, np.abs(np.sqrt(e) - lam * a_i), np.nan)))
         report["speed_y_max_err"] = float(np.nanmax(np.where(
@@ -307,32 +295,15 @@ def geometry_report(sgrid, fgrid=None):
 
     phi = sgrid.phi
     phi_xy = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:] + phi[:-2, :-2]) / (4 * hx * hy)
-    sg = phi_xy - sgrid.a_vals[1:-1][:, None] * sgrid.b_vals[None, 1:-1] \
-        * np.sin(phi[1:-1, 1:-1])
+    sg = phi_xy - a_i * b_j * np.sin(phi[1:-1, 1:-1])
     report["sine_gordon_max"] = float(np.max(np.abs(sg)))
 
-    if fgrid is not None:
-        ev = fgrid.evaluate(lam)[1:-1, 1:-1][interior_ok]
-        e1 = su2_to_r3(ev @ SU2_I @ _dagger(ev), tol=FRAME_SU2_TOL)
-        speed = lam * np.broadcast_to(sgrid.a_vals[1:-1, None], interior_ok.shape)[interior_ok]
-        report["tangent_cross_max"] = float(np.max(np.abs(
-            fx[interior_ok] - speed[:, None] * e1), initial=0.0))
+    ev = fgrid.evaluate(lam)[1:-1, 1:-1][interior_ok]
+    e1 = su2_to_r3(ev @ SU2_I @ _dagger(ev), tol=FRAME_SU2_TOL)
+    speed = lam * np.broadcast_to(a_i, interior_ok.shape)[interior_ok]
+    report["tangent_cross_max"] = float(np.max(np.abs(
+        fx[interior_ok] - speed[:, None] * e1), initial=0.0))
     return report
-
-
-def darboux_frame(fgrid, lam0=1.0):
-    """Principal-direction frames (columns e1, e2, n), NaN at degenerate nodes."""
-    ok = ~(np.abs(np.sin(fgrid.phi)) < EPS_DEGENERATE)
-    f3 = adjoint_rotation(fgrid.evaluate(lam0)[ok], tol=FRAME_SU2_TOL)
-    th = 0.5 * fgrid.phi[ok]
-    rot = np.zeros((th.size, 3, 3))
-    rot[:, 0, 0] = rot[:, 1, 1] = np.cos(th)
-    rot[:, 1, 0] = np.sin(th)
-    rot[:, 0, 1] = -rot[:, 1, 0]
-    rot[:, 2, 2] = 1.0
-    out = np.full(fgrid.phi.shape + (3, 3), np.nan)
-    out[ok] = f3 @ rot
-    return out
 
 
 def _edge_crossings(phi, points, di, dj):

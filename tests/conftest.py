@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psurf.cli import _theta_to_t as theta_to_t  # noqa: F401  (shared by the tests)
+from psurf.loops import SU2_I, SU2_J, SU2_K
 from psurf.potentials import (BoundaryAngles, normalized_from_boundary,
                               soliton_alpha, soliton_beta)
 from psurf.surface import reconstruct_frames, sym_immersion
@@ -9,6 +10,12 @@ from psurf.surface import reconstruct_frames, sym_immersion
 
 def kink_phi(x, y):
     return 4.0 * np.arctan(np.exp(np.asarray(x) + np.asarray(y)))
+
+
+def r3_to_su2(v):
+    """The su(2) matrix with coordinates v in the (i, j, k) basis: su2_to_r3 inverted."""
+    v = np.asarray(v, dtype=float)
+    return v[0] * SU2_I + v[1] * SU2_J + v[2] * SU2_K
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from psurf import birkhoff
 from psurf.birkhoff import (RESIDUAL_TOL, FactorizationFailure, _residual_samples,
                             _solve_plus_star, split_minus_star_plus, split_plus_minusfree,
                             split_plus_star_minus)
-from psurf.loops import LaurentLoop, random_twisted_unitary_loop
+from psurf.loops import LaurentLoop, random_twisted_unitary_loop, su2_defect
 
 
 def test_identity_splits_trivially():
@@ -89,15 +89,18 @@ def test_idempotence():
     assert (r1.minus - r2.minus).max_coeff_norm() < 1e-9
 
 
-def test_factorization_failure_carries_residual():
+def test_factorization_failure_carries_residual(monkeypatch):
     rng = np.random.default_rng(6)
     g = random_twisted_unitary_loop(rng)
+    # the splitters read both tolerances at call time
+    monkeypatch.setattr(birkhoff, "RESIDUAL_TOL", 1e-30)
+    monkeypatch.setattr(birkhoff, "TAIL_TOL", 1e-30)
     for split, shape in ((split_plus_star_minus, "plus*minus"),
                          (split_minus_star_plus, "plus*minus"),
                          (split_plus_minusfree, "plus*minus_star^-1")):
         with pytest.raises(FactorizationFailure,
                            match=rf"^{re.escape(shape)} splitting did not resolve") as exc:
-            split(g, residual_tol=1e-30, tail_tol=1e-30)
+            split(g)
         for value in (exc.value.residual, exc.value.tail_norm):
             assert value is not None and np.isfinite(value)
         assert f"residual {exc.value.residual:.3g}, tail {exc.value.tail_norm:.3g}" \
@@ -107,10 +110,9 @@ def test_factorization_failure_carries_residual():
 def test_unitary_factors_track_input_defect():
     # factors of a nearly unitary loop stay nearly unitary on the circle
     rng = np.random.default_rng(7)
-    from psurf.loops import unitarity_defect
     for _ in range(5):
         g = random_twisted_unitary_loop(rng, pad=16, decay=0.25)
-        in_def = max(unitarity_defect(g, samples=(0.5, 1.0, 2.0)))
+        in_def = max(su2_defect(g.evaluate(np.array([0.5, 1.0, 2.0]))))
         r = split_plus_star_minus(g, trunc=40)
         lam = np.array([1.0])
         for fac in (r.plus, r.minus):

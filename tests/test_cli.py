@@ -393,6 +393,49 @@ def test_build_with_the_symmetry_suite_builds_its_main_grid_once(tmp_path, monke
     assert report["symmetry.surface_target_nodes"] == target.x.size * target.y.size
 
 
+# the kink on [0.5, 1]^2 has 4 arctan(e) < phi < 4 arctan(e^2): no multiple of pi
+SOLITON_OFF_THE_CURVE_17 = """
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+domain_x = 0, 1
+domain_y = 0, 1
+
+[grid]
+nx = 17
+ny = 17
+x_range = 0.5, 1
+y_range = 0.5, 1
+
+[verify]
+suites = cone
+
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("case", ["amsler", "soliton_off_the_curve"])
+def test_cone_suite_reports_plain_numbers(tmp_path, case):
+    if case == "amsler":
+        text = AMSLER_17.format(out=tmp_path / "o", y_range="-2.6, -0.15").replace(
+            "suites = symmetry", "suites = cone")
+    else:
+        text = SOLITON_OFF_THE_CURVE_17.format(out=tmp_path / "o")
+    found = case == "amsler"
+    code = run(["verify", write_config(tmp_path / "c.ini", text)])
+    assert code == (cli.EXIT_OK if found else cli.EXIT_VERIFY)
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["cone.found"] is found
+    txt = (tmp_path / "o" / "report.txt").read_text()
+    assert "np." not in txt
+    if found:
+        assert round(report["cone.line_coverage"], 2) == 0.94
+        point = re.search(r"^cone\.point: \[(.*)\]$", txt, re.M).group(1)
+        assert [float(v) for v in point.split(", ")] == report["cone.point"]
+
+
 # imports psurf and lists the scipy modules that brought in; then, with scipy
 # blocked, runs the psurf commands (argv lists) given as JSON in argv[1] and
 # samples the diagonal extraction of a 5 x 5 soliton grid
@@ -634,6 +677,14 @@ formats = csv
     for tag in ("lambda_0p5", "lambda_1"):
         assert report[f"geometry.{tag}.curvature"] == report[f"{tag}.curvature_max_abs_err"]
     assert report["suite.geometry"] == "pass"
+    # verify has no build's reports: its geometry suite computes the same ones
+    calls.clear()
+    assert run(["verify", cfg, "--output-dir", tmp_path / "v"]) == cli.EXIT_OK
+    assert calls == [0.5, 1.0]
+    verified = json.loads((tmp_path / "v" / "report.json").read_text())
+    geometry = {k: v for k, v in report.items() if k.startswith("geometry.")}
+    assert len(geometry) == 4
+    assert {k: v for k, v in verified.items() if k.startswith("geometry.")} == geometry
 
 
 THETA_UNIFORM_16 = """

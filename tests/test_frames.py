@@ -24,7 +24,7 @@ soliton = pointwise(eta_soliton)
 def test_zero_potential_is_constant():
     eta = pointwise(lambda t: LaurentLoop.zero())
     ts = np.linspace(0, 1, 5)
-    path = integrate_axis(eta, ts, band=(0, 4))
+    path = integrate_axis(eta, ts, step=1 / 256, band=(0, 4), t0=0.0)
     ident = LaurentLoop.identity().truncated(0, 4).coeffs
     assert path.d_min == 0 and np.array_equal(path.coeffs, np.stack([ident] * 5))
 
@@ -32,7 +32,7 @@ def test_zero_potential_is_constant():
 def test_constant_potential_closed_form():
     eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * OFF}))
     ts = np.linspace(0, 1, 5)
-    path = integrate_axis(eta, ts, step=1 / 256)
+    path = integrate_axis(eta, ts, step=1 / 256, band=(0, 24), t0=0.0)
     for lam in (0.5, 1.0, 2.0):
         got = path.frame_at(1.0).evaluate(lam)
         c, s = np.cos(lam / 2), np.sin(lam / 2)
@@ -43,7 +43,7 @@ def test_constant_potential_closed_form():
 def test_backward_integration_from_interior_anchor():
     eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * OFF}))
     ts = np.linspace(-1.0, 1.0, 9)
-    path = integrate_axis(eta, ts, step=1 / 256)   # anchored at 0
+    path = integrate_axis(eta, ts, step=1 / 256, band=(0, 24), t0=0.0)
     lam = 1.0
     got = path.frame_at(-1.0).evaluate(lam)
     c, s = np.cos(-lam / 2), np.sin(-lam / 2)
@@ -52,8 +52,9 @@ def test_backward_integration_from_interior_anchor():
 
 
 def test_order_four_convergence():
-    ref = integrate_axis(soliton, np.array([0.0, 1.0]), step=1 / 1024).frame_at(1.0)
-    errs = [(integrate_axis(soliton, np.array([0.0, 1.0]), step=1 / n).frame_at(1.0)
+    ts = np.array([0.0, 1.0])
+    ref = integrate_axis(soliton, ts, step=1 / 1024, band=(0, 24), t0=0.0).frame_at(1.0)
+    errs = [(integrate_axis(soliton, ts, step=1 / n, band=(0, 24), t0=0.0).frame_at(1.0)
              - ref).max_coeff_norm() for n in (8, 16, 32)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
@@ -62,7 +63,7 @@ def test_order_four_convergence():
 
 def test_local_ode_residual():
     ts = np.linspace(0, 1, 65)
-    path = integrate_axis(soliton, ts, step=1 / 64)
+    path = integrate_axis(soliton, ts, step=1 / 64, band=(0, 24), t0=0.0)
     h = ts[1] - ts[0]
     worst = 0.0
     for k in range(len(ts) - 1):
@@ -76,7 +77,7 @@ def test_local_ode_residual():
 
 def test_determinant_along_path():
     ts = np.linspace(0, 1, 9)
-    path = integrate_axis(soliton, ts, step=1 / 256)
+    path = integrate_axis(soliton, ts, step=1 / 256, band=(0, 24), t0=0.0)
     for lam in (0.5, 1.0, 2.0):
         for t in ts:
             v = path.frame_at(t).evaluate(lam)
@@ -145,9 +146,11 @@ def test_step_maps_are_at_least_as_accurate_as_stagewise_truncation(half_width):
     # on the two-sided case, against a march on the band +-64
     pair = generalized_amsler_example()[0]
     ts, band = np.linspace(-2.6, -0.15, 7), (-half_width, half_width)
-    wide = integrate_axis(pair.coeffs_x, ts, step=1 / 64, band=(-64, 64), drift_limit=np.inf)
+    wide = integrate_axis(pair.coeffs_x, ts, step=1 / 64, band=(-64, 64), t0=ts[0],
+                          drift_limit=np.inf)
     ref = wide.coeffs[:, 64 - half_width: 64 + half_width + 1]
-    path = integrate_axis(pair.coeffs_x, ts, step=1 / 64, band=band, drift_limit=np.inf)
+    path = integrate_axis(pair.coeffs_x, ts, step=1 / 64, band=band, t0=ts[0],
+                          drift_limit=np.inf)
     stagewise = np.stack(reference_march(pair.eta_x, ts[0], ts, LaurentLoop.identity(), 1 / 64,
                                          band, stagewise=True))
     assert np.max(np.abs(path.coeffs - ref)) <= np.max(np.abs(stagewise - ref))
@@ -158,7 +161,7 @@ def test_step_maps_do_not_depend_on_the_chunk_size(monkeypatch):
     ts = np.array([-2.6, -0.15])           # one gap of 628 steps, three chunks at the default
 
     def march():
-        return integrate_axis(pair.coeffs_x, ts, step=1 / 256, band=(-24, 24),
+        return integrate_axis(pair.coeffs_x, ts, step=1 / 256, band=(-24, 24), t0=ts[0],
                               drift_limit=np.inf).coeffs
 
     default = march()
@@ -174,7 +177,7 @@ def test_one_long_gap_marches_in_bounded_memory():
     tracemalloc.start()
     try:
         integrate_axis(pair.coeffs_x, ts, step=(ts[1] - ts[0]) / 4096, band=(-48, 48),
-                       drift_limit=np.inf)
+                       t0=ts[0], drift_limit=np.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,40 +188,53 @@ def test_drift_error_on_coarse_step():
     amp = 60.0
     eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * amp * OFF}))
     with pytest.raises(IntegrationDrift, match="drift"):
-        integrate_axis(eta, np.linspace(0, 1, 3), step=0.5)
+        integrate_axis(eta, np.linspace(0, 1, 3), step=0.5, band=(0, 24), t0=0.0)
 
 
-def test_default_band_is_read_over_the_axis():
-    # eta = t^2 (i/2) OFF lambda^-1 + (i/2) OFF lambda, kept as a gauged pair keeps
+def test_default_band_is_read_over_the_axis(monkeypatch, soliton_pair):
+    # eta_x = t^2 (i/2) OFF lambda^-1 + (i/2) OFF lambda, kept as a gauged pair keeps
     # its coefficients: on the degrees that are nonzero somewhere on the request,
-    # which at the anchor 0 alone is degree 1
+    # which at the anchor 0 alone is degree 1; reconstruct_frames marches the x
+    # axis on trunc times the band read over the anchor and the samples
+    from psurf import surface
+    from psurf.potentials import PotentialPair
+
     def eta(ts):
         c = np.zeros((ts.size, 3, 2, 2), dtype=complex)
         c[:, 0] = (ts * ts)[:, None, None] * 0.5j * OFF
         c[:, 2] = 0.5j * OFF
         return (c, -1) if np.any(ts != 0.0) else (c[:, 2:], 1)
 
-    path = integrate_axis(eta, np.linspace(0, 1, 5), step=1 / 256)
-    assert path.d_min == -24
+    class Marched(Exception):
+        pass
+
+    def recording(coeffs, ts, **kwargs):
+        raise Marched(kwargs["band"], kwargs["t0"])
+
+    monkeypatch.setattr(surface, "integrate_axis", recording)
+    pair = PotentialPair(coeffs_x=eta, coeffs_y=soliton_pair.coeffs_y, kind="generalized",
+                         domain_x=(0.0, 1.0), domain_y=(0.0, 1.0))
+    xs = np.linspace(0, 1, 5)
+    with pytest.raises(Marched) as exc:
+        surface.reconstruct_frames(pair, xs, xs, trunc=24)
+    assert exc.value.args == ((-24, 24), 0.0)
 
 
 def test_frame_at_unknown_parameter():
-    path = integrate_axis(soliton, np.linspace(0, 1, 5), step=1 / 64)
+    path = integrate_axis(soliton, np.linspace(0, 1, 5), step=1 / 64, band=(0, 24), t0=0.0)
     with pytest.raises(KeyError):
         path.frame_at(0.33)
 
 
 def test_path_independence_exact_kink():
-    kx = lambda x, y: 4 * np.exp(x + y) / (1 + np.exp(2 * (x + y)))
     xs = np.linspace(0, 1, 65)
-    _, res = direct_frame_solve(kink_phi, 1.0, 1.0, 1.0, xs, xs, phi_x=kx)
+    _, res = direct_frame_solve(kink_phi(xs[:, None], xs[None, :]), 1.0, 1.0, 1.0, xs, xs)
     assert res < 1e-6
 
 
 def test_incompatible_angle_flagged():
-    phi = lambda x, y: np.pi / 2 + 0 * np.asarray(x)
     xs = np.linspace(0, 1, 17)
-    _, res = direct_frame_solve(phi, 1.0, 1.0, 1.0, xs, xs, phi_x=lambda x, y: 0.0)
+    _, res = direct_frame_solve(np.full((17, 17), np.pi / 2), 1.0, 1.0, 1.0, xs, xs)
     assert res > 1e-2
 
 
@@ -235,7 +251,8 @@ def test_drift_is_read_at_every_recorded_frame():
 
     ts = np.linspace(0.0, 1.0, 11)
     with pytest.raises(IntegrationDrift, match="drift") as exc:
-        integrate_axis(pointwise(eta), ts, step=1 / 256, drift_samples=(1.0,))
+        integrate_axis(pointwise(eta), ts, step=1 / 256, band=(0, 0), t0=0.0,
+                       drift_samples=(1.0,))
     assert exc.value.t == ts[3] and f"at t = {ts[3]:.6g}, lambda = 1;" in str(exc.value)
     assert str(exc.value).startswith(f"unitarity drift {exc.value.drift:.3g} ")
 
@@ -248,7 +265,7 @@ def test_tail_is_read_at_every_recorded_frame():
         return (24.0 * (1.0 - 2.0 * ts))[:, None, None, None] * (0.5j * OFF), 1
 
     ts = np.linspace(0.0, 1.0, 9)
-    path = integrate_axis(coeffs, ts, step=1 / 256, band=(0, 8), drift_limit=np.inf)
+    path = integrate_axis(coeffs, ts, step=1 / 256, band=(0, 8), t0=0.0, drift_limit=np.inf)
     edges = [edge_norm(LaurentLoop(c, 0)) for c in path.coeffs]
     assert path.tail_norm == max(edges) == edges[4] > 1e6 * max(edges[0], edges[-1])
 
@@ -259,46 +276,43 @@ def test_tail_is_read_at_every_recorded_frame():
 def test_bad_drift_samples_are_rejected(samples, band):
     eta = pointwise(lambda t: LaurentLoop.zero())
     with pytest.raises(ValueError, match="drift samples must be finite"):
-        integrate_axis(eta, np.linspace(0, 1, 3), band=band, drift_samples=samples)
+        integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 256, band=band, t0=0.0,
+                       drift_samples=samples)
 
 
 def test_zero_drift_sample_on_nonnegative_band():
     eta = pointwise(lambda t: LaurentLoop.from_terms({1: 0.5j * OFF}))
-    path = integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64, drift_samples=(0.0, 1.0))
+    path = integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64, band=(0, 24), t0=0.0,
+                          drift_samples=(0.0, 1.0))
     assert path.drift < 1e-10
 
 
 def test_non_finite_drift_is_integration_drift():
     eta = pointwise(lambda t: LaurentLoop.from_terms({1: np.full((2, 2), np.nan)}))
     with pytest.raises(IntegrationDrift, match="unitarity drift nan"):
-        integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64)
+        integrate_axis(eta, np.linspace(0, 1, 3), step=1 / 64, band=(0, 24), t0=0.0)
 
 
 # -- the fixed-lambda direct solve against its per-column form ----------------
 
-def reference_direct_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=None):
+def reference_direct_solve(phi, a, b, lam0, x, y):
     """The per-column, per-node direct solve that the column-stack sweep replaced."""
     from scipy.interpolate import CubicSpline
     from psurf.potentials import speed_fn
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     a_fn, b_fn = speed_fn(a), speed_fn(b)
-    if callable(phi):
-        fn, hd = phi, 1e-6 * max(x[-1] - x[0], 1.0)
-        fn_x = lambda xv, yv: (fn(xv + hd, yv) - fn(xv - hd, yv)) / (2.0 * hd)
-    else:
-        arr = np.asarray(phi, dtype=float)
-        rows = [CubicSpline(x, arr[:, j]) for j in range(y.size)]
-        cols = [CubicSpline(y, arr[i, :]) for i in range(x.size)]
+    arr = np.asarray(phi, dtype=float)
+    rows = [CubicSpline(x, arr[:, j]) for j in range(y.size)]
+    cols = [CubicSpline(y, arr[i, :]) for i in range(x.size)]
 
-        def fn(xv, yv):
-            j = int(np.argmin(np.abs(y - yv)))
-            if abs(y[j] - yv) < 1e-12:
-                return float(rows[j](xv))
-            return float(cols[int(np.argmin(np.abs(x - xv)))](yv))
+    def fn(xv, yv):
+        j = int(np.argmin(np.abs(y - yv)))
+        if abs(y[j] - yv) < 1e-12:
+            return float(rows[j](xv))
+        return float(cols[int(np.argmin(np.abs(x - xv)))](yv))
 
-        fn_x = lambda xv, yv: float(rows[int(np.argmin(np.abs(y - yv)))](xv, 1))
-    fn_x = phi_x if phi_x is not None else fn_x
-    init = np.eye(2, dtype=complex) if init is None else init
+    fn_x = lambda xv, yv: float(rows[int(np.argmin(np.abs(y - yv)))](xv, 1))
+    substeps = frames.DIRECT_SUBSTEPS
 
     def coef_x(yv):
         return lambda t: 0.5j * np.array([[-fn_x(t, yv), float(a_fn(t)) * lam0],
@@ -323,22 +337,18 @@ def reference_direct_solve(phi, a, b, lam0, x, y, phi_x=None, substeps=2, init=N
         return u
 
     u = np.empty((x.size, y.size, 2, 2), dtype=complex)
-    u[0, 0] = init
+    u[0, 0] = np.eye(2)
     for i in range(x.size - 1):
         u[i + 1, 0] = sweep(u[i, 0], coef_x(y[0]), x[i:i + 2])
     for i in range(x.size):
         for j in range(y.size - 1):
             u[i, j + 1] = sweep(u[i, j], coef_y(x[i]), y[j:j + 2])
-    u_alt = init
+    u_alt = np.eye(2, dtype=complex)
     for j in range(y.size - 1):
         u_alt = sweep(u_alt, coef_y(x[0]), y[j:j + 2])
     for i in range(x.size - 1):
         u_alt = sweep(u_alt, coef_x(y[-1]), x[i:i + 2])
     return u, float(np.max(np.abs(u[-1, -1] - u_alt)))
-
-
-def kink_phi_x(x, y):
-    return 4 * np.exp(x + y) / (1 + np.exp(2 * (x + y)))
 
 
 def speed_a(t):
@@ -349,22 +359,16 @@ def speed_b(t):
     return 0.8 + 0.1 * np.asarray(t) ** 2
 
 
-@pytest.mark.parametrize("case", ["finite-difference phi_x", "exact phi_x", "non-unit speeds",
-                                  "non-square grid", "init", "substeps=3"])
+@pytest.mark.parametrize("case", ["non-unit speeds", "non-square grid"])
 def test_stack_solve_matches_per_column_solve_bit_for_bit(case):
-    xs, ys = np.linspace(0.0, 1.0, 9), np.linspace(-0.5, 0.5, 9)
-    init = np.array([[np.exp(0.3j), 0.0], [0.0, np.exp(-0.3j)]])
-    kwargs = {
-        "finite-difference phi_x": {},
-        "exact phi_x": {"phi_x": kink_phi_x},
-        "non-unit speeds": {"a": speed_a, "b": speed_b},
-        "non-square grid": {"y": np.linspace(-0.5, 0.5, 14), "a": 1.3},
-        "init": {"init": init, "phi_x": kink_phi_x},
-        "substeps=3": {"substeps": 3, "b": speed_b},
+    xs = np.linspace(0.0, 1.0, 9)
+    ys, a, b = {
+        "non-unit speeds": (np.linspace(-0.5, 0.5, 9), speed_a, speed_b),
+        "non-square grid": (np.linspace(-0.5, 0.5, 14), 1.3, 1.0),
     }[case]
-    args = {"phi": kink_phi, "a": 1.0, "b": 1.0, "lam0": 0.7, "x": xs, "y": ys, **kwargs}
-    u, res = direct_frame_solve(**args)
-    u_ref, res_ref = reference_direct_solve(**args)
+    args = (kink_phi(xs[:, None], ys[None, :]), a, b, 0.7, xs, ys)
+    u, res = direct_frame_solve(*args)
+    u_ref, res_ref = reference_direct_solve(*args)
     # the step maps compose the four stages in another order: equal to rounding
     assert np.max(np.abs(u - u_ref)) <= 1e-13 and abs(res - res_ref) <= 1e-13
 

@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 from psurf import loops as loops_module
 from psurf.loops import (LaurentLoop, edge_norm, SU2_I, SU2_J, SU2_K, adjoint_rotation,
                          band_mask, band_slice, cauchy_product, degree_sum, evaluate, exp_loop,
-                         inverse_one_sided, r3_to_su2, random_twisted_su_loop,
-                         random_twisted_unitary_loop, su2_to_r3, unitarity_defect)
+                         inverse_one_sided, random_twisted_su_loop, random_twisted_unitary_loop,
+                         su2_defect, su2_to_r3)
+from tests.conftest import r3_to_su2
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# unitarity / determinant spot checks on the real axis
+REAL_SAMPLES = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
 
 def test_identity_multiplication():
@@ -81,7 +84,7 @@ def test_check_twist_matches_per_degree_reference(d_min):
 def test_unitarity_samples():
     rng = np.random.default_rng(4)
     g = random_twisted_unitary_loop(rng, pad=20, decay=0.25)
-    u_def, det_def = unitarity_defect(g)
+    u_def, det_def = su2_defect(g.evaluate(REAL_SAMPLES))
     assert u_def < 1e-10 and det_def < 1e-10
 
 
@@ -205,7 +208,7 @@ def test_exp_of_su_loop_is_unitary():
     rng = np.random.default_rng(12)
     x = random_twisted_su_loop(rng, degree=2, scale=0.4, decay=0.3)
     g = exp_loop(x, (-24, 24))
-    u_def, det_def = unitarity_defect(g)
+    u_def, det_def = su2_defect(g.evaluate(REAL_SAMPLES))
     assert u_def < 1e-11 and det_def < 1e-11
     assert g.check_twist() < 1e-14
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-from psurf.loops import LaurentLoop, _frob, band_slice, exp_loop, unitarity_defect
+from psurf.loops import LaurentLoop, _frob, band_slice, exp_loop
 from psurf.loops import SYMMETRY_LAMBDAS
 from psurf.potentials import (AMSLER_GAMMA_POLE, EQUIVARIANCE_SAMPLES, BoundaryAngles,
                               CubicSpline, SymmetryDescriptor, amsler_dgamma, amsler_gamma, cayley,

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from psurf.birkhoff import split_plus_star_minus
-from psurf.loops import SU2_K, LaurentLoop, adjoint_rotation, su2_to_r3
+from psurf.loops import SU2_K, LaurentLoop, su2_defect, su2_to_r3
 from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
                               normalized_from_boundary, soliton_beta)
-from psurf.surface import (SurfaceGrid, associated_family, cone_line_check, darboux_frame,
-                           find_cone_point, frames_at, geometry_report, reconstruct_frames,
-                           sym_immersion, write_csv, write_obj, _unwrap_grid)
+from psurf.surface import (SurfaceGrid, cone_line_check, find_cone_point, frames_at,
+                           geometry_report, reconstruct_frames, sym_immersion, write_csv,
+                           write_obj, _unwrap_grid)
 from tests.conftest import kink_phi
 
 
@@ -84,11 +84,10 @@ def test_plus_factor_independent_of_y(soliton_frames_small):
 
 def test_frames_unitary_and_twisted(soliton_frames_small):
     f = soliton_frames_small
-    from psurf.loops import unitarity_defect
     for (i, j) in [(0, 0), (5, 11), (16, 16)]:
         u = f.loop(i, j)
         assert u.check_twist() < 1e-10
-        u_def, det_def = unitarity_defect(u, samples=(0.5, 1.0, 2.0))
+        u_def, det_def = su2_defect(u.evaluate(np.array([0.5, 1.0, 2.0])))
         assert u_def < 1e-8 and det_def < 1e-8
 
 
@@ -119,16 +118,16 @@ def test_geometry_report_soliton(soliton_frames_small):
 
 
 def test_associated_family_speeds(soliton_frames_65):
-    fam = associated_family(soliton_frames_65, [0.5, 1.0, 2.0])
-    s1 = sym_immersion(soliton_frames_65, 1.0)
-    assert np.max(np.abs(fam[1].points - s1.points)) == 0.0
-    for sg in fam:
-        rep = geometry_report(sg)
+    # each member is one sym_immersion of the same frames; its tangent f_x
+    # has speed lambda a, so the difference error scales with lambda
+    f = soliton_frames_65
+    h = float(f.x[1] - f.x[0])
+    for lam in (0.5, 1.0, 2.0):
+        rep = geometry_report(sym_immersion(f, lam), f)
         assert rep["curvature_max_abs_err"] < 5e-3
         assert rep["speed_x_max_err"] < 1e-3
         assert rep["speed_y_max_err"] < 1e-3
-    with pytest.raises(ValueError, match="lambda"):
-        associated_family(soliton_frames_65, [])
+        assert rep["tangent_cross_max"] < 2.0 * lam * h ** 2
 
 
 def test_degeneracy_rank_criterion(soliton_frames_small):
@@ -141,41 +140,6 @@ def test_degeneracy_rank_criterion(soliton_frames_small):
     flagged = s.degenerate[1:-1, 1:-1]
     assert not np.any(flagged)           # no interior degeneracies на the kink
     assert float(np.min(cross)) > 1e-2   # full rank everywhere inside
-
-
-def test_darboux_frame_properties(soliton_frames_small):
-    f = soliton_frames_small
-    frames = darboux_frame(f)
-    s = sym_immersion(f, 1.0)
-    pts = s.points
-    hx = float(f.x[1] - f.x[0])
-    i, j = 8, 8
-    ftil = frames[i, j]
-    assert np.max(np.abs(ftil @ ftil.T - np.eye(3))) < 1e-10
-    fx = (pts[i + 1, j] - pts[i - 1, j]) / (2 * hx)
-    fy = (pts[i, j + 1] - pts[i, j - 1]) / (2 * hx)
-    th = 0.5 * f.phi[i, j]
-    # principal directions: e1 = sec(th)(f_x + f_y)/2, e2 = csc(th)(f_y - f_x)/2
-    e1 = 0.5 * (fx + fy) / np.cos(th)
-    e2 = 0.5 * (fy - fx) / np.sin(th)
-    assert np.max(np.abs(ftil[:, 0] - e1)) < 1.0 * hx ** 2   # FD-limited
-    assert np.max(np.abs(ftil[:, 1] - e2)) < 1.0 * hx ** 2
-
-
-def test_darboux_so3_system_residual(soliton_frames_small):
-    # d(Ftilde)/dx = Ftilde * [[0, th_x, -sin th], [-th_x, 0, -cos th], [sin th, cos th, 0]]
-    f = soliton_frames_small
-    frames = darboux_frame(f)
-    th = 0.5 * f.phi
-    hx = float(f.x[1] - f.x[0])
-    worst = 0.0
-    for (i, j) in [(5, 7), (9, 3), (12, 12)]:
-        dfr = (frames[i + 1, j] - frames[i - 1, j]) / (2 * hx)
-        thx = (th[i + 1, j] - th[i - 1, j]) / (2 * hx)
-        c, s_ = np.cos(th[i, j]), np.sin(th[i, j])
-        m = np.array([[0.0, thx, -s_], [-thx, 0.0, -c], [s_, c, 0.0]])
-        worst = max(worst, float(np.max(np.abs(dfr - frames[i, j] @ m))))
-    assert worst < 20.0 * hx ** 2
 
 
 def test_unwrap_grid_continuity():
@@ -253,8 +217,7 @@ def test_exports_equal_the_loop_writers_byte_for_byte(tmp_path, degenerate_frac)
     points[0, 0] = [-0.0, 0.0, 1e-300]
     s = SurfaceGrid(x=np.linspace(-1, 2, nx), y=np.sort(rng.uniform(0, 1, ny)), points=points,
                     normals=rng.standard_normal((nx, ny, 3)), phi=rng.uniform(-7, 7, (nx, ny)),
-                    degenerate=rng.uniform(size=(nx, ny)) < degenerate_frac, lam=0.7,
-                    a_vals=None, b_vals=None)
+                    degenerate=rng.uniform(size=(nx, ny)) < degenerate_frac, lam=0.7)
     for drop in (True, False):
         write_obj(s, tmp_path / "new.obj", drop_degenerate_faces=drop)
         reference_write_obj(s, tmp_path / "ref.obj", drop_degenerate_faces=drop)
@@ -276,11 +239,11 @@ def test_geometry_report_needs_enough_nodes(soliton_pair):
     xs = np.linspace(0, 1, 8)
     f = reconstruct_frames(soliton_pair, xs, xs, trunc=16)
     with pytest.raises(ValueError, match="16 nodes"):
-        geometry_report(sym_immersion(f, 1.0))
+        geometry_report(sym_immersion(f, 1.0), f)
     xs = np.linspace(0, 1, 16) ** 2
     f = reconstruct_frames(soliton_pair, xs, xs, trunc=16)
     with pytest.raises(ValueError, match="uniformly spaced"):
-        geometry_report(sym_immersion(f, 1.0))
+        geometry_report(sym_immersion(f, 1.0), f)
 
 
 def test_frame_tensor_matches_node_loops(soliton_frames_small):
@@ -300,11 +263,10 @@ def test_frame_tensor_matches_node_loops(soliton_frames_small):
         f.evaluate(0.0)
 
 
-def test_batched_sym_and_darboux_match_node_formulas(soliton_frames_small):
+def test_batched_sym_matches_node_formulas(soliton_frames_small):
     f = soliton_frames_small
     lam = 2.0
     s = sym_immersion(f, lam)
-    frames = darboux_frame(f, lam)
     for i, j in [(1, 1), (5, 11), (16, 16)]:
         u = f.loop(i, j)
         ev = u.evaluate(lam)
@@ -314,12 +276,6 @@ def test_batched_sym_and_darboux_match_node_formulas(soliton_frames_small):
         m -= 0.5 * np.trace(m) * np.eye(2)
         assert np.max(np.abs(s.points[i, j] - su2_to_r3(m))) < 1e-13
         assert np.max(np.abs(s.normals[i, j] - su2_to_r3(ev @ SU2_K @ ev_inv, tol=1e-5))) < 1e-13
-        th = 0.5 * f.phi[i, j]
-        rot = np.array([[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0],
-                        [0.0, 0.0, 1.0]])
-        assert np.max(np.abs(frames[i, j] - adjoint_rotation(ev) @ rot)) < 1e-13
-    # the kink's corner (0, 0) is degenerate
-    assert np.all(np.isnan(frames[0, 0]))
 
 
 # -- the mask and array forms against the per-edge and per-row loops they replaced ------

@@ -38,8 +38,8 @@ def test_su2_lift_inverts_adjoint():
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         ang = rng.uniform(0, np.pi)
-        from psurf.loops import r3_to_su2
         from scipy.linalg import expm
+        from tests.conftest import r3_to_su2
         rot = adjoint_rotation(expm(ang * r3_to_su2(axis)))
         lift = su2_lift(rot)
         assert np.max(np.abs(adjoint_rotation(lift) - rot)) < 1e-12
