@@ -2,7 +2,7 @@
 
 Configs are INI-style sectioned key/value files (see README for the
 grammar).  Exit codes: 0 all requested checks pass, 1 verification failure,
-2 configuration error, 3 numerical failure.
+2 configuration error, 3 numerical failure (whose report names its stage).
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ EXIT_NUMERIC = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# numerical failure -> (its report stage, {report key: attribute} of the numbers it carries)
+NUMERIC_STAGES = {FactorizationFailure: ("split", {"residual": "residual", "tail": "tail_norm"}),
+                  IntegrationDrift: ("axis", {"drift": "drift", "t": "t"}),
+                  StiffnessError: ("oracle", {})}
 
 
 def _parse_config(path):
@@ -528,8 +534,15 @@ def main(argv=None):
         print(f"configuration error: [output] directory {cfg.output_dir!r} cannot be written: "
               f"{exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FactorizationFailure, IntegrationDrift, StiffnessError) as exc:
+    except tuple(NUMERIC_STAGES) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        stage, numbers = NUMERIC_STAGES[type(exc)]
+        report = {"error.stage": stage, "error.message": str(exc)}
+        report.update({f"error.{key}": getattr(exc, attr) for key, attr in numbers.items()})
+        try:
+            _write_report(report, False, cfg.output_dir)
+        except OSError as err:
+            print(f"report not written: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -20,8 +20,10 @@ from psurf.potentials import CubicSpline, speed_fn
 
 DRIFT_LIMIT = 1e-6
 # steps whose maps one batched pass builds: bounds the march's working memory
-# (a whole 2770-step gap of the rotational example at once costs 12% of its peak RSS)
-MAP_CHUNK = 256
+# (a whole 2770-step gap of the rotational example at once costs 12% of its peak
+# RSS), and integrate_axis keeps the state at every chunk end as a checkpoint, so
+# a parameter inside the marched span is at most MAP_CHUNK / 2 steps from one
+MAP_CHUNK = 64
 # RK4 steps per grid interval of direct_frame_solve
 DIRECT_SUBSTEPS = 2
 
@@ -45,6 +47,7 @@ class AxisFramePath:
     d_min: int
     drift: float = 0.0
     tail_norm: float = 0.0
+    checkpoints: object = None    # AxisFramePath of the march states integrate_axis continues from
 
     def frame_at(self, t_value):
         idx = int(np.argmin(np.abs(self.t - t_value)))
@@ -81,9 +84,10 @@ def _step_maps(c, d, h):
     return r, lo
 
 
-def _march(coef, advance, u, t_from, targets, substeps, out=None):
+def _march(coef, advance, u, t_from, targets, substeps, out=None, marks=None):
     """RK4 march of dG/dt = G eta(t) from t_from through the targets,
-    substeps(gap) steps per gap; writes u(targets[n]) to out[n] when given and
+    substeps(gap) steps per gap; writes u(targets[n]) to out[n] when given,
+    appends (t, u) at every chunk end to the list marks when given, and
     returns the final state.
 
     coef(ts) gives eta's coefficients at the parameters ts as (c, d_min), and
@@ -101,6 +105,8 @@ def _march(coef, advance, u, t_from, targets, substeps, out=None):
             for s in range(0, nsub, MAP_CHUNK):
                 e = min(s + MAP_CHUNK, nsub)
                 u = advance(u, *_step_maps(*coef(ts[2 * s: 2 * e + 1]), h))
+                if marks is not None:
+                    marks.append((ts[2 * e], u))
         t = t_next
         if out is not None:
             out[n] = u
@@ -134,7 +140,7 @@ def _matrix_advance(u, r, r_min):
 
 
 def integrate_axis(eta, t_values, step, band, t0, init=None, drift_limit=DRIFT_LIMIT,
-                   drift_samples=PROBE_LAMBDAS):
+                   drift_samples=PROBE_LAMBDAS, checkpoints=None):
     """Classical 4th-order integration of dG/dt = G eta(t) on a degree band.
 
     eta is a coefficient function: eta(ts) gives (c, d_min), c of shape
@@ -144,11 +150,19 @@ def integrate_axis(eta, t_values, step, band, t0, init=None, drift_limit=DRIFT_L
     the degrees kept, and t0 the anchor where G equals init (the identity
     when None); each gap is marched in steps of at most step.  Integration
     runs in both directions from the anchor when needed.  Each step applies
-    the exact RK4 step map and then truncates to the band.  Unitarity is
-    monitored at every recorded frame, not enforced; for loops whose band
-    converges only on the unit circle, restrict drift_samples accordingly
-    (evaluation away from |lambda| = 1 amplifies the truncated tail
-    exponentially).
+    the exact RK4 step map and then truncates to the band.  The path keeps
+    the march state at the anchor and at every chunk end as its checkpoints.
+
+    Given the checkpoints of an earlier path of the same eta, step, band,
+    anchor and init, each parameter is instead marched on its own from the
+    nearest checkpoint (the first of two at the same distance): the same
+    global frame, continued rather than replayed, so a frame does not depend
+    on the other parameters requested.
+
+    Unitarity is monitored at every recorded frame, not enforced; for loops
+    whose band converges only on the unit circle, restrict drift_samples
+    accordingly (evaluation away from |lambda| = 1 amplifies the truncated
+    tail exponentially).
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or t_values.size == 0:
@@ -167,10 +181,24 @@ def integrate_axis(eta, t_values, step, band, t0, init=None, drift_limit=DRIFT_L
         return max(1, int(np.ceil(abs(gap) / step)))
 
     coeffs = np.empty((t_values.size, band[1] - band[0] + 1, 2, 2), dtype=complex)
-    n_below = int(np.sum(t_values < t0 - 1e-15))
-    _march(eta, _band_advance, init_b, t0, t_values[n_below:], substeps, coeffs[n_below:])
-    _march(eta, _band_advance, init_b, t0, t_values[:n_below][::-1], substeps,
-           coeffs[:n_below][::-1])
+    if checkpoints is None:
+        above, below = [(t0, init_b)], []
+        n_below = int(np.sum(t_values < t0 - 1e-15))
+        _march(eta, _band_advance, init_b, t0, t_values[n_below:], substeps, coeffs[n_below:],
+               above)
+        _march(eta, _band_advance, init_b, t0, t_values[:n_below][::-1], substeps,
+               coeffs[:n_below][::-1], below)
+        marks = below[::-1] + above          # increasing t
+        checkpoints = AxisFramePath(t=np.array([t for t, _ in marks]),
+                                    coeffs=np.stack([u for _, u in marks]), d_min=band[0])
+    else:
+        if checkpoints.d_min != band[0] or checkpoints.coeffs.shape[1] != coeffs.shape[1]:
+            raise ValueError(f"checkpoints on the band from degree {checkpoints.d_min} with "
+                             f"{checkpoints.coeffs.shape[1]} coefficients, not {band}")
+        for n, t in enumerate(t_values):
+            k = int(np.argmin(np.abs(checkpoints.t - t)))
+            coeffs[n] = _march(eta, _band_advance, checkpoints.coeffs[k], checkpoints.t[k], (t,),
+                               substeps)
 
     # every frame carries the band, so one contraction evaluates them all
     defect = np.maximum(*su2_defects(evaluate(coeffs[:, None], band[0], samples)))
@@ -186,7 +214,7 @@ def integrate_axis(eta, t_values, step, band, t0, init=None, drift_limit=DRIFT_L
     # the frames span exactly the integration band, so their edge is the retained tail
     tail = float(_frob(coeffs[:, edge_rows(*band)]).max(initial=0.0))
     return AxisFramePath(t=t_values, coeffs=coeffs, d_min=band[0], drift=drift,
-                         tail_norm=tail)
+                         tail_norm=tail, checkpoints=checkpoints)
 
 
 # -- fixed-lambda direct solve ----------------------------------------------

@@ -14,6 +14,7 @@ import functools
 import numbers
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 TRIM_REL = 1e-14
 
@@ -100,6 +101,59 @@ def cauchy_product(a, b):
         for j in range(na):
             out[..., j:j + nb, :, :] += _uncolumns(a[..., j, :, :] @ b_cols)
     return out
+
+
+# the largest complex GEMM toeplitz_products issues, in multiply-adds: the
+# OpenBLAS of the numpy wheel hands larger calls to a second thread, which on a
+# 2-core host made one (2 x 194)(194 x 386) product take 16 ms
+GEMM_MACS = 2 ** 16
+# output degrees per GEMM of toeplitz_products
+TOEPLITZ_TILE = 8
+
+
+def toeplitz_products(a, w, left=False):
+    """Cauchy products a_j w, or w a_j when left, of every loop of a
+    (n, K, 2, 2) stack with one (L, 2, 2) loop w, from the sum of the two
+    lowest degrees: shape (n, K + L - 1, 2, 2).
+
+    The loops' block rows, stacked, multiply the block-Toeplitz matrix of w,
+    whose block (p, m) is w_{m-p}.  Each GEMM covers a tile of loops and of
+    TOEPLITZ_TILE output degrees, reads only the degrees of a that reach
+    them, and makes at most GEMM_MACS multiply-adds, so BLAS runs it on one
+    thread; the matrix exists only tile by tile.  w a_j is (a_j^T w^T)^T,
+    coefficient by coefficient.
+    """
+    if left:
+        return toeplitz_products(np.swapaxes(a, -1, -2), np.swapaxes(w, -1, -2)).swapaxes(-1, -2)
+    n, ka, kw = a.shape[0], a.shape[1], w.shape[0]
+    width = ka + kw - 1
+    rows = _columns(a).reshape(2 * n, 2 * ka)
+    # on the zero-padded w, block (q, m) of the Hankel view is w_{q + m - ka + 1}:
+    # block (p, m) of the Toeplitz matrix is block (ka - 1 - p, m)
+    pad = np.zeros((2 * ka + kw - 2, 2, 2), dtype=complex)
+    pad[ka - 1: ka - 1 + kw] = w
+    hankel = as_strided(pad, shape=(ka, width, 2, 2), strides=pad.strides[:1] + pad.strides)
+    # a GEMM of rn loops, cn output and kn input degrees makes 8 rn cn kn multiply-adds
+    blocks = GEMM_MACS // 8
+    cn = min(width, TOEPLITZ_TILE)
+    kn = min(ka, cn + kw - 1, blocks // cn)
+    rn = min(n, blocks // (cn * kn))
+    out = np.empty((2 * n, 2 * width), dtype=complex)
+    for c0 in range(0, width, cn):
+        c1 = min(width, c0 + cn)
+        p0, p1 = max(0, c0 - kw + 1), min(ka, c1)         # the degrees of a that reach c0..c1-1
+        for q0 in range(p0, p1, kn):
+            q1 = min(p1, q0 + kn)
+            tile = hankel[ka - q1: ka - q0, c0:c1][::-1].transpose(0, 2, 1, 3)
+            tile = tile.reshape(2 * (q1 - q0), 2 * (c1 - c0))
+            for r0 in range(0, 2 * n, 2 * rn):
+                part = rows[r0: r0 + 2 * rn, 2 * q0: 2 * q1]
+                dest = out[r0: r0 + 2 * rn, 2 * c0: 2 * c1]
+                if q0 == p0:
+                    np.matmul(part, tile, out=dest)
+                else:
+                    dest += np.matmul(part, tile)
+    return _uncolumns(out.reshape(n, 2, 2 * width))
 
 
 def band_slice(coeffs, d_min, lo, hi):

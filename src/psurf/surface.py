@@ -16,7 +16,8 @@ from psurf import potentials as pots
 from psurf.birkhoff import DEFAULT_TRUNC, MAX_TRUNC, FactorizationFailure, split_plus_minusfree
 from psurf.frames import IntegrationDrift, integrate_axis
 from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _raise_at_worst,
-                         _rows, band_mask, cauchy_product, degree_sum, evaluate, su2_to_r3)
+                         _rows, band_mask, band_slice, degree_sum, evaluate, su2_to_r3,
+                         toeplitz_products)
 
 EPS_DEGENERATE = 1e-6
 # relative trim of the per-node loops of reconstruct_frames; FrameGrid.loop
@@ -36,7 +37,8 @@ class FrameGrid:
     degree axis covers the union of the per-node bands, zero-padded.  pair,
     the anchor (base_x, base_y) and trunc, step, init_x, drift_samples (as
     passed to reconstruct_frames, with step=None resolved to the step used)
-    are the recipe frames_at replays.
+    are the recipe frames_at reuses, and checkpoints the (x, y) march states
+    (frames.AxisFramePath each) it continues the axis frames from.
     """
 
     x: np.ndarray
@@ -57,6 +59,7 @@ class FrameGrid:
     step: object = None
     init_x: object = None
     drift_samples: tuple = PROBE_LAMBDAS
+    checkpoints: tuple = None
 
     def evaluate(self, lam):
         """U(x_i, y_j)(lam) at every node, shape (nx, ny, 2, 2)."""
@@ -98,8 +101,17 @@ def _unwrap_grid(raw, ic, jc):
     return rows + two_pi * np.round((col - rows[ic]) / two_pi)
 
 
+def _trimmed(path):
+    """An axis path's recorded frames on the degrees where some frame exceeds
+    FRAME_TRIM_REL times its own largest coefficient, as (coeffs, d_min)."""
+    keep = np.flatnonzero(band_mask(path.coeffs, FRAME_TRIM_REL).any(axis=0))
+    # no degree kept means non-finite frames, which the splitter names
+    first, last = (int(keep[0]), int(keep[-1])) if keep.size else (0, path.coeffs.shape[1] - 1)
+    return path.coeffs[:, first:last + 1], path.d_min + first
+
+
 def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, basepoint=None,
-                       drift_samples=PROBE_LAMBDAS):
+                       drift_samples=PROBE_LAMBDAS, checkpoints=None):
     """Extended frame grid for a potential pair.
 
     For normalized pairs the frames are anchored at the origin and the
@@ -108,9 +120,11 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
     defaults to the lower-left node (frames_at evaluates the same global
     frame on another sample window).  step=None resolves to the largest axis
     span, the distance to the anchor included, over 256, and the grid records
-    that number.  Every node is split from trunc
-    with split_plus_minusfree's own residual and tail tests, so all grids of
-    one pipeline share one accuracy rule.
+    that number.  checkpoints, the (x, y) checkpoints of a grid built from
+    the same pair and recipe, continue each axis frame from the nearest
+    recorded march state instead of marching from the anchor.  Every node is
+    split from trunc with split_plus_minusfree's own residual and tail tests,
+    so all grids of one pipeline share one accuracy rule.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -134,54 +148,66 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
                    for v, b in ((x, bx), (y, by))) / 256.0
 
     paths = []
-    for axis, coeffs, ts, init, t0 in (("x", pair.coeffs_x, x, init_x, bx),
-                                       ("y", pair.coeffs_y, y, None, by)):
-        probe, d_eta = coeffs(np.r_[t0, ts])    # eta's band over the anchor and the samples
-        band = (min(0, trunc * d_eta), max(0, trunc * (d_eta + probe.shape[1] - 1)))
+    marks_x, marks_y = checkpoints or (None, None)
+    for axis, coeffs, ts, init, t0, marks in (("x", pair.coeffs_x, x, init_x, bx, marks_x),
+                                              ("y", pair.coeffs_y, y, None, by, marks_y)):
+        if marks is None:
+            probe, d_eta = coeffs(np.r_[t0, ts])    # eta's band over the anchor and the samples
+            band = (min(0, trunc * d_eta), max(0, trunc * (d_eta + probe.shape[1] - 1)))
+        else:                                       # the band the checkpoints were marched on
+            band = (marks.d_min, marks.d_min + marks.coeffs.shape[1] - 1)
         try:
             paths.append(integrate_axis(coeffs, ts, init=init, step=step, band=band, t0=t0,
-                                        drift_samples=drift_samples))
+                                        drift_samples=drift_samples, checkpoints=marks))
         except IntegrationDrift as exc:
             raise IntegrationDrift(f"{exc} on the {axis} axis", drift=exc.drift,
                                    t=exc.t) from exc
     path_x, path_y = paths
+    (gx, x_min), (gy, y_min) = _trimmed(path_x), _trimmed(path_y)
 
     tx = _tx_matrices(alpha_fn(x))
-    w = (_rows(path_x.coeffs) @ tx).reshape(path_x.coeffs.shape)
-    d = _dagger(path_y.coeffs)
+    w = (_rows(gx) @ tx).reshape(gx.shape)
+    d = _dagger(gy)
 
-    # U = w_i * minus has degrees >= path_x.d_min - MAX_TRUNC, but the nodes reach far
+    # U = w_i * minus has degrees >= x_min - MAX_TRUNC, but the nodes reach far
     # fewer.  A degree-major buffer on an anonymous mapping never backs the degrees
     # no node writes with memory; the grid keeps a view on the ones written.
-    lo = path_x.d_min - MAX_TRUNC
-    shape = (path_x.coeffs.shape[1] + MAX_TRUNC, x.size, y.size, 2, 2)
+    lo = x_min - MAX_TRUNC
+    shape = (gx.shape[1] + MAX_TRUNC, x.size, y.size, 2, 2)
     buf = np.frombuffer(mmap.mmap(-1, 16 * int(np.prod(shape))), dtype=complex).reshape(shape)
     used_lo, used_hi = shape[0] - 1, 0
     raw_psi = np.empty((x.size, y.size))
     max_resid = 0.0
     max_tail = max(path_x.tail_norm, path_y.tail_norm)
     for i in range(x.size):
-        g_row = cauchy_product(d, w[i])
+        g_row = toeplitz_products(d, w[i])              # G_y(y_j)^-1 w_i for every j
         g_keep = band_mask(g_row, FRAME_TRIM_REL)
+        minus = []
         for j in range(y.size):
             keep = np.flatnonzero(g_keep[j])
             # an empty mask means a non-finite g, which the splitter names
             first, last = (int(keep[0]), int(keep[-1])) if keep.size else (0, g_row.shape[1] - 1)
-            g = LaurentLoop(g_row[j, first:last + 1], path_y.d_min + path_x.d_min + first)
+            g = LaurentLoop(g_row[j, first:last + 1], y_min + x_min + first)
             try:
                 sp = split_plus_minusfree(g, trunc=trunc)
             except FactorizationFailure as exc:
                 raise FactorizationFailure(
                     f"splitting failed at node ({i},{j}), (x,y)=({x[i]:.6g},{y[j]:.6g}): {exc}",
                     residual=exc.residual, tail_norm=exc.tail_norm) from exc
-            u = cauchy_product(w[i], sp.minus.coeffs)
-            first, last = np.flatnonzero(band_mask(u, FRAME_TRIM_REL))[[0, -1]].tolist()
-            row = path_x.d_min + sp.minus.d_min - lo    # buffer row of u's lowest degree
-            buf[row + first: row + last + 1, i, j] = u[first:last + 1]
-            used_lo, used_hi = min(used_lo, row + first), max(used_hi, row + last)
+            minus.append(sp.minus)
             raw_psi[i, j] = np.angle(sp.plus.coeff(0)[0, 0])
             max_resid = max(max_resid, sp.residual)
             max_tail = max(max_tail, sp.tail_norm)
+        # U = w_i minus_j for every j, with the minus factors on the union of their bands
+        m_lo, m_hi = min(m.d_min for m in minus), max(m.d_max for m in minus)
+        u = toeplitz_products(np.stack([band_slice(m.coeffs, m.d_min, m_lo, m_hi)
+                                        for m in minus]), w[i], left=True)
+        u_keep = band_mask(u, FRAME_TRIM_REL)
+        u[~u_keep] = 0.0
+        first, last = np.flatnonzero(u_keep.any(axis=0))[[0, -1]].tolist()
+        row = x_min + m_lo - lo                         # buffer row of u's lowest degree
+        buf[row + first: row + last + 1, i] = np.swapaxes(u[:, first:last + 1], 0, 1)
+        used_lo, used_hi = min(used_lo, row + first), max(used_hi, row + last)
     coeffs = buf[used_lo: used_hi + 1].transpose(1, 2, 0, 3, 4)
 
     ic = int(np.argmin(np.abs(x - bx)))
@@ -195,15 +221,18 @@ def reconstruct_frames(pair, x, y, trunc=DEFAULT_TRUNC, step=None, init_x=None, 
                      base_x=float(bx), base_y=float(by), pair=pair,
                      max_split_residual=max_resid, max_tail=max_tail,
                      a_fn=a_fn, b_fn=b_fn, trunc=trunc, step=step, init_x=init_x,
-                     drift_samples=drift_samples)
+                     drift_samples=drift_samples,
+                     checkpoints=(path_x.checkpoints, path_y.checkpoints))
 
 
 def frames_at(fgrid, x, y):
     """The global frame of fgrid on the samples x by y: reconstruct_frames
-    re-run with the arguments fgrid was built with, from its anchor."""
+    with the recipe fgrid was built with, its anchor, and its checkpoints, so
+    each axis frame is continued from the nearest march state fgrid recorded
+    (at most frames.MAP_CHUNK / 2 steps inside the marched span)."""
     return reconstruct_frames(fgrid.pair, x, y, trunc=fgrid.trunc, step=fgrid.step,
                               init_x=fgrid.init_x, basepoint=(fgrid.base_x, fgrid.base_y),
-                              drift_samples=fgrid.drift_samples)
+                              drift_samples=fgrid.drift_samples, checkpoints=fgrid.checkpoints)
 
 
 def sym_immersion(fgrid, lam0):
@@ -377,6 +406,12 @@ def _quad_corners(a):
     return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=2).reshape(-1, 4)
 
 
+def _write_rows(fh, line, rows):
+    """Each row of the 2-d array rows as one line (a format with its line end),
+    formatted with a single % on the whole block."""
+    fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
 def write_obj(sgrid, path, drop_degenerate_faces=True):
     """ASCII OBJ with vertices, normals and quad faces over the lattice."""
     nx, ny = sgrid.points.shape[:2]
@@ -385,9 +420,9 @@ def write_obj(sgrid, path, drop_degenerate_faces=True):
         faces = faces[~_quad_corners(sgrid.degenerate).any(axis=1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# psurf surface lambda=%.17g\n" % sgrid.lam)
-        np.savetxt(fh, sgrid.points.reshape(-1, 3), fmt="v %.17g %.17g %.17g")
-        np.savetxt(fh, sgrid.normals.reshape(-1, 3), fmt="vn %.17g %.17g %.17g")
-        np.savetxt(fh, np.repeat(faces, 2, axis=1), fmt="f" + " %d//%d" * 4)
+        _write_rows(fh, "v %.17g %.17g %.17g\n", sgrid.points.reshape(-1, 3))
+        _write_rows(fh, "vn %.17g %.17g %.17g\n", sgrid.normals.reshape(-1, 3))
+        _write_rows(fh, "f" + " %d//%d" * 4 + "\n", np.repeat(faces, 2, axis=1))
 
 
 def write_csv(sgrid, path):
@@ -396,5 +431,5 @@ def write_csv(sgrid, path):
     cols = np.column_stack([xs.ravel(), ys.ravel(), sgrid.points.reshape(-1, 3),
                             sgrid.phi.ravel(), sgrid.degenerate.ravel()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, cols, fmt="%.17g," * 6 + "%d", newline="\r\n",
-                   header="x,y,fx,fy,fz,phi,degenerate", comments="")
+        fh.write("x,y,fx,fy,fz,phi,degenerate\r\n")
+        _write_rows(fh, "%.17g," * 6 + "%d\r\n", cols)

@@ -4,7 +4,8 @@ correction K(x,y), the monodromy loop, and end-to-end certification.
 The guiding relation is U(gamma) = chi(lambda) U K_lift, with U read at 1/lambda
 when gamma exchanges the asymptotic families; K comes pointwise from tangent
 data and chi is the node-averaged conjugation defect.  U o gamma is always the
-frame pipeline re-run at the exact images (surface.frames_at), never interpolated.
+frame pipeline run at the exact images (surface.frames_at, which continues the
+axis frames from the grid's march checkpoints), never interpolated.
 """
 
 from __future__ import annotations

@@ -309,6 +309,49 @@ directory = {out}
                         r"lambda = [\d.]+; reduce the step on the x axis\n", err), err
 
 
+NUMERIC_FAILURES = {
+    # (grid, run and verify settings, monkeypatched splitter tolerances)
+    "split": ("nx = 5\nny = 5\nx_range = 0, 1\ny_range = 0, 1", "", 1e-30),
+    "axis": ("nx = 5\nny = 5\nx_range = 0, 40\ny_range = 0, 40", "[run]\nstep_divisor = 3", None),
+    # one cell of 1.5 x 1.5 at unit speeds: the Goursat update does not contract
+    "oracle": ("nx = 3\nny = 3\nx_range = 0, 3\ny_range = 0, 3", "[verify]\nsuites = oracle",
+               None),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(NUMERIC_FAILURES))
+def test_numerical_failure_reports_its_stage(tmp_path, monkeypatch, capfd, stage):
+    grid, extra, tol = NUMERIC_FAILURES[stage]
+    if tol is not None:
+        monkeypatch.setattr(birkhoff, "RESIDUAL_TOL", tol)
+        monkeypatch.setattr(birkhoff, "TAIL_TOL", tol)
+    cfg = write_config(tmp_path / "n.ini", f"""
+[potential]
+kind = normalized
+alpha = builtin:soliton_alpha
+beta = builtin:soliton_beta
+
+[grid]
+{grid}
+
+{extra}
+
+[output]
+directory = {tmp_path / "o"}
+""")
+    command = "verify" if stage == "oracle" else "build"
+    assert run([command, cfg]) == cli.EXIT_NUMERIC
+    err = capfd.readouterr().err
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    numbers = {"split": ("residual", "tail"), "axis": ("drift", "t"), "oracle": ()}[stage]
+    assert set(report) == {"pass", "error.stage", "error.message"} | {f"error.{k}" for k in numbers}
+    assert report["pass"] is False and report["error.stage"] == stage
+    assert err == f"numerical failure: {report['error.message']}\n"
+    for key in numbers:
+        assert np.isfinite(report[f"error.{key}"])
+    assert f"error.stage: {stage}" in (tmp_path / "o" / "report.txt").read_text()
+
+
 AMSLER_17 = """
 [potential]
 kind = amsler3

@@ -8,8 +8,8 @@ from psurf.potentials import generalized_amsler_example, pointwise, soliton_alph
 from tests.conftest import kink_phi
 
 OFF = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-# traced peak of one 4096-step gap on the band +-48: 1.3 MB in chunks of 256
-# steps, 15.8 MB with the gap's maps built at once
+# traced peak of one 4096-step gap on the band +-48: 0.86 MB in chunks of 64
+# steps (0.40 MB of it the 65 checkpoints), 15.8 MB with the gap's maps built at once
 MARCH_PEAK_BYTES = 4 * 2 ** 20
 
 
@@ -182,6 +182,53 @@ def test_one_long_gap_marches_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < MARCH_PEAK_BYTES, peak
+
+
+def test_checkpoints_hold_the_anchor_and_every_chunk_end():
+    pair = generalized_amsler_example()[0]
+    ts, step = np.array([-2.6, -1.0, -0.15]), 1 / 256
+    path = integrate_axis(pair.coeffs_x, ts, step=step, band=(-24, 24), t0=-1.5,
+                          drift_limit=np.inf)
+    marks = path.checkpoints
+    assert marks.d_min == -24 and marks.coeffs.shape[1:] == path.coeffs.shape[1:]
+    assert np.all(np.diff(marks.t) > 0) and -1.5 in marks.t
+    assert np.array_equal(marks.coeffs[marks.t == -1.5][0], LaurentLoop.identity().truncated(
+        -24, 24).coeffs)
+    # each recorded frame ends a chunk, and neighbours are at most a chunk apart
+    for t, frame in zip(ts, path.coeffs):
+        k = np.argmin(np.abs(marks.t - t))
+        assert abs(marks.t[k] - t) < 1e-12 and np.array_equal(marks.coeffs[k], frame)
+    assert np.max(np.diff(marks.t)) <= frames.MAP_CHUNK * step * (1 + 1e-12)
+
+
+def test_a_continued_frame_does_not_depend_on_the_other_parameters():
+    pair = generalized_amsler_example()[0]
+    ts, step, band = np.linspace(-2.6, -0.15, 7), 1 / 256, (-24, 24)
+    path = integrate_axis(pair.coeffs_x, ts, step=step, band=band, t0=-1.0, drift_limit=np.inf)
+    # below the marched span, on a checkpoint, between checkpoints and beyond the span
+    want = np.array([-2.7, -1.0, -0.98765, -0.5, -0.1])
+    reads = []
+
+    def eta(t_stages):
+        reads.append(t_stages.size)
+        return pair.coeffs_x(t_stages)
+
+    def continued(t_values):
+        return integrate_axis(eta, t_values, step=step, band=band, t0=-1.0,
+                              checkpoints=path.checkpoints, drift_limit=np.inf)
+
+    every = continued(want)
+    assert every.checkpoints is path.checkpoints
+    for n, t in enumerate(want):
+        reads.clear()
+        assert np.array_equal(continued([t]).coeffs[0], every.coeffs[n])
+        if ts[0] <= t <= ts[-1]:
+            # inside the span: at most MAP_CHUNK / 2 steps, eta read at their stage times
+            assert sum(reads) <= frames.MAP_CHUNK + 1, (t, reads)
+    assert np.array_equal(every.coeffs[1], path.checkpoints.frame_at(-1.0).coeffs)
+    with pytest.raises(ValueError, match="checkpoints on the band"):
+        integrate_axis(pair.coeffs_x, want, step=step, band=(-16, 16), t0=-1.0,
+                       checkpoints=path.checkpoints)
 
 
 def test_drift_error_on_coarse_step():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psurf import loops as loops_module
 from psurf.loops import (LaurentLoop, edge_norm, SU2_I, SU2_J, SU2_K, adjoint_rotation,
                          band_mask, band_slice, cauchy_product, degree_sum, evaluate, exp_loop,
                          inverse_one_sided, random_twisted_su_loop, random_twisted_unitary_loop,
-                         su2_defect, su2_to_r3)
+                         su2_defect, su2_to_r3, toeplitz_products)
 from tests.conftest import r3_to_su2
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -312,6 +312,35 @@ def test_band_slice_of_a_stack_slices_every_node():
     for lo, hi in ((-5, 1), (0, 2), (4, 9), (-9, -6)):
         ref = np.stack([band_slice(x, -2, lo, hi) for x in c])
         assert np.array_equal(band_slice(c, -2, lo, hi), ref)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(1, 120), st.integers(1, 120), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, 1, False, 0)            # one coefficient each: one GEMM far below the cutoff
+@example(5, 1, 97, True, 1)            # a one-coefficient stack against a long shared loop
+@example(3, 97, 1, False, 2)           # a long stack against a one-coefficient loop
+@example(25, 97, 97, True, 3)          # a grid row of the rotational example, far above it
+@example(1, 1100, 1100, False, 4)      # a reduction longer than one GEMM can hold
+def test_toeplitz_products_equal_the_per_node_products(n, ka, kw, left, seed):
+    rng = np.random.default_rng(seed)
+    a, w = _stack(rng, n, ka), _stack(rng, kw)
+    sizes, matmul = [], np.matmul
+
+    def gemm(x, y, **kwargs):
+        sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        return matmul(x, y, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", gemm)
+        got = toeplitz_products(a, w, left=left)
+    ref = np.stack([cauchy_product(w, x) if left else cauchy_product(x, w) for x in a])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= kernel_tol(a, w)
+    # every GEMM stays at or below the size BLAS would spread over threads, and
+    # together they make every one of the n ka kw coefficient products
+    assert max(sizes) <= loops_module.GEMM_MACS
+    assert sum(sizes) >= 8 * n * ka * kw
 
 
 # -- ring properties (hypothesis) ---------------------------------------------

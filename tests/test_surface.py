@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psurf.birkhoff import split_plus_star_minus
-from psurf.loops import SU2_K, LaurentLoop, su2_defect, su2_to_r3
+from psurf.loops import SU2_K, LaurentLoop, band_slice, su2_defect, su2_to_r3
 from psurf.potentials import (BoundaryAngles, generalized_amsler_example,
                               normalized_from_boundary, soliton_beta)
 from psurf.surface import (SurfaceGrid, cone_line_check, find_cone_point, frames_at,
@@ -23,7 +23,7 @@ def test_soliton_phi_and_boundary(soliton_frames_small):
     assert np.max(np.abs(f.phi[0, :] - soliton_beta(f.y))) < 1e-9
 
 
-def test_frames_at_replays_the_build_bit_for_bit():
+def test_frames_at_continues_the_build_within_the_march_estimate():
     pair, _ = generalized_amsler_example(domain=(-3.0, 0.2))
     init = LaurentLoop.constant(np.diag([np.exp(0.3j), np.exp(-0.3j)]))
     recipe = dict(trunc=20, step=0.4 / 512, init_x=init, drift_samples=(1.0, 1j))
@@ -32,21 +32,48 @@ def test_frames_at_replays_the_build_bit_for_bit():
     # the recipe is stored as passed
     assert (f.trunc, f.step, f.init_x, f.drift_samples) == tuple(recipe.values())
     assert (f.base_x, f.base_y, f.pair) == (-1.2, -1.1, pair)
-    gx, gy = xs[1:] + 0.05, ys[:3] - 0.1
-    got = frames_at(f, gx, gy)
-    want = reconstruct_frames(pair, gx, gy, basepoint=(-1.2, -1.1), **recipe)
-    assert np.array_equal(got.coeffs, want.coeffs) and np.array_equal(got.phi, want.phi)
-    assert got.d_min == want.d_min
+    # below the anchor, between the nodes and beyond the grid, on both axes
+    gx, gy = np.array([-1.25, -0.85, -0.75, -0.55]), np.array([-1.15, -0.95, -0.45])
+
+    def assert_continues(grid):
+        # frames continued from the checkpoints against fresh marches from the
+        # anchor at the grid's step h and at 2h: within ||U_2h - U_h|| / 15
+        got = frames_at(grid, gx, gy)
+        fresh = [reconstruct_frames(pair, gx, gy, basepoint=(grid.base_x, grid.base_y),
+                                    **dict(recipe, step=s)) for s in (grid.step, 2 * grid.step)]
+        lo = min(g.d_min for g in [got] + fresh)
+        hi = max(g.d_min + g.coeffs.shape[2] - 1 for g in [got] + fresh)
+        u, u_h, u_2h = (band_slice(g.coeffs, g.d_min, lo, hi) for g in [got] + fresh)
+        assert np.max(np.abs(u - u_h)) <= np.max(np.abs(u_2h - u_h)) / 15
+        assert np.max(np.abs(got.phi - fresh[0].phi)) <= np.max(np.abs(fresh[1].phi
+                                                                       - fresh[0].phi)) / 15
+
+    assert_continues(f)
     # step=None resolves once, to the largest axis span from the anchor (x: 0.6,
-    # y: 0.5) over 256, and is replayed as that number although gx reaches
-    # farther from the anchor (0.65)
-    auto = reconstruct_frames(pair, xs, ys, basepoint=(-1.2, -1.0),
-                              **dict(recipe, step=None))
+    # y: 0.5) over 256, and frames_at continues at that number although gx
+    # reaches farther from the anchor (0.65)
+    auto = reconstruct_frames(pair, xs, ys, basepoint=(-1.2, -1.0), **dict(recipe, step=None))
     assert auto.step == (xs[-1] + 1.2) / 256.0
-    got = frames_at(auto, gx, gy)
-    want = reconstruct_frames(pair, gx, gy, basepoint=(-1.2, -1.0),
-                              **dict(recipe, step=auto.step))
-    assert np.array_equal(got.coeffs, want.coeffs) and np.array_equal(got.phi, want.phi)
+    assert_continues(auto)
+
+
+def test_row_products_read_the_axis_frames_on_their_trimmed_bands(monkeypatch, soliton_pair):
+    # the x axis marches on degrees 0..24 and the y axis on -24..0; past degree
+    # +-13 every frame's coefficients are below FRAME_TRIM_REL of its largest
+    from psurf import surface
+    seen, real = [], surface.toeplitz_products
+
+    def spy(a, w, left=False):
+        seen.append((a.shape[1], w.shape[0], left))
+        return real(a, w, left=left)
+
+    monkeypatch.setattr(surface, "toeplitz_products", spy)
+    xs = np.linspace(0.0, 1.0, 65)
+    reconstruct_frames(soliton_pair, xs, xs[::16], trunc=24)
+    # g = G_y^-1 w_i, then U = w_i minus_j, once per grid row
+    assert len(seen) == 2 * xs.size
+    assert {(k, n) for k, n, left in seen if not left} == {(14, 14)}
+    assert {n for _, n, left in seen if left} == {14}
 
 
 def test_flat_case_phi_zero_and_degenerate():
