@@ -20,8 +20,9 @@ from psurf.loops import (PROBE_LAMBDAS, SU2_I, SU2_K, LaurentLoop, _dagger, _rai
                          toeplitz_products)
 
 EPS_DEGENERATE = 1e-6
-# relative trim of the per-node loops of reconstruct_frames; FrameGrid.loop
-# recovers a node's band from the zero-padded tensor only with the same trim
+# relative trim of the axis frames and the per-node loops of reconstruct_frames;
+# FrameGrid.loop recovers a node's band from the zero-padded tensor only with
+# the same trim
 FRAME_TRIM_REL = 1e-15
 # SU(2) tolerance of frame values read off a FrameGrid (normals and tangents)
 FRAME_SU2_TOL = 1e-5
